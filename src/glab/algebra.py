@@ -260,9 +260,6 @@ class Representation:
         plan = self._plan
         return np.asarray(matrix)[np.arange(plan.n), plan.source_idx].copy()
 
-    def fiber_elements(self, x) -> tuple:
-        return self.groupoid.source_fiber(x)
-
     def fiber_matrix(self, f, x) -> np.ndarray:
         """The block of the representation acting on l2(G_x)."""
         idx = [self.groupoid.index(el) for el in self.groupoid.source_fiber(x)]
@@ -289,7 +286,6 @@ class Block:
     idempotent: AlgebraElement
     orbit: frozenset
     support: frozenset
-    coeff_basis: np.ndarray = field(repr=False)
     _decomposition: "BlockDecomposition" = field(repr=False, default=None)
     _matrix_units: list = field(repr=False, default=None)
 
@@ -420,7 +416,6 @@ class BlockDecomposition:
                 idempotent=AlgebraElement(sub_groupoid, parent.idempotent.coeffs[keep]),
                 orbit=parent.orbit,
                 support=parent.support,
-                coeff_basis=parent.coeff_basis[keep],
             ))
         sub = BlockDecomposition(
             sub_groupoid, self.tol, self.seed, blocks, dict(self.numerics)
@@ -591,7 +586,7 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
         coeffs = rep.coefficients(projection)
         if np.max(np.abs(rep.matrix(coeffs) - projection)) > _CHECK_EPS:
             raise DecompositionError("spectral projection is not in the algebra image")
-        u, s, _ = np.linalg.svd(projection)
+        s = np.linalg.svd(projection, compute_uv=False)
         rank = int(np.sum(s > 0.5))
         dim = float(np.sqrt(rank))
         rounding = abs(dim - round(dim))
@@ -614,16 +609,15 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
             raise DecompositionError(
                 f"block diagonal footprint {sorted(map(repr, orbit))} is not an orbit"
             )
-        raw_blocks.append((orbit, dim, AlgebraElement(g, coeffs), support, u[:, :rank]))
+        raw_blocks.append((orbit, dim, AlgebraElement(g, coeffs), support))
 
-    if sum(dim * dim for _, dim, _, _, _ in raw_blocks) != n:
+    if sum(dim * dim for _, dim, _, _ in raw_blocks) != n:
         raise DecompositionError("block dimensions do not account for dim C*_r(G)")
 
     raw_blocks.sort(key=lambda blk: (min(order[u] for u in blk[0]), blk[1]))
     blocks = [
-        Block(index=i, dimension=dim, idempotent=e, orbit=orbit, support=support,
-              coeff_basis=basis)
-        for i, (orbit, dim, e, support, basis) in enumerate(raw_blocks)
+        Block(index=i, dimension=dim, idempotent=e, orbit=orbit, support=support)
+        for i, (orbit, dim, e, support) in enumerate(raw_blocks)
     ]
 
     total = sum((blk.idempotent.coeffs for blk in blocks),
@@ -694,25 +688,6 @@ class Ideal:
             self.decomposition._diagonal_cache[self.blocks] = cached
         return cached
 
-    def diagonal_part(self) -> list:
-        """Basis of the intersection with the diagonal subalgebra,
-        computed numerically by testing each unit indicator for
-        membership in the span of the ideal's blocks."""
-        g = self.decomposition.groupoid
-        tol = self.decomposition.tol
-        basis_rows = [
-            self.decomposition.blocks[i].coeff_basis[:, k]
-            for i in sorted(self.blocks)
-            for k in range(self.decomposition.blocks[i].coeff_basis.shape[1])
-        ]
-        out = []
-        for u in g.unit_list:
-            v = np.zeros(len(g), dtype=np.complex128)
-            v[g.index(u)] = 1.0
-            if linalg.subspace_membership(basis_rows, v, tol):
-                out.append(AlgebraElement(g, v))
-        return out
-
     def is_dynamical(self) -> bool:
         """Generated by its diagonal intersection."""
         return self == self.decomposition.dynamical_ideal_of(self.diagonal_units())
@@ -720,9 +695,6 @@ class Ideal:
     def is_purely_nondynamical(self) -> bool:
         """Nonzero with trivial diagonal intersection."""
         return bool(self.blocks) and not self.diagonal_units()
-
-    def contains_element(self, a: AlgebraElement) -> bool:
-        return self.decomposition.ideal_generated_by(a).blocks <= self.blocks
 
     def __and__(self, other):
         self._check(other)

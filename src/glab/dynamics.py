@@ -54,6 +54,7 @@ class FiniteDynSystem:
         extra = set(self.mapping) - self._space_set
         if extra:
             raise DynamicsError(f"map defined off the space: {sorted(map(repr, extra))}")
+        self._loci: dict = {}
 
     def __len__(self):
         return len(self.space)
@@ -67,13 +68,21 @@ class FiniteDynSystem:
         """Points fixed by the p-th iterate (p >= 1)."""
         if p < 1:
             raise DynamicsError("period must be at least 1")
-        return frozenset(x for x in self.space if self.apply(x, p) == x)
+        return self._locus(p)
+
+    def _locus(self, p: int) -> frozenset:
+        # the map never changes, so each locus is computed once per system
+        locus = self._loci.get(p)
+        if locus is None:
+            locus = frozenset(x for x in self.space if self.apply(x, p) == x)
+            self._loci[p] = locus
+        return locus
 
     def periodic_points(self) -> frozenset:
         """Union of all periodic loci; stabilizes by p = |X|."""
         out = frozenset()
         for p in range(1, len(self.space) + 1):
-            out |= self.periodic_locus(p)
+            out |= self._locus(p)
         return out
 
     def forward_orbit(self, x) -> frozenset:

@@ -12,6 +12,17 @@ representation kernel witnessing minimality.
 Verifiers are exhaustive, not sampled: the statements are universally
 quantified and finite instances admit complete checks within the
 block-count cap.
+
+Inside this module an ideal is an int bitmask over the Wedderburn
+blocks (bit i is block i) and an invariant unit set is a bitmask over
+the orbits (bit o is ``orbits()[o]``).  The triple bijection is then
+bit arithmetic: theta^-1 of an ideal m is (the orbits m fills, the
+orbits m touches, m minus the blocks over the filled orbits), and
+theta(U, V, q) is the blocks over U together with q.  ``verify`` and
+the analyze report run on numpy tables of these masks over all 2^b
+ideals (``_LatticeData``).  Ideals become ``Ideal`` objects and unit
+sets frozensets only at the public functions (``sandwich``, ``theta``,
+``theta_inverse``, ``enumerate_triples``, ``make_triple``).
 """
 
 from __future__ import annotations
@@ -59,35 +70,73 @@ def _decomposition_of(obj, tol=None, seed=None) -> BlockDecomposition:
     raise TypeError(f"expected a groupoid or decomposition, got {type(obj).__name__}")
 
 
+# -- block and orbit masks ------------------------------------------------------
+
+
+def _orbit_block_masks(decomp: BlockDecomposition) -> list:
+    """Per orbit of the unit space (in ``orbits()`` order), the mask of the
+    blocks sitting over it."""
+    orbits = decomp.groupoid.orbits()
+    index = {orbit: o for o, orbit in enumerate(orbits)}
+    masks = [0] * len(orbits)
+    for blk in decomp.blocks:
+        masks[index[blk.orbit]] |= 1 << blk.index
+    return masks
+
+
+def _filled(obm, m: int) -> int:
+    """The orbits all of whose blocks ideal ``m`` contains (its diagonal)."""
+    return sum(1 << o for o, bm in enumerate(obm) if m & bm == bm)
+
+
+def _touched(obm, m: int) -> int:
+    """The orbits some block of ideal ``m`` sits over (its support)."""
+    return sum(1 << o for o, bm in enumerate(obm) if m & bm)
+
+
+def _over(obm, w: int) -> int:
+    """The dynamical ideal over orbit set ``w``: every block over its orbits."""
+    return sum(bm for o, bm in enumerate(obm) if w >> o & 1)
+
+
+def _block_mask(blocks) -> int:
+    return sum(1 << i for i in blocks)
+
+
+def _bits(m: int) -> list:
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def _orbit_mask(orbits, members) -> int:
+    return sum(1 << o for o, orbit in enumerate(orbits) if orbit <= members)
+
+
+def _orbit_set(orbits, w: int) -> frozenset:
+    return frozenset().union(*(orbits[o] for o in _bits(w)))
+
+
+def _sub_indices(over: int, q: int) -> list:
+    """The blocks of ``q`` as indices into the subquotient whose blocks are
+    ``over``: a parent block's index there is its rank within ``over``."""
+    return [(over & ((1 << i) - 1)).bit_count() for i in _bits(q)]
+
+
 # -- sandwich sets -------------------------------------------------------------
 
 
 def sandwich(ideal: Ideal):
     """The invariant unit sets (U, V) with I_U <= I <= I_V extremal.
 
-    U is the open support of the diagonal intersection; V is the source
-    image of the support.  Extremality against neighbouring orbits is
-    asserted here; the verifier scans the whole dynamical lattice.
+    U is the open support of the diagonal intersection: the orbits all
+    of whose blocks the ideal contains.  V is the source image of the
+    support: the orbits the ideal has a block over.  The verifier scans
+    the whole dynamical lattice for extremality.
     """
     decomp = ideal.decomposition
-    g = decomp.groupoid
-    lower = ideal.diagonal_units()
-    upper = frozenset(g.source(el) for el in ideal.support())
-    for members in (lower, upper):
-        if not g.is_invariant_unit_set(members):
-            raise DecompositionError("sandwich set is not invariant")
-    i_lower = decomp.dynamical_ideal_of(lower)
-    i_upper = decomp.dynamical_ideal_of(upper)
-    if not (i_lower <= ideal and ideal <= i_upper):
-        raise DecompositionError("sandwich bounds fail")
-    for orbit, blocks in decomp.orbit_blocks().items():
-        inside = frozenset(blocks) <= ideal.blocks
-        touched = bool(frozenset(blocks) & ideal.blocks)
-        if inside and not orbit <= lower:
-            raise DecompositionError("diagonal support is not maximal")
-        if touched and not orbit <= upper:
-            raise DecompositionError("support image is not minimal")
-    return lower, upper
+    orbits = decomp.groupoid.orbits()
+    obm = _orbit_block_masks(decomp)
+    m = _block_mask(ideal.blocks)
+    return _orbit_set(orbits, _filled(obm, m)), _orbit_set(orbits, _touched(obm, m))
 
 
 # -- triples -------------------------------------------------------------------
@@ -114,30 +163,34 @@ class SandwichTriple:
         )
 
 
-def _check_triple(decomp: BlockDecomposition, triple: SandwichTriple):
+def _triple_masks(decomp: BlockDecomposition, triple: SandwichTriple) -> tuple:
+    """(block masks per orbit, U, q) of a triple, with q over the parent's
+    blocks; raises InvalidTripleError if the triple conditions fail."""
     g = decomp.groupoid
     if not triple.lower <= triple.upper:
         raise InvalidTripleError("U is not contained in V")
     for members in (triple.lower, triple.upper):
         if not g.is_invariant_unit_set(members):
             raise InvalidTripleError("U and V must be invariant unit sets")
-    sub, mapping = decomp.restriction_decomposition(triple.between)
-    j = triple.quotient_ideal
-    if j.decomposition is not sub:
+    sub, _ = decomp.restriction_decomposition(triple.between)
+    if triple.quotient_ideal.decomposition is not sub:
         raise InvalidTripleError(
             "quotient ideal does not live over the canonical subquotient"
         )
-    if not triple.between:
-        if not j.is_zero:
+    obm = _orbit_block_masks(decomp)
+    between = _orbit_mask(g.orbits(), triple.between)
+    parents = _bits(_over(obm, between))
+    q = _block_mask(parents[j] for j in triple.quotient_ideal.blocks)
+    if not between:
+        if q:
             raise InvalidTripleError("V = U requires the zero ideal")
-        return sub, mapping
-    if j.is_zero:
+    elif not q:
         raise InvalidTripleError("quotient ideal is zero on a nonzero subquotient")
-    if j.diagonal_units():
+    elif _filled(obm, q):
         raise InvalidTripleError("quotient ideal has nontrivial diagonal intersection")
-    if j.support() != frozenset(sub.groupoid.elements):
+    elif _touched(obm, q) != between:
         raise InvalidTripleError("quotient ideal does not have full support")
-    return sub, mapping
+    return obm, _orbit_mask(g.orbits(), triple.lower), q
 
 
 def make_triple(decomp_or_groupoid, lower, upper, quotient_blocks=(),
@@ -147,7 +200,7 @@ def make_triple(decomp_or_groupoid, lower, upper, quotient_blocks=(),
     lower, upper = frozenset(lower), frozenset(upper)
     sub, _ = decomp.restriction_decomposition(upper - lower)
     triple = SandwichTriple(lower, upper, sub.ideal(quotient_blocks))
-    _check_triple(decomp, triple)
+    _triple_masks(decomp, triple)
     return triple
 
 
@@ -155,27 +208,23 @@ def theta(decomp_or_groupoid, triple: SandwichTriple, tol=None, seed=None) -> Id
     """The ideal associated to a triple: everything over U together with
     the blocks matching J across the subquotient correspondence."""
     decomp = _decomposition_of(decomp_or_groupoid, tol, seed)
-    sub, mapping = _check_triple(decomp, triple)
-    blocks = set(decomp.dynamical_ideal_of(triple.lower).blocks)
-    blocks.update(mapping[j] for j in triple.quotient_ideal.blocks)
-    return decomp.ideal(blocks)
+    obm, lower, q = _triple_masks(decomp, triple)
+    return decomp.ideal(_bits(_over(obm, lower) | q))
 
 
 def theta_inverse(ideal: Ideal) -> SandwichTriple:
     """The triple of an ideal: its sandwich sets and the induced
-    subquotient ideal (which is checked to be purely non-dynamical with
-    full support, as the theory demands)."""
+    subquotient ideal (the blocks outside I_U, which are purely
+    non-dynamical with full support over V minus U)."""
     decomp = ideal.decomposition
-    lower, upper = sandwich(ideal)
-    sub, mapping = decomp.restriction_decomposition(upper - lower)
-    inverse = {parent: child for child, parent in mapping.items()}
-    lower_blocks = decomp.dynamical_ideal_of(lower).blocks
-    quotient = sub.ideal(
-        inverse[i] for i in ideal.blocks if i not in lower_blocks
-    )
-    triple = SandwichTriple(lower, upper, quotient)
-    _check_triple(decomp, triple)
-    return triple
+    orbits = decomp.groupoid.orbits()
+    obm = _orbit_block_masks(decomp)
+    m = _block_mask(ideal.blocks)
+    lower, upper = _filled(obm, m), _touched(obm, m)
+    between = upper & ~lower
+    sub, _ = decomp.restriction_decomposition(_orbit_set(orbits, between))
+    quotient = sub.ideal(_sub_indices(_over(obm, between), m & ~_over(obm, lower)))
+    return SandwichTriple(_orbit_set(orbits, lower), _orbit_set(orbits, upper), quotient)
 
 
 def enumerate_triples(decomp_or_groupoid, tol=None, seed=None,
@@ -187,45 +236,54 @@ def enumerate_triples(decomp_or_groupoid, tol=None, seed=None,
         raise CapExceededError(
             f"{decomp.block_count} blocks exceed the triple-enumeration cap {max_blocks}"
         )
+    orbits = decomp.groupoid.orbits()
+    obm = _orbit_block_masks(decomp)
+    subs = {}
+    triples = []
+    for lower, upper, q in zip(*(a.tolist() for a in _triple_table(decomp, obm))):
+        between = upper & ~lower
+        if between not in subs:
+            subs[between] = decomp.restriction_decomposition(_orbit_set(orbits, between))[0]
+        quotient = subs[between].ideal(_sub_indices(_over(obm, between), q))
+        triples.append(SandwichTriple(
+            _orbit_set(orbits, lower), _orbit_set(orbits, upper), quotient
+        ))
+    return triples
+
+
+def _triple_table(decomp: BlockDecomposition, obm) -> tuple:
+    """(U, V, q) mask arrays of every triple, q over the parent's blocks.
+
+    Ordered by V minus U in ``invariant_subsets`` order, then by U as
+    an ascending mask, then by q.
+    A quotient ideal must take a proper nonempty block subset on every
+    orbit of the reduction (full support, no diagonal), so the q are a
+    product of per-orbit choices; a single-block orbit admits none.
+    """
     g = decomp.groupoid
     orbits = g.orbits()
-    invariant = g.invariant_subsets()
-    orbit_blocks = decomp.orbit_blocks()
-    triples = []
-    for between in invariant:
-        if not between:
-            sub, _ = decomp.restriction_decomposition(between)
-            quotients = [sub.zero_ideal()]
-        else:
-            # A quotient ideal must take a proper nonempty block subset on
-            # every orbit of the reduction (full support, no diagonal), so
-            # candidates are a product of per-orbit choices; a single-block
-            # orbit admits none.
-            per_orbit = [
-                [
-                    combo
-                    for size in range(1, len(orbit_blocks[orb]))
-                    for combo in itertools.combinations(orbit_blocks[orb], size)
-                ]
-                for orb in orbits
-                if orb <= between
-            ]
-            if any(not choices for choices in per_orbit):
-                continue
-            sub, mapping = decomp.restriction_decomposition(between)
-            to_sub = {parent: child for child, parent in mapping.items()}
-            quotients = [
-                sub.ideal(to_sub[i] for combo in picks for i in combo)
-                for picks in itertools.product(*per_orbit)
-            ]
-        outside = [orb for orb in orbits if not orb & between]
-        for mask in range(1 << len(outside)):
-            lower = frozenset().union(
-                *(outside[i] for i in range(len(outside)) if mask >> i & 1)
-            ) if mask else frozenset()
-            for j in quotients:
-                triples.append(SandwichTriple(lower, lower | between, j))
-    return triples
+    unit_masks = np.arange(1 << len(orbits), dtype=np.int64)
+    choices = [
+        np.array([_block_mask(combo)
+                  for size in range(1, bm.bit_count())
+                  for combo in itertools.combinations(_bits(bm), size)],
+                 dtype=np.int64)
+        for bm in obm
+    ]
+    lowers, uppers, quotients = [], [], []
+    for members in g.invariant_subsets():
+        between = _orbit_mask(orbits, members)
+        inner = _bits(between)
+        if any(not choices[o].size for o in inner):
+            continue
+        q = np.zeros(1, dtype=np.int64)
+        for o in inner:
+            q = (q[:, None] | choices[o]).ravel()
+        lower = np.repeat(unit_masks[(unit_masks & between) == 0], q.size)
+        lowers.append(lower)
+        uppers.append(lower | between)
+        quotients.append(np.tile(q, len(lower) // q.size))
+    return tuple(np.concatenate(parts) for parts in (lowers, uppers, quotients))
 
 
 # -- obstruction ideal and the collapse representation --------------------------
@@ -419,16 +477,11 @@ class _LatticeData:
     """
 
     def __init__(self, decomp: BlockDecomposition):
-        g = decomp.groupoid
         self.decomp = decomp
-        self.orbits = g.orbits()
+        self.orbits = decomp.groupoid.orbits()
         self.n_orbits = len(self.orbits)
         self.b = decomp.block_count
-        orbit_index = {orbit: o for o, orbit in enumerate(self.orbits)}
-        self.block_orbit = [orbit_index[blk.orbit] for blk in decomp.blocks]
-        self.orbit_block_mask = [0] * self.n_orbits
-        for i, o in enumerate(self.block_orbit):
-            self.orbit_block_mask[o] |= 1 << i
+        self.orbit_block_mask = _orbit_block_masks(decomp)
         self.ideal_masks = np.arange(1 << self.b, dtype=np.int64)
         self.unit_masks = np.arange(1 << self.n_orbits, dtype=np.int64)
         self.inside = np.zeros(1 << self.b, dtype=np.int64)
@@ -439,18 +492,23 @@ class _LatticeData:
             self.touched |= ((self.ideal_masks & bm) != 0).astype(np.int64) << o
             self.dynamical_of |= np.where(self.unit_masks >> o & 1 == 1, bm, 0)
 
-    def ideal_mask(self, ideal: Ideal) -> int:
-        mask = 0
-        for i in ideal.blocks:
-            mask |= 1 << i
-        return mask
-
     def orbit_set(self, w: int) -> frozenset:
-        out = frozenset()
-        for o in range(self.n_orbits):
-            if w >> o & 1:
-                out |= self.orbits[o]
-        return out
+        return _orbit_set(self.orbits, w)
+
+    def theta_inverse(self) -> tuple:
+        """theta^-1 of every ideal mask m, as (U, V, q) arrays indexed by m."""
+        lower = self.inside
+        return lower, self.touched, self.ideal_masks & ~self.dynamical_of[lower]
+
+    def invalid_triples(self, lower, upper, q) -> np.ndarray:
+        """Which (U, V, q) rows break the triple conditions: U <= V, and q
+        lives over V minus U, fills none of its orbits (trivial diagonal
+        intersection) and touches every one of them (full support)."""
+        between = upper & ~lower
+        return (((lower & ~upper) != 0)
+                | ((q & ~self.dynamical_of[between]) != 0)
+                | ((self.inside[q] & between) != 0)
+                | (self.touched[q] != between))
 
 
 _FULL_SCAN_BUDGET = 1 << 26
@@ -492,30 +550,33 @@ def _check_sandwich(data: _LatticeData) -> CheckResult:
 
 
 def _check_bijection(data: _LatticeData, triples) -> CheckResult:
-    decomp = data.decomp
+    lower, upper, q = triples
+    masks = data.ideal_masks
+    inv_lower, inv_upper, inv_q = data.theta_inverse()
     witnesses = []
-    ideals = decomp.all_ideals()
-    seen = {}
-    for t in triples:
-        image = theta(decomp, t)
-        if image in seen:
-            witnesses.append(f"theta not injective at {t!r}")
-        seen[image] = t
-        back = theta_inverse(image)
-        if back != t:
-            witnesses.append(f"round trip fails for triple {t!r}")
-    for ideal in ideals:
-        t = theta_inverse(ideal)
-        if theta(decomp, t) != ideal:
-            witnesses.append(f"round trip fails for ideal {ideal!r}")
-    if len(seen) != len(ideals) or len(triples) != len(ideals):
+    for i in np.flatnonzero(data.invalid_triples(lower, upper, q))[:2]:
+        witnesses.append(f"({lower[i]:#x}, {upper[i]:#x}, {q[i]:#x}) is not a triple")
+    image = data.dynamical_of[lower] | q
+    distinct = len(np.unique(image))
+    if distinct != len(image):
+        witnesses.append("theta is not injective")
+    back = (inv_lower[image] != lower) | (inv_upper[image] != upper) | (inv_q[image] != q)
+    for i in np.flatnonzero(back)[:2]:
         witnesses.append(
-            f"counts differ: {len(triples)} triples vs {len(ideals)} ideals"
+            f"round trip fails for triple ({lower[i]:#x}, {upper[i]:#x}, {q[i]:#x})"
+        )
+    for m in np.flatnonzero(data.invalid_triples(inv_lower, inv_upper, inv_q))[:2]:
+        witnesses.append(f"theta inverse of ideal {m:#x} is not a triple")
+    for m in np.flatnonzero((data.dynamical_of[inv_lower] | inv_q) != masks)[:2]:
+        witnesses.append(f"round trip fails for ideal {m:#x}")
+    if distinct != len(masks) or len(lower) != len(masks):
+        witnesses.append(
+            f"counts differ: {len(lower)} triples vs {len(masks)} ideals"
         )
     return CheckResult(
         "bijection",
         not witnesses,
-        {"triples": len(triples), "ideals": len(ideals)},
+        {"triples": len(lower), "ideals": len(masks)},
         witnesses[:5],
     )
 
@@ -524,7 +585,7 @@ def _check_obstruction(data: _LatticeData) -> CheckResult:
     decomp = data.decomp
     witnesses = []
     j_ob = obstruction_ideal(decomp)
-    j_mask = data.ideal_mask(j_ob)
+    j_mask = _block_mask(j_ob.blocks)
     masks = data.ideal_masks
     pnd = (masks != 0) & (data.inside == 0)
     escapes = pnd & ((masks & j_mask) != masks)
@@ -652,7 +713,7 @@ def verify(g_or_decomp, tol: TolerancePolicy | None = None, seed: int | None = N
         )
     g = decomp.groupoid
     data = _LatticeData(decomp)
-    triples = enumerate_triples(decomp, max_blocks=max_blocks)
+    triples = _triple_table(decomp, data.orbit_block_mask)
     checks = [
         _check_sandwich(data),
         _check_bijection(data, triples),
@@ -667,7 +728,7 @@ def verify(g_or_decomp, tol: TolerancePolicy | None = None, seed: int | None = N
         "ideals": 1 << data.b,
         "dynamical": dynamical,
         "purely_non_dynamical": pnd,
-        "triples": len(triples),
+        "triples": len(triples[0]),
     }
     return VerificationReport(
         groupoid_name=g.name,

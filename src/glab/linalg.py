@@ -138,14 +138,3 @@ def rank(matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
     s = np.linalg.svd(a, compute_uv=False)
     return int(np.sum(s > tol.zero_eps * max(1.0, float(s[0]))))
 
-
-def nullspace(matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Orthonormal basis (columns) of the kernel of ``matrix``."""
-    a = as_complex_matrix(matrix)
-    n = a.shape[1]
-    if a.shape[0] == 0 or n == 0:
-        return np.eye(n, dtype=np.complex128)
-    u, s, vh = np.linalg.svd(a, full_matrices=True)
-    cutoff = tol.zero_eps * max(1.0, float(s[0]) if s.size else 0.0)
-    r = int(np.sum(s > cutoff))
-    return vh[r:].conj().T

@@ -8,12 +8,15 @@ deterministic for a fixed input and seed.
 
 from __future__ import annotations
 
+import numpy as np
+
 from . import ideals as ideal_ops
 from .algebra import BlockDecomposition
+from .errors import CapExceededError
 from .formats import Instance
 from .groups import PartialAction
 from .groupoids import from_partial_action
-from .ideals import CONVENTIONS, VerificationReport
+from .ideals import CONVENTIONS, VerificationReport, _LatticeData, _bits, _sub_indices
 
 
 def fmt_element(el) -> str:
@@ -78,20 +81,34 @@ def analyze_report(instance: Instance, source, decomp: BlockDecomposition,
         "conventions": list(CONVENTIONS),
         "numerics": dict(decomp.numerics),
     }
-    ideals = decomp.all_ideals(max_blocks)
+    b = decomp.block_count
+    if b > max_blocks:
+        raise CapExceededError(
+            f"{b} blocks would enumerate 2^{b} ideals (cap {max_blocks})"
+        )
+    data = _LatticeData(decomp)
+    masks = data.ideal_masks
+    lower, upper, quotient = data.theta_inverse()
+    over = data.dynamical_of[upper & ~lower]
+    dimension = np.zeros(len(masks), dtype=np.int64)
+    for blk in decomp.blocks:
+        dimension += (masks >> blk.index & 1) * blk.dimension ** 2
+    dynamical = (data.dynamical_of[lower] == masks).tolist()
+    pnd = ((masks != 0) & (lower == 0)).tolist()
+    # at most 2^orbits distinct unit sets, each formatted once
+    unit_sets = {w: fmt_set(data.orbit_set(w))
+                 for w in np.unique(np.concatenate([lower, upper])).tolist()}
     rows = []
-    for ideal in ideals:
-        triple = ideal_ops.theta_inverse(ideal)
+    for m, lo, up, ov, q, dim, dyn, nd in zip(
+            range(len(masks)), lower.tolist(), upper.tolist(), over.tolist(),
+            quotient.tolist(), dimension.tolist(), dynamical, pnd):
         rows.append({
-            "blocks": sorted(ideal.blocks),
-            "dimension": ideal.dimension,
-            "dynamical": ideal.is_dynamical(),
-            "purely_non_dynamical": ideal.is_purely_nondynamical(),
-            "sandwich": {
-                "lower": fmt_set(triple.lower),
-                "upper": fmt_set(triple.upper),
-            },
-            "triple_quotient_blocks": sorted(triple.quotient_ideal.blocks),
+            "blocks": _bits(m),
+            "dimension": dim,
+            "dynamical": dyn,
+            "purely_non_dynamical": nd,
+            "sandwich": {"lower": unit_sets[lo], "upper": unit_sets[up]},
+            "triple_quotient_blocks": _sub_indices(ov, q),
         })
     obstruction = ideal_ops.obstruction_ideal(decomp)
     kernel = ideal_ops.collapse_kernel(decomp)

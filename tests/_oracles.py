@@ -5,13 +5,17 @@ deliberately different code paths than the library: orbits by breadth
 first search, convolution by the literal double sum, block dimensions
 by counting conjugacy classes of the isotropy group and solving the
 sum-of-squares constraint, and ideal/triple counts by per-orbit
-combinatorics.
+combinatorics.  The sandwich sets and the triple bijection are kept in
+the frozenset formulation (unit sets, ``Ideal`` diagonals and supports,
+subquotient decompositions) that the library's bitmask layer replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import prod
+
+import numpy as np
 
 
 def bfs_orbits(g):
@@ -132,7 +136,132 @@ def convolve_literal(g, f1, f2):
     return out
 
 
+def ideal_span(ideal, eps=1e-8):
+    """Orthonormal basis (columns) of an ideal as a space of functions on
+    the groupoid: the span of e * delta_gamma over the central idempotents
+    e of its blocks and all arrows gamma, where (f * delta_gamma)(x) is
+    f(x gamma^-1) when x and gamma share their source and 0 otherwise."""
+    decomp = ideal.decomposition
+    g = decomp.groupoid
+    vectors = []
+    for i in sorted(ideal.blocks):
+        e = decomp.blocks[i].idempotent
+        for gamma in g.elements:
+            back = g.inverse(gamma)
+            vectors.append([
+                e.coefficient(g.compose(x, back)) if g.source(x) == g.source(gamma) else 0
+                for x in g.elements
+            ])
+    if not vectors:
+        return np.zeros((len(g), 0), dtype=np.complex128)
+    u, s, _ = np.linalg.svd(np.array(vectors, dtype=np.complex128).T, full_matrices=False)
+    return u[:, :int(np.sum(s > eps))]
+
+
+def numeric_diagonal_units(ideal, eps=1e-8):
+    """Units x whose indicator delta_x lies in the ideal's span."""
+    g = ideal.decomposition.groupoid
+    basis = ideal_span(ideal, eps)
+    out = []
+    for x in g.unit_list:
+        v = np.zeros(len(g), dtype=np.complex128)
+        v[g.elements.index(x)] = 1.0
+        if np.linalg.norm(v - basis @ (basis.conj().T @ v)) <= eps:
+            out.append(x)
+    return out
+
+
 def all_subsets(items):
     items = list(items)
     for k in range(len(items) + 1):
         yield from map(frozenset, itertools.combinations(items, k))
+
+
+# -- the set-based ideal layer ------------------------------------------------------
+#
+# Triples are (U, V, frozenset of subquotient block indices).
+
+
+def set_sandwich(ideal):
+    """(U, V): the units of the diagonal intersection and the source image
+    of the support, checked to be invariant, to bound the ideal, and to
+    be extremal against every orbit's blocks."""
+    decomp = ideal.decomposition
+    g = decomp.groupoid
+    lower = ideal.diagonal_units()
+    upper = frozenset(g.source(el) for el in ideal.support())
+    assert g.is_invariant_unit_set(lower) and g.is_invariant_unit_set(upper)
+    assert decomp.dynamical_ideal_of(lower) <= ideal <= decomp.dynamical_ideal_of(upper)
+    for orbit, blocks in decomp.orbit_blocks().items():
+        if frozenset(blocks) <= ideal.blocks:
+            assert orbit <= lower, "diagonal support is not maximal"
+        if frozenset(blocks) & ideal.blocks:
+            assert orbit <= upper, "support image is not minimal"
+    return lower, upper
+
+
+def set_check_triple(decomp, lower, upper, quotient):
+    """The triple conditions; returns the subquotient block correspondence
+    (sub-block index -> parent block index)."""
+    g = decomp.groupoid
+    assert lower <= upper
+    assert g.is_invariant_unit_set(lower) and g.is_invariant_unit_set(upper)
+    sub, mapping = decomp.restriction_decomposition(upper - lower)
+    j = sub.ideal(quotient)
+    if upper == lower:
+        assert j.is_zero
+    else:
+        assert not j.is_zero
+        assert not j.diagonal_units()
+        assert j.support() == frozenset(sub.groupoid.elements)
+    return mapping
+
+
+def set_theta(decomp, triple):
+    lower, _, quotient = triple
+    mapping = set_check_triple(decomp, *triple)
+    blocks = set(decomp.dynamical_ideal_of(lower).blocks)
+    blocks.update(mapping[j] for j in quotient)
+    return decomp.ideal(blocks)
+
+
+def set_theta_inverse(ideal):
+    decomp = ideal.decomposition
+    lower, upper = set_sandwich(ideal)
+    _, mapping = decomp.restriction_decomposition(upper - lower)
+    inverse = {parent: child for child, parent in mapping.items()}
+    lower_blocks = decomp.dynamical_ideal_of(lower).blocks
+    triple = (lower, upper,
+              frozenset(inverse[i] for i in ideal.blocks if i not in lower_blocks))
+    set_check_triple(decomp, *triple)
+    return triple
+
+
+def set_enumerate_triples(decomp):
+    """Every triple: for each invariant V minus U, every U over the orbits
+    outside it, and every product of proper nonempty per-orbit block
+    subsets of the subquotient."""
+    g = decomp.groupoid
+    orbits = g.orbits()
+    orbit_blocks = decomp.orbit_blocks()
+    triples = []
+    for between in g.invariant_subsets():
+        per_orbit = [
+            [combo
+             for size in range(1, len(orbit_blocks[orb]))
+             for combo in itertools.combinations(orbit_blocks[orb], size)]
+            for orb in orbits
+            if orb <= between
+        ]
+        if any(not choices for choices in per_orbit):
+            continue
+        _, mapping = decomp.restriction_decomposition(between)
+        to_sub = {parent: child for child, parent in mapping.items()}
+        quotients = [frozenset(to_sub[i] for combo in picks for i in combo)
+                     for picks in itertools.product(*per_orbit)]
+        outside = [orb for orb in orbits if not orb & between]
+        for mask in range(1 << len(outside)):
+            lower = frozenset().union(
+                *(outside[i] for i in range(len(outside)) if mask >> i & 1))
+            triples.extend((lower, lower | between, j) for j in quotients)
+    return triples

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -173,10 +174,33 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", str(swap_file), "--format", "json")
         assert out1 == out2
 
+    def test_measured_residual_within_tolerance(self, capsys, swap_file):
+        code, out, _ = run(capsys, "verify", str(swap_file), "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        # numerics holds the measured residual, parameters the tolerance
+        assert report["parameters"]["eig_residual"] == 1e-10
+        assert report["numerics"]["eig_residual"] <= report["parameters"]["eig_residual"]
+
     def test_cap_override_warns(self, capsys, swap_file):
         code, _, err = run(capsys, "verify", str(swap_file), "--max-blocks", "25")
         assert code == 0
         assert "warning" in err and "2^blocks" in err
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("command", ("verify", "analyze"))
+@pytest.mark.parametrize("name", ("swap_and_fix", "z2_bundle", "action8"))
+def test_json_report_matches_golden(capsys, monkeypatch, command, name):
+    """Byte-for-byte against reports committed in tests/data (``action8`` is
+    ``glab random --type action --size 5 --seed 8 --group-order 6``)."""
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.delenv("GLAB_SEED", raising=False)
+    code, out, _ = run(capsys, command, f"{name}.json", "--format", "json")
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.{command}.json").read_bytes()
 
 
 class TestRandom:

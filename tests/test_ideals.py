@@ -8,7 +8,14 @@ from glab import groupoids as gp
 from glab import ideals as il
 from glab.errors import CapExceededError
 from glab.generators import random_groupoid
-from _oracles import expected_counts
+from _oracles import (
+    expected_counts,
+    ideal_span,
+    set_enumerate_triples,
+    set_sandwich,
+    set_theta,
+    set_theta_inverse,
+)
 
 
 def units_by_point(g, *points):
@@ -177,6 +184,81 @@ class TestTriples:
         assert il.theta(al.wedderburn(z2_bundle), triple).blocks == frozenset({0})
 
 
+@pytest.fixture(scope="module")
+def small_decompositions(z2_bundle, swap_and_fix, pair3):
+    """The worked instances and 30 random draws with at most 8 blocks."""
+    out = [al.wedderburn(g) for g in (z2_bundle, swap_and_fix, pair3)]
+    rng = random.Random(2211)
+    while len(out) < 33:
+        d = al.wedderburn(random_groupoid(rng, 32))
+        if d.block_count <= 8:
+            out.append(d)
+    return out
+
+
+def as_sets(data, lower, upper, q):
+    """A (U, V, q) mask row as (U, V, subquotient block indices)."""
+    over = int(data.dynamical_of[upper & ~lower])
+    return data.orbit_set(lower), data.orbit_set(upper), frozenset(il._sub_indices(over, q))
+
+
+class TestMaskLayer:
+    """The bitmask tables that verify and analyze read, and the public
+    wrappers over them, against the set-based reference."""
+
+    def test_theta_inverse_matches_set_reference(self, small_decompositions):
+        for d in small_decompositions:
+            data = il._LatticeData(d)
+            rows = zip(*(a.tolist() for a in data.theta_inverse()))
+            for ideal, row in zip(d.all_ideals(), rows):
+                expected = set_theta_inverse(ideal)
+                assert as_sets(data, *row) == expected
+                triple = il.theta_inverse(ideal)
+                assert (triple.lower, triple.upper,
+                        triple.quotient_ideal.blocks) == expected
+                assert il.sandwich(ideal) == set_sandwich(ideal)
+
+    def test_triples_match_set_reference(self, small_decompositions):
+        for d in small_decompositions:
+            data = il._LatticeData(d)
+            table = il._triple_table(d, data.orbit_block_mask)
+            expected = set_enumerate_triples(d)
+            assert [as_sets(data, *row)
+                    for row in zip(*(a.tolist() for a in table))] == expected
+            public = il.enumerate_triples(d)
+            assert [(t.lower, t.upper, t.quotient_ideal.blocks)
+                    for t in public] == expected
+            for t, reference in zip(public, expected):
+                assert il.theta(d, t) == set_theta(d, reference)
+
+    def test_invalid_rows(self, z2_bundle):
+        d = al.wedderburn(gp.disjoint_union([z2_bundle, z2_bundle]))
+        data = il._LatticeData(d)
+        first, second = data.orbit_block_mask
+        one, other = first & -first, second & -second
+        rows = [  # (U, V, q) over orbits 0b01 and 0b10
+            (0, 0b11, one | other, False),
+            (0, 0b11, one, True),            # misses orbit 1: no full support
+            (0, 0b01, first, True),          # fills orbit 0: diagonal
+            (0, 0b01, 0, True),              # zero on a nonzero subquotient
+            (0b01, 0b00, 0, True),           # U not inside V
+            (0b01, 0b11, other, False),
+            (0b01, 0b11, one | other, True),  # q outside V minus U
+        ]
+        lower, upper, q, expected = (np.array(col) for col in zip(*rows))
+        assert data.invalid_triples(lower, upper, q).tolist() == expected.tolist()
+
+    def test_bijection_check_can_fail(self, swap_and_fix):
+        d = al.wedderburn(swap_and_fix)
+        data = il._LatticeData(d)
+        triples = il._triple_table(d, data.orbit_block_mask)
+        assert il._check_bijection(data, triples).passed
+        data.touched[1] ^= 1
+        result = il._check_bijection(data, triples)
+        assert not result.passed
+        assert result.witnesses
+
+
 class TestExelWitness:
     def test_pair_arrow(self, pair2):
         f = al.delta(pair2, (2, 1))
@@ -292,11 +374,8 @@ class TestAgainstBruteForceSubspaces:
         rep = al.full_representation(swap_and_fix)
         rng = np.random.default_rng(23)
         for ideal in d.all_ideals():
-            basis = [
-                d.blocks[i].coeff_basis[:, k]
-                for i in sorted(ideal.blocks)
-                for k in range(d.blocks[i].coeff_basis.shape[1])
-            ]
+            basis = list(ideal_span(ideal).T)
+            assert len(basis) == ideal.dimension
             for _ in range(5):
                 if not basis:
                     break
