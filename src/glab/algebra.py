@@ -308,8 +308,6 @@ class BlockDecomposition:
         for blk in self.blocks:
             blk._decomposition = self
         self._subquotients: dict = {}
-        self._support_cache: dict = {}
-        self._diagonal_cache: dict = {}
 
     @property
     def block_count(self) -> int:
@@ -318,9 +316,6 @@ class BlockDecomposition:
     @property
     def dimensions(self) -> tuple:
         return tuple(b.dimension for b in self.blocks)
-
-    def unit(self) -> AlgebraElement:
-        return unit_element(self.groupoid)
 
     def orbit_blocks(self) -> dict:
         """Map each orbit to the tuple of indices of blocks sitting over it."""
@@ -667,26 +662,18 @@ class Ideal:
 
     def support(self) -> frozenset:
         """All arrows where some element of the ideal is nonzero."""
-        cached = self.decomposition._support_cache.get(self.blocks)
-        if cached is None:
-            cached = frozenset().union(
-                *(self.decomposition.blocks[i].support for i in self.blocks)
-            ) if self.blocks else frozenset()
-            self.decomposition._support_cache[self.blocks] = cached
-        return cached
+        return frozenset().union(
+            *(self.decomposition.blocks[i].support for i in self.blocks)
+        )
 
     def diagonal_units(self) -> frozenset:
         """Units x with delta_x in the ideal: those none of whose blocks
         are missing (read off the block/orbit incidence)."""
-        cached = self.decomposition._diagonal_cache.get(self.blocks)
-        if cached is None:
-            outside: frozenset = frozenset()
-            for blk in self.decomposition.blocks:
-                if blk.index not in self.blocks:
-                    outside |= blk.orbit
-            cached = self.decomposition.groupoid.units - outside
-            self.decomposition._diagonal_cache[self.blocks] = cached
-        return cached
+        outside: frozenset = frozenset()
+        for blk in self.decomposition.blocks:
+            if blk.index not in self.blocks:
+                outside |= blk.orbit
+        return self.decomposition.groupoid.units - outside
 
     def is_dynamical(self) -> bool:
         """Generated by its diagonal intersection."""

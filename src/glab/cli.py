@@ -14,7 +14,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import generators, reports
@@ -124,25 +123,16 @@ def _cmd_verify(args) -> int:
         )
         if not paths:
             raise InstanceFormatError(f"no .json instances in {args.batch!r}")
-
-        def work(path):
-            try:
-                return path, _verify_one(path, args, caps)
-            except Exception as exc:
-                return path, exc
-
-        with ThreadPoolExecutor(max_workers=min(8, len(paths))) as pool:
-            results = dict(pool.map(work, paths))
         worst = EXIT_OK
         for path in paths:
-            outcome = results[path]
-            if isinstance(outcome, Exception):
-                print(f"{path}: error: {outcome}", file=sys.stderr)
-                worst = max(worst, _exit_code_for(outcome))
+            try:
+                report, code = _verify_one(path, args, caps)
+            except Exception as exc:  # noqa: BLE001 - mapped to exit codes
+                print(f"{path}: error: {exc}", file=sys.stderr)
+                code = _exit_code_for(exc)
             else:
-                report, code = outcome
                 _emit(report, args.format)
-                worst = max(worst, code)
+            worst = max(worst, code)
         return worst
     report, code = _verify_one(args.path, args, caps)
     _emit(report, args.format)

@@ -80,6 +80,17 @@ def _need(payload: dict, key: str, types, where: str):
     return value
 
 
+def _identifiers(payload: dict, key: str, where: str) -> list:
+    """A list field of unit or point identifiers, which must be scalars."""
+    values = _need(payload, key, list, where)
+    for value in values:
+        if isinstance(value, (list, dict)):
+            raise InstanceFormatError(
+                f"field {key!r} in {where} holds a non-scalar identifier {value!r}"
+            )
+    return values
+
+
 def group_from_dict(payload: dict, where: str = "group") -> CayleyGroup:
     elements = _need(payload, "elements", list, where)
     rows = _need(payload, "table", list, where)
@@ -134,10 +145,10 @@ def instance_from_dict(payload: dict, source=None) -> Instance:
         if kind in ("action", "partial-action"):
             obj = _action_from_dict(payload, kind)
         elif kind == "pair":
-            points = _need(payload, "points", list, kind)
+            points = _identifiers(payload, "points", kind)
             obj = groupoids.pair_groupoid(tuple(points))
         elif kind == "group-bundle":
-            units = _need(payload, "units", list, kind)
+            units = _identifiers(payload, "units", kind)
             fiber_payloads = _need(payload, "fibers", dict, kind)
             if set(units) != set(fiber_payloads):
                 raise InstanceFormatError("fibers do not match the unit list")

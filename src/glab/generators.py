@@ -118,12 +118,6 @@ def random_partial_action(rng: random.Random, group: CayleyGroup, size: int,
     return big.restricted_to(keep)
 
 
-def random_bundle_fibers(rng: random.Random, n_units: int, max_order: int = 8) -> dict:
-    return {
-        f"u{i}": random_group(rng, max_order) for i in range(n_units)
-    }
-
-
 def random_groupoid(rng: random.Random, max_size: int = 64) -> groupoids.FiniteGroupoid:
     """A random finite groupoid for sweeps: an action or partial-action
     groupoid, a group bundle, a pair groupoid, or a disjoint union of

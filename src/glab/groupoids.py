@@ -107,9 +107,6 @@ class FiniteGroupoid:
     def inverse(self, el):
         return self._inverse[el]
 
-    def is_unit(self, el) -> bool:
-        return el in self.units
-
     def is_composable(self, a, b) -> bool:
         return self._source[a] == self._range[b]
 
@@ -286,12 +283,6 @@ class FiniteGroupoid:
         )
         self._caches["orbits"] = out
         return out
-
-    def orbit_of(self, x) -> frozenset:
-        for orb in self.orbits():
-            if x in orb:
-                return orb
-        raise GroupoidError(f"{x!r} is not a unit")
 
     def is_invariant_unit_set(self, members) -> bool:
         members = frozenset(members)

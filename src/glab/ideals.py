@@ -20,7 +20,8 @@ bit arithmetic: theta^-1 of an ideal m is (the orbits m fills, the
 orbits m touches, m minus the blocks over the filled orbits), and
 theta(U, V, q) is the blocks over U together with q.  ``verify`` and
 the analyze report run on numpy tables of these masks over all 2^b
-ideals (``_LatticeData``).  Ideals become ``Ideal`` objects and unit
+ideals, all 2^orbits unit sets and, per arrow, the blocks whose support
+holds it (``_LatticeData``).  Ideals become ``Ideal`` objects and unit
 sets frozensets only at the public functions (``sandwich``, ``theta``,
 ``theta_inverse``, ``enumerate_triples``, ``make_triple``).
 """
@@ -39,6 +40,7 @@ from .algebra import (
     BlockDecomposition,
     DecompositionError,
     Ideal,
+    _plan,
     delta,
     wedderburn,
 )
@@ -258,26 +260,32 @@ def _triple_table(decomp: BlockDecomposition, obm) -> tuple:
     an ascending mask, then by q.
     A quotient ideal must take a proper nonempty block subset on every
     orbit of the reduction (full support, no diagonal), so the q are a
-    product of per-orbit choices; a single-block orbit admits none.
+    product of per-orbit choices and V minus U is a union of orbits
+    with at least two blocks.
     """
     g = decomp.groupoid
-    orbits = g.orbits()
-    unit_masks = np.arange(1 << len(orbits), dtype=np.int64)
-    choices = [
-        np.array([_block_mask(combo)
-                  for size in range(1, bm.bit_count())
-                  for combo in itertools.combinations(_bits(bm), size)],
-                 dtype=np.int64)
-        for bm in obm
-    ]
+    position = {u: i for i, u in enumerate(g.unit_list)}
+    units = [sorted(position[u] for u in orbit) for orbit in g.orbits()]
+    unit_masks = np.arange(1 << len(obm), dtype=np.int64)
+    split = [o for o, bm in enumerate(obm) if bm.bit_count() > 1]
+    choices = {
+        o: np.array([_block_mask(combo)
+                     for size in range(1, obm[o].bit_count())
+                     for combo in itertools.combinations(_bits(obm[o]), size)],
+                    dtype=np.int64)
+        for o in split
+    }
+
+    def unit_order(between):
+        members = sorted(u for o in _bits(between) for u in units[o])
+        return len(members), members
+
+    betweens = sorted((_block_mask(split[i] for i in _bits(s))
+                       for s in range(1 << len(split))), key=unit_order)
     lowers, uppers, quotients = [], [], []
-    for members in g.invariant_subsets():
-        between = _orbit_mask(orbits, members)
-        inner = _bits(between)
-        if any(not choices[o].size for o in inner):
-            continue
+    for between in betweens:
         q = np.zeros(1, dtype=np.int64)
-        for o in inner:
+        for o in _bits(between):
             q = (q[:, None] | choices[o]).ravel()
         lower = np.repeat(unit_masks[(unit_masks & between) == 0], q.size)
         lowers.append(lower)
@@ -472,8 +480,10 @@ class _LatticeData:
 
     Ideals are bitmasks over blocks, invariant unit sets are bitmasks
     over orbits; the tables give, for every ideal mask, the orbits it
-    fills (the U side) and touches (the V side), and for every orbit
-    mask the dynamical ideal over it.
+    fills (the U side) and touches (the V side) and whether it is
+    dynamical or purely non-dynamical, for every orbit mask the
+    dynamical ideal over it, and per arrow (``arrows``) the mask of the
+    blocks whose support holds it and the orbits of its source and range.
     """
 
     def __init__(self, decomp: BlockDecomposition):
@@ -491,6 +501,15 @@ class _LatticeData:
             self.inside |= ((self.ideal_masks & bm) == bm).astype(np.int64) << o
             self.touched |= ((self.ideal_masks & bm) != 0).astype(np.int64) << o
             self.dynamical_of |= np.where(self.unit_masks >> o & 1 == 1, bm, 0)
+        self.dynamical = self.dynamical_of[self.inside] == self.ideal_masks
+        self.pnd = (self.ideal_masks != 0) & (self.inside == 0)
+        g = decomp.groupoid
+        orbit_of = {u: o for o, orbit in enumerate(self.orbits) for u in orbit}
+        self.arrows = np.array(
+            [(_block_mask(blk.index for blk in decomp.blocks if el in blk.support),
+              orbit_of[g.source(el)], orbit_of[g.range(el)]) for el in g.elements],
+            dtype=np.int64,
+        ).reshape(-1, 3)
 
     def orbit_set(self, w: int) -> frozenset:
         return _orbit_set(self.orbits, w)
@@ -587,13 +606,12 @@ def _check_obstruction(data: _LatticeData) -> CheckResult:
     j_ob = obstruction_ideal(decomp)
     j_mask = _block_mask(j_ob.blocks)
     masks = data.ideal_masks
-    pnd = (masks != 0) & (data.inside == 0)
-    escapes = pnd & ((masks & j_mask) != masks)
+    escapes = data.pnd & ((masks & j_mask) != masks)
     for m in np.flatnonzero(escapes)[:3]:
         witnesses.append(
             f"purely non-dynamical ideal {m:#x} escapes the obstruction ideal"
         )
-    pnd_union = int(np.bitwise_or.reduce(masks[pnd])) if pnd.any() else 0
+    pnd_union = int(np.bitwise_or.reduce(masks[data.pnd])) if data.pnd.any() else 0
     kernel = collapse_kernel(decomp)
     if j_ob.is_zero:
         if not kernel.is_zero:
@@ -620,26 +638,23 @@ def _check_obstruction(data: _LatticeData) -> CheckResult:
 
 
 def _check_lattice_iso(data: _LatticeData) -> CheckResult:
-    decomp = data.decomp
-    g = decomp.groupoid
     witnesses = []
     n_orbits = data.n_orbits
     unit_masks = data.unit_masks
     ideal_of = data.dynamical_of
     if len(np.unique(ideal_of)) != len(unit_masks):
         witnesses.append("unit-set-to-ideal map is not injective")
-    for w in range(1 << n_orbits):
-        members = data.orbit_set(w)
-        ideal = decomp.ideal(
-            i for i in range(data.b) if int(ideal_of[w]) >> i & 1
-        )
-        if ideal.diagonal_units() != members:
+    bad_diagonal = data.inside[ideal_of] != unit_masks
+    # an arrow lies in the support of I_U when one of its blocks lies over
+    # U, and in the reduction to U when its source and range orbits do
+    bad_support = np.zeros(len(unit_masks), dtype=bool)
+    for blocks, source, range_ in np.unique(data.arrows, axis=0).tolist():
+        in_reduction = (unit_masks >> source & unit_masks >> range_ & 1) == 1
+        bad_support |= ((ideal_of & blocks) != 0) != in_reduction
+    for w in np.flatnonzero(bad_diagonal | bad_support)[:5]:
+        if bad_diagonal[w]:
             witnesses.append(f"diagonal of I_U differs from C(U) at {w:#x}")
-        expected = frozenset(
-            el for el in g.elements
-            if g.source(el) in members and g.range(el) in members
-        )
-        if ideal.support() != expected:
+        if bad_support[w]:
             witnesses.append(f"support of I_U differs from the reduction at {w:#x}")
     pair_budget = (1 << n_orbits) * (1 << n_orbits) <= _FULL_SCAN_BUDGET
     w1_range = range(1 << n_orbits) if pair_budget else [0, (1 << n_orbits) - 1]
@@ -661,40 +676,39 @@ def _check_lattice_iso(data: _LatticeData) -> CheckResult:
 
 
 def _check_support_invariance(data: _LatticeData) -> CheckResult:
-    decomp = data.decomp
-    g = decomp.groupoid
-    from .algebra import _plan
-
-    plan = _plan(g)
+    plan = _plan(data.decomp.groupoid)
+    blocks = data.arrows[:, 0]
+    # ideals with the same touched-orbit set share their support, that of
+    # the dynamical ideal over those orbits; an arrow is in a support when
+    # one of its blocks is, so distinct block-mask rows cover every arrow
+    touched = np.unique(data.touched)
+    supports = data.dynamical_of[touched]
+    not_inverse = np.zeros(len(touched), dtype=bool)
+    for a, a_inv in np.unique(np.stack([blocks, blocks[plan.inv]], axis=1),
+                              axis=0).tolist():
+        not_inverse |= ((supports & a) != 0) != ((supports & a_inv) != 0)
+    not_composed = np.zeros(len(touched), dtype=bool)
+    for a, b, ab in np.unique(
+            np.stack([blocks[plan.ia], blocks[plan.ib], blocks[plan.iab]], axis=1),
+            axis=0).tolist():
+        not_composed |= ((supports & a) != 0) & ((supports & b) != 0) & ((supports & ab) == 0)
     witnesses = []
-    seen = 0
-    for v in np.unique(data.touched):
-        # ideals with the same touched-orbit set share their support, so
-        # one representative (all blocks over those orbits) covers them all
-        seen += 1
-        full_mask = int(data.dynamical_of[v])
-        ideal = decomp.ideal(i for i in range(data.b) if full_mask >> i & 1)
-        in_s = np.zeros(len(g), dtype=bool)
-        for el in ideal.support():
-            in_s[g.index(el)] = True
-        if not np.array_equal(in_s, in_s[plan.inv]):
-            witnesses.append(f"support over orbits {int(v):#x} not closed under inversion")
-        both = in_s[plan.ia] & in_s[plan.ib]
-        if both.any() and not in_s[plan.iab[both]].all():
-            witnesses.append(f"support over orbits {int(v):#x} not closed under composition")
+    for i in np.flatnonzero(not_inverse | not_composed)[:5]:
+        if not_inverse[i]:
+            witnesses.append(f"support over orbits {touched[i]:#x} not closed under inversion")
+        if not_composed[i]:
+            witnesses.append(f"support over orbits {touched[i]:#x} not closed under composition")
     return CheckResult(
-        "support", not witnesses, {"distinct_supports": seen}, witnesses[:5]
+        "support", not witnesses, {"distinct_supports": len(touched)}, witnesses[:5]
     )
 
 
 def _check_effective_uniqueness(data: _LatticeData) -> CheckResult:
-    decomp = data.decomp
-    g = decomp.groupoid
+    g = data.decomp.groupoid
     effective = g.effective_units() == g.units
     witnesses = []
     if effective:
-        bad = (data.ideal_masks != 0) & (data.inside == 0)
-        for m in np.flatnonzero(bad)[:3]:
+        for m in np.flatnonzero(data.pnd)[:3]:
             witnesses.append(
                 f"nonzero ideal {m:#x} misses the diagonal on an effective groupoid"
             )
@@ -722,12 +736,10 @@ def verify(g_or_decomp, tol: TolerancePolicy | None = None, seed: int | None = N
         _check_support_invariance(data),
         _check_effective_uniqueness(data),
     ]
-    dynamical = int(np.sum(data.dynamical_of[data.inside] == data.ideal_masks))
-    pnd = int(np.sum((data.ideal_masks != 0) & (data.inside == 0)))
     counts = {
         "ideals": 1 << data.b,
-        "dynamical": dynamical,
-        "purely_non_dynamical": pnd,
+        "dynamical": int(np.sum(data.dynamical)),
+        "purely_non_dynamical": int(np.sum(data.pnd)),
         "triples": len(triples[0]),
     }
     return VerificationReport(

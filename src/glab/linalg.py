@@ -129,12 +129,3 @@ def subspace_membership(basis, v, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> b
     dist = float(np.linalg.norm(w - q @ (q.conj().T @ w)))
     return dist <= tol.zero_eps * max(1.0, norm_v)
 
-
-def rank(matrix, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> int:
-    """Numerical rank with the package-wide pivot threshold."""
-    a = as_complex_matrix(matrix)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > tol.zero_eps * max(1.0, float(s[0]))))
-

@@ -93,15 +93,14 @@ def analyze_report(instance: Instance, source, decomp: BlockDecomposition,
     dimension = np.zeros(len(masks), dtype=np.int64)
     for blk in decomp.blocks:
         dimension += (masks >> blk.index & 1) * blk.dimension ** 2
-    dynamical = (data.dynamical_of[lower] == masks).tolist()
-    pnd = ((masks != 0) & (lower == 0)).tolist()
     # at most 2^orbits distinct unit sets, each formatted once
     unit_sets = {w: fmt_set(data.orbit_set(w))
                  for w in np.unique(np.concatenate([lower, upper])).tolist()}
     rows = []
     for m, lo, up, ov, q, dim, dyn, nd in zip(
             range(len(masks)), lower.tolist(), upper.tolist(), over.tolist(),
-            quotient.tolist(), dimension.tolist(), dynamical, pnd):
+            quotient.tolist(), dimension.tolist(), data.dynamical.tolist(),
+            data.pnd.tolist()):
         rows.append({
             "blocks": _bits(m),
             "dimension": dim,

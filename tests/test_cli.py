@@ -150,6 +150,15 @@ class TestVerify:
         # output ordered by filename: pair.json before swap.json
         assert out.index("pair.json") < out.index("swap.json")
 
+    def test_batch_reports_bad_file(self, capsys, swap_file, pair_file):
+        bad = swap_file.parent / "bad.json"
+        bad.write_text('{"version": 1, "kind": "pair", "points": [[1], [2]]}')
+        code, out, err = run(capsys, "verify", "--batch", str(swap_file.parent),
+                             "--format", "json")
+        assert code == 2
+        assert err.startswith(f"{bad}: error: ") and "non-scalar" in err
+        assert out.index("pair.json") < out.index("swap.json")
+
     def test_missing_path(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify"])

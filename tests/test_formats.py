@@ -107,6 +107,15 @@ class TestKinds:
                 "fibers": {"u": z2_payload()},
             })
 
+    @pytest.mark.parametrize("payload", [
+        {"version": 1, "kind": "pair", "points": [[1], [2]]},
+        {"version": 1, "kind": "group-bundle", "units": [["u"]],
+         "fibers": {"u": z2_payload()}},
+    ])
+    def test_non_scalar_identifiers(self, payload):
+        with pytest.raises(formats.InstanceFormatError, match="non-scalar"):
+            formats.instance_from_dict(payload)
+
     def test_pair(self):
         instance = formats.instance_from_dict(
             {"version": 1, "kind": "pair", "points": ["1", "2", "3"]}

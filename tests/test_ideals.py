@@ -6,6 +6,7 @@ import pytest
 from glab import algebra as al
 from glab import groupoids as gp
 from glab import ideals as il
+from glab import cyclic_group, global_action
 from glab.errors import CapExceededError
 from glab.generators import random_groupoid
 from _oracles import (
@@ -186,10 +187,18 @@ class TestTriples:
 
 @pytest.fixture(scope="module")
 def small_decompositions(z2_bundle, swap_and_fix, pair3):
-    """The worked instances and 30 random draws with at most 8 blocks."""
+    """The worked instances, a mixed union and 30 random draws with at
+    most 8 blocks."""
     out = [al.wedderburn(g) for g in (z2_bundle, swap_and_fix, pair3)]
+    # C4 swapping two points: one two-unit orbit with blocks M2 + M2
+    swap, fix = {"x": "y", "y": "x"}, {"x": "x", "y": "y"}
+    c4 = gp.from_group_action(global_action(
+        cyclic_group(4), ("x", "y"), {"r0": fix, "r1": swap, "r2": fix, "r3": swap}
+    ))
+    # single-block orbits between split orbits of one and two units
+    out.append(al.wedderburn(gp.disjoint_union([swap_and_fix, pair3, c4, z2_bundle])))
     rng = random.Random(2211)
-    while len(out) < 33:
+    while len(out) < 34:
         d = al.wedderburn(random_groupoid(rng, 32))
         if d.block_count <= 8:
             out.append(d)
@@ -230,6 +239,40 @@ class TestMaskLayer:
                     for t in public] == expected
             for t, reference in zip(public, expected):
                 assert il.theta(d, t) == set_theta(d, reference)
+
+    @pytest.mark.parametrize("arrow, broken", [
+        (("b", "r1", "a"), "inversion"),     # its inverse keeps the block
+        (("a", "r0", "a"), "composition"),   # a unit: its own inverse
+    ])
+    def test_arrow_table_flip_fails_checks(self, swap_and_fix, arrow, broken):
+        d = al.wedderburn(swap_and_fix)
+        data = il._LatticeData(d)
+        assert il._check_lattice_iso(data).passed
+        assert il._check_support_invariance(data).passed
+        (block,) = d.orbit_blocks()[frozenset(
+            u for u in swap_and_fix.unit_list if u[0] in "ab")]
+        data.arrows[swap_and_fix.index(arrow), 0] ^= 1 << block
+        lattice = il._check_lattice_iso(data)
+        assert not lattice.passed
+        assert lattice.witnesses
+        support = il._check_support_invariance(data)
+        assert not support.passed
+        assert support.witnesses
+        assert all(w.endswith(f"not closed under {broken}") for w in support.witnesses)
+
+    def test_inside_flip_fails_lattice_diagonal(self, swap_and_fix):
+        data = il._LatticeData(al.wedderburn(swap_and_fix))
+        data.inside[data.dynamical_of[1]] ^= 1
+        result = il._check_lattice_iso(data)
+        assert not result.passed
+        assert result.witnesses == ["diagonal of I_U differs from C(U) at 0x1"]
+
+    def test_range_orbit_flip_fails_lattice_support(self, swap_and_fix):
+        data = il._LatticeData(al.wedderburn(swap_and_fix))
+        data.arrows[0, 2] ^= 1      # arrow 0: range orbit 0 <-> 1
+        result = il._check_lattice_iso(data)
+        assert not result.passed
+        assert "support of I_U differs from the reduction at 0x1" in result.witnesses
 
     def test_invalid_rows(self, z2_bundle):
         d = al.wedderburn(gp.disjoint_union([z2_bundle, z2_bundle]))
@@ -345,6 +388,12 @@ class TestVerify:
         assert d["counts"]["ideals"] == 8
         assert len(d["conventions"]) == 3
         assert d["parameters"]["seed"] == al.DEFAULT_SEED
+
+    def test_sixteen_orbits(self):
+        report = il.verify(gp.unit_space_groupoid(range(16)))
+        assert report.all_passed
+        assert report.check("lattice").details["invariant_sets"] == 1 << 16
+        assert report.check("support").details["distinct_supports"] == 1 << 16
 
     def test_cap(self):
         g = gp.unit_space_groupoid(tuple(range(21)))
