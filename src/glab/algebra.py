@@ -47,25 +47,15 @@ class _Plan:
     """Cached index arrays for convolution and the regular representation."""
 
     def __init__(self, g: FiniteGroupoid):
-        n = len(g)
-        ia, ib, iab = [], [], []
-        for a, b in g.composable_pairs():
-            ia.append(g.index(a))
-            ib.append(g.index(b))
-            iab.append(g.index(g.compose(a, b)))
-        self.n = n
-        self.ia = np.asarray(ia, dtype=np.intp)
-        self.ib = np.asarray(ib, dtype=np.intp)
-        self.iab = np.asarray(iab, dtype=np.intp)
+        self.n = n = len(g)
+        self.ia, self.ib, self.iab = g.composition_table()
         self.inv = np.asarray([g.index(g.inverse(el)) for el in g.elements], dtype=np.intp)
         self.source_idx = np.asarray([g.index(g.source(el)) for el in g.elements], dtype=np.intp)
-        self.unit_mask = np.zeros(n, dtype=bool)
-        for u in g.unit_list:
-            self.unit_mask[g.index(u)] = True
+        self.unit_mask = self.source_idx == np.arange(n)
         order = np.argsort(self.ia, kind="stable")
         self._left = (self.ia[order], self.ib[order], self.iab[order])
-        order = np.argsort(self.ib, kind="stable")
-        self._right = (self.ib[order], self.ia[order], self.iab[order])
+        # the table lists pairs by b, already in the order right actions need
+        self._right = (self.ib, self.ia, self.iab)
 
     def left_action(self, h: int):
         """(source positions, target positions) for f -> delta_h * f."""

@@ -4,7 +4,8 @@ Subcommands: ``analyze`` (full ideal inventory of a groupoid instance),
 ``verify`` (theorem suite with exit code 1 on any failure), ``random``
 (deterministic instance generation), ``graph`` and ``dr`` (the
 combinatorial layer).  Exit codes: 0 success / all pass, 1 theorem
-failure, 2 input error, 3 cap exceeded.
+failure, 2 input error, 3 cap exceeded, 4 internal error (a bug in
+glab, reported as ``error: internal error: ...`` on stderr).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_THEOREM = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 THEOREMS = ("sandwich", "bijection", "obstruction", "lattice", "support",
             "effective", "all")
@@ -86,13 +88,8 @@ def _emit(report: dict, fmt: str):
 
 
 def _load_groupoid_instance(path, caps: Caps):
-    instance = load_instance(path)
-    groupoid = instance.groupoid()
-    if len(groupoid) > caps.groupoid_size:
-        raise CapExceededError(
-            f"instance has {len(groupoid)} elements (cap {caps.groupoid_size})"
-        )
-    return instance, groupoid
+    instance = load_instance(path, max_elements=caps.groupoid_size)
+    return instance, instance.groupoid()
 
 
 def _cmd_analyze(args) -> int:
@@ -128,8 +125,7 @@ def _cmd_verify(args) -> int:
             try:
                 report, code = _verify_one(path, args, caps)
             except Exception as exc:  # noqa: BLE001 - mapped to exit codes
-                print(f"{path}: error: {exc}", file=sys.stderr)
-                code = _exit_code_for(exc)
+                code = _report_error(exc, f"{path}: ")
             else:
                 _emit(report, args.format)
             worst = max(worst, code)
@@ -191,13 +187,18 @@ def _cmd_dr(args) -> int:
     return EXIT_OK
 
 
-def _exit_code_for(exc: Exception) -> int:
+def _report_error(exc: Exception, prefix: str = "") -> int:
+    """Print ``error: ...`` on stderr and return the exit code for ``exc``."""
+    internal = ""
     if isinstance(exc, CapExceededError):
-        return EXIT_CAP
-    if isinstance(exc, (InstanceFormatError, GroupoidError, DynamicsError,
-                        DecompositionError, ValueError, OSError)):
-        return EXIT_INPUT
-    raise exc
+        code = EXIT_CAP
+    elif isinstance(exc, (InstanceFormatError, GroupoidError, DynamicsError,
+                          DecompositionError, ValueError, OSError)):
+        code = EXIT_INPUT
+    else:
+        code, internal = EXIT_INTERNAL, f"internal error: {type(exc).__name__}: "
+    print(f"{prefix}error: {internal}{exc}", file=sys.stderr)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,9 +264,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes
-        code = _exit_code_for(exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return code
+        return _report_error(exc)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .dynamics import DirectedGraph, FiniteDynSystem
+from .errors import CapExceededError
 from .groups import CayleyGroup, PartialAction
 from . import groupoids
 
@@ -73,7 +74,9 @@ def _need(payload: dict, key: str, types, where: str):
     if key not in payload:
         raise InstanceFormatError(f"missing field {key!r} in {where}")
     value = payload[key]
-    if not isinstance(value, types):
+    # bool is an int subclass, so ``True`` would pass for an integer
+    allowed = types if isinstance(types, tuple) else (types,)
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in allowed):
         raise InstanceFormatError(
             f"field {key!r} in {where} has type {type(value).__name__}"
         )
@@ -199,23 +202,51 @@ def instance_from_dict(payload: dict, source=None) -> Instance:
         raise
 
 
-def parse_instance(text: str, source=None) -> Instance:
+def element_count(payload) -> int:
+    """The arrows a groupoid payload describes, counted before anything is
+    built; other kinds and malformed fields count 0 (left to the parser)."""
+
+    def size(value):
+        return len(value) if isinstance(value, (list, dict)) else 0
+
+    try:
+        kind = payload.get("kind")
+        if kind == "pair":
+            return size(payload["points"]) ** 2
+        if kind == "groupoid-tables":
+            return size(payload["elements"])
+        if kind == "group-bundle":
+            return sum(size(f["elements"]) for f in payload["fibers"].values())
+        if kind in ("action", "partial-action"):
+            return sum(size(m) for m in payload["maps"].values())
+    except (AttributeError, KeyError, TypeError):
+        pass
+    return 0
+
+
+def parse_instance(text: str, source=None, max_elements: int | None = None) -> Instance:
+    """Parse and build an instance.  A groupoid payload that describes
+    more than ``max_elements`` arrows raises ``CapExceededError``
+    before anything is built."""
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(
             exc.msg, source=source or "<input>", line=exc.lineno, column=exc.colno
         ) from exc
+    count = element_count(payload)
+    if max_elements is not None and count > max_elements:
+        raise CapExceededError(f"instance has {count} elements (cap {max_elements})")
     return instance_from_dict(payload, source=source)
 
 
-def load_instance(path) -> Instance:
+def load_instance(path, max_elements: int | None = None) -> Instance:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise InstanceFormatError(str(exc), source=str(path)) from exc
-    return parse_instance(text, source=str(path))
+    return parse_instance(text, source=str(path), max_elements=max_elements)
 
 
 def dump_instance(payload: dict) -> str:

@@ -14,13 +14,15 @@ disjoint unions) so that reports are reproducible.
 from __future__ import annotations
 
 import itertools
-import random as _random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import CapExceededError
 from .groups import CayleyGroup, PartialAction
 
 ASSOCIATIVITY_BUDGET = 2_000_000
+_TRIPLE_CHUNK = 1 << 14
 INVARIANT_SET_CAP = 1 << 20
 
 
@@ -130,26 +132,21 @@ class FiniteGroupoid:
             self._caches["unit_list"] = out
         return out
 
+    def _fibers(self, key: str, end: dict) -> dict:
+        """The arrows over each unit through ``end`` (source or range)."""
+        if key not in self._caches:
+            fibers = {u: [] for u in self.units}
+            for el in self.elements:
+                fibers[end[el]].append(el)
+            self._caches[key] = {u: tuple(v) for u, v in fibers.items()}
+        return self._caches[key]
+
     def source_fiber(self, x) -> tuple:
         """All arrows with source x."""
-        fibers = self._caches.get("source_fibers")
-        if fibers is None:
-            fibers = {u: [] for u in self.units}
-            for el in self.elements:
-                fibers[self._source[el]].append(el)
-            fibers = {u: tuple(v) for u, v in fibers.items()}
-            self._caches["source_fibers"] = fibers
-        return fibers[x]
+        return self._fibers("source_fibers", self._source)[x]
 
     def range_fiber(self, x) -> tuple:
-        fibers = self._caches.get("range_fibers")
-        if fibers is None:
-            fibers = {u: [] for u in self.units}
-            for el in self.elements:
-                fibers[self._range[el]].append(el)
-            fibers = {u: tuple(v) for u, v in fibers.items()}
-            self._caches["range_fibers"] = fibers
-        return fibers[x]
+        return self._fibers("range_fibers", self._range)[x]
 
     def composable_pairs(self):
         """Yield all composable pairs (a, b)."""
@@ -157,14 +154,80 @@ class FiniteGroupoid:
             for a in self.source_fiber(self._range[b]):
                 yield a, b
 
+    def composition_table(self) -> tuple:
+        """``(ia, ib, iab)``: element indices of each composable pair, in
+        ``composable_pairs`` order, and of its product (cached by ``validate``)."""
+        return self._caches.get("composition") or self._composition()
+
     # -- validation ------------------------------------------------------
+
+    def _composition(self) -> tuple:
+        """One pass over the composable pairs: multiply each once and cache
+        the index arrays, or raise at the first failed check.  It keeps ints
+        only: lasting per-pair tuples would trigger GC passes that age ``self``."""
+        pairs = self.composable_pairs()
+        if self._mul_table is not None:
+            pairs = list(pairs)
+            keys, expected = set(self._mul_table), set(pairs)
+            if expected - keys:
+                a, b = next(iter(expected - keys))
+                raise GroupoidError(f"composition undefined on composable pair ({a!r}, {b!r})")
+            if keys - expected:
+                a, b = next(iter(keys - expected))
+                raise GroupoidError(f"composition defined on non-composable pair ({a!r}, {b!r})")
+        index, source, range_ = self._index, self._source, self._range
+        rows = []
+        for a, b in pairs:
+            ab = self.compose(a, b)
+            if ab not in index:
+                raise GroupoidError(f"{a!r}*{b!r} = {ab!r} is not an element")
+            if source[ab] != source[b]:
+                raise GroupoidError(f"source({a!r}*{b!r}) != source({b!r})")
+            if range_[ab] != range_[a]:
+                raise GroupoidError(f"range({a!r}*{b!r}) != range({a!r})")
+            rows.extend((index[a], index[b], index[ab]))
+        table = tuple(np.array(rows, dtype=np.intp).reshape(-1, 3).T.copy())
+        self._caches["composition"] = table
+        return table
+
+    def _associativity(self, table, assoc_budget: int):
+        """``(mode, first failure or None)`` for (ab)c = a(bc).  Triple t
+        pairs the (a, b) whose run holds t with the (t - start)-th arrow c
+        of ``range_fiber(source(b))``; products are looked up in the keys
+        ``b*n + a``, which ascend in pair order."""
+        ia, ib, iab = table
+        n, index = len(self.elements), self._index
+        src = np.fromiter((index[self._source[el]] for el in self.elements), np.intp, n)
+        rng = np.fromiter((index[self._range[el]] for el in self.elements), np.intp, n)
+        by_range = np.argsort(rng, kind="stable")
+        count = np.bincount(rng, minlength=n)[src[ib]]
+        ends = np.cumsum(count)
+        base = np.searchsorted(rng[by_range], src[ib]) - (ends - count)
+        n_triples, keys = int(ends[-1]) if len(ends) else 0, ib * n + ia
+
+        def product(x, y):
+            return iab[np.searchsorted(keys, y * n + x)]
+
+        mode = "full" if n_triples <= assoc_budget else f"sampled({assoc_budget})"
+        # numpy.random is imported on first use, at about 6 MiB of RSS
+        draw = None if mode == "full" else np.random.default_rng(0xC0FFEE)
+        for lo in range(0, min(n_triples, assoc_budget), _TRIPLE_CHUNK):
+            hi = min(lo + _TRIPLE_CHUNK, n_triples, assoc_budget)
+            t = np.arange(lo, hi) if mode == "full" else draw.integers(n_triples, size=hi - lo)
+            p = np.searchsorted(ends, t, side="right")
+            a, b, c = ia[p], ib[p], by_range[base[p] + t]
+            bad = np.flatnonzero(product(iab[p], c) != product(a, product(b, c)))
+            if len(bad):
+                a, b, c = (self.elements[x[bad[0]]] for x in (a, b, c))
+                return mode, f"associativity fails at ({a!r}, {b!r}, {c!r})"
+        return mode, None
 
     def validate(self, assoc_budget: int = ASSOCIATIVITY_BUDGET) -> ValidationReport:
         """Check every groupoid axiom; report the first violation.
 
-        Associativity is checked on all composable triples when their
-        number is within ``assoc_budget``, and on a seeded sample of
-        that size otherwise (the report says which).
+        Associativity is checked with numpy over ``composition_table``, in
+        chunks: on every triple within ``assoc_budget``, else on that many
+        seeded triples (the report says which).
         """
 
         def fail(msg):
@@ -195,28 +258,10 @@ class FiniteGroupoid:
                 return fail(f"inverse is not involutive at {el!r}")
             if self._source[self._inverse[el]] != self._range[el]:
                 return fail(f"source(inverse({el!r})) != range({el!r})")
-        if self._mul_table is not None:
-            keys = set(self._mul_table)
-            expected = set(self.composable_pairs())
-            missing = expected - keys
-            if missing:
-                a, b = next(iter(missing))
-                return fail(f"composition undefined on composable pair ({a!r}, {b!r})")
-            extra = keys - expected
-            if extra:
-                a, b = next(iter(extra))
-                return fail(f"composition defined on non-composable pair ({a!r}, {b!r})")
-        for a, b in self.composable_pairs():
-            try:
-                ab = self.compose(a, b)
-            except GroupoidError as exc:
-                return fail(str(exc))
-            if ab not in els:
-                return fail(f"{a!r}*{b!r} = {ab!r} is not an element")
-            if self._source[ab] != self._source[b]:
-                return fail(f"source({a!r}*{b!r}) != source({b!r})")
-            if self._range[ab] != self._range[a]:
-                return fail(f"range({a!r}*{b!r}) != range({a!r})")
+        try:
+            table = self._composition()
+        except GroupoidError as exc:
+            return fail(str(exc))
         for el in self.elements:
             if self.compose(el, self._source[el]) != el:
                 return fail(f"{el!r}*source({el!r}) != {el!r}")
@@ -227,32 +272,8 @@ class FiniteGroupoid:
             if self.compose(self._inverse[el], el) != self._source[el]:
                 return fail(f"inverse({el!r})*{el!r} != source({el!r})")
 
-        n_triples = sum(
-            len(self.range_fiber(self._source[b])) for _, b in self.composable_pairs()
-        )
-        if n_triples <= assoc_budget:
-            mode = "full"
-            triples = (
-                (a, b, c)
-                for a, b in self.composable_pairs()
-                for c in self.range_fiber(self._source[b])
-            )
-        else:
-            mode = f"sampled({assoc_budget})"
-            rng = _random.Random(0xC0FFEE)
-            pairs = list(self.composable_pairs())
-
-            def sampled():
-                for _ in range(assoc_budget):
-                    a, b = rng.choice(pairs)
-                    candidates = self.range_fiber(self._source[b])
-                    yield a, b, rng.choice(candidates)
-
-            triples = sampled()
-        for a, b, c in triples:
-            if self.compose(self.compose(a, b), c) != self.compose(a, self.compose(b, c)):
-                return fail(f"associativity fails at ({a!r}, {b!r}, {c!r})")
-        return ValidationReport(True, associativity=mode)
+        mode, failure = self._associativity(table, assoc_budget)
+        return ValidationReport(failure is None, failure, associativity=mode)
 
     # -- orbits and invariant sets ----------------------------------------
 
@@ -458,16 +479,20 @@ class FiniteGroupoid:
 # -- constructors ------------------------------------------------------------
 
 
+def _validated(g: FiniteGroupoid) -> FiniteGroupoid:
+    report = g.validate()
+    if not report.ok:
+        raise ConstructionError(report.failure)
+    return g
+
+
 def from_tables(elements, units, source, range_, inverse, compose,
                 name: str = "tables") -> FiniteGroupoid:
     """Build from raw tables; ``compose`` maps composable pairs to products."""
     if not isinstance(compose, dict):
         compose = {(a, b): c for a, b, c in compose}
     g = FiniteGroupoid(elements, units, source, range_, inverse, compose, name=name)
-    report = g.validate()
-    if not report.ok:
-        raise ConstructionError(report.failure)
-    return g
+    return _validated(g)
 
 
 def pair_groupoid(points, name: str | None = None) -> FiniteGroupoid:
@@ -483,10 +508,7 @@ def pair_groupoid(points, name: str | None = None) -> FiniteGroupoid:
         lambda a, b: (a[0], b[1]),
         name=name or f"pair({len(points)})",
     )
-    report = g.validate()
-    if not report.ok:
-        raise ConstructionError(report.failure)
-    return g
+    return _validated(g)
 
 
 def group_bundle(fibers, name: str | None = None) -> FiniteGroupoid:
@@ -508,10 +530,7 @@ def group_bundle(fibers, name: str | None = None) -> FiniteGroupoid:
         compose,
         name=name or f"bundle({len(fibers)} units)",
     )
-    report = g.validate()
-    if not report.ok:
-        raise ConstructionError(report.failure)
-    return g
+    return _validated(g)
 
 
 def from_partial_action(action: PartialAction, name: str | None = None) -> FiniteGroupoid:
@@ -545,10 +564,7 @@ def from_partial_action(action: PartialAction, name: str | None = None) -> Finit
         compose,
         name=name or f"{group.name} partial action on {len(action.space)} points",
     )
-    report = g.validate()
-    if not report.ok:
-        raise ConstructionError(report.failure)
-    return g
+    return _validated(g)
 
 
 def from_group_action(action: PartialAction, name: str | None = None) -> FiniteGroupoid:
@@ -580,10 +596,7 @@ def disjoint_union(parts, name: str | None = None) -> FiniteGroupoid:
         compose,
         name=name or f"union({', '.join(p.name for p in parts)})",
     )
-    report = g.validate()
-    if not report.ok:
-        raise ConstructionError(report.failure)
-    return g
+    return _validated(g)
 
 
 def empty_groupoid() -> FiniteGroupoid:

@@ -533,6 +533,13 @@ class _LatticeData:
 _FULL_SCAN_BUDGET = 1 << 26
 
 
+def _distinct(values, bits: int):
+    """The sorted distinct values of an array of masks below ``1 << bits``."""
+    seen = np.zeros(1 << bits, dtype=bool)
+    seen[values] = True
+    return np.flatnonzero(seen)
+
+
 def _check_sandwich(data: _LatticeData) -> CheckResult:
     b, n_orbits = data.b, data.n_orbits
     witnesses = []
@@ -576,7 +583,7 @@ def _check_bijection(data: _LatticeData, triples) -> CheckResult:
     for i in np.flatnonzero(data.invalid_triples(lower, upper, q))[:2]:
         witnesses.append(f"({lower[i]:#x}, {upper[i]:#x}, {q[i]:#x}) is not a triple")
     image = data.dynamical_of[lower] | q
-    distinct = len(np.unique(image))
+    distinct = len(_distinct(image, data.b))
     if distinct != len(image):
         witnesses.append("theta is not injective")
     back = (inv_lower[image] != lower) | (inv_upper[image] != upper) | (inv_q[image] != q)
@@ -642,7 +649,7 @@ def _check_lattice_iso(data: _LatticeData) -> CheckResult:
     n_orbits = data.n_orbits
     unit_masks = data.unit_masks
     ideal_of = data.dynamical_of
-    if len(np.unique(ideal_of)) != len(unit_masks):
+    if len(_distinct(ideal_of, data.b)) != len(unit_masks):
         witnesses.append("unit-set-to-ideal map is not injective")
     bad_diagonal = data.inside[ideal_of] != unit_masks
     # an arrow lies in the support of I_U when one of its blocks lies over
@@ -681,7 +688,7 @@ def _check_support_invariance(data: _LatticeData) -> CheckResult:
     # ideals with the same touched-orbit set share their support, that of
     # the dynamical ideal over those orbits; an arrow is in a support when
     # one of its blocks is, so distinct block-mask rows cover every arrow
-    touched = np.unique(data.touched)
+    touched = _distinct(data.touched, data.n_orbits)
     supports = data.dynamical_of[touched]
     not_inverse = np.zeros(len(touched), dtype=bool)
     for a, a_inv in np.unique(np.stack([blocks, blocks[plan.inv]], axis=1),

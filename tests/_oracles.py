@@ -265,3 +265,25 @@ def set_enumerate_triples(decomp):
                 *(outside[i] for i in range(len(outside)) if mask >> i & 1))
             triples.extend((lower, lower | between, j) for j in quotients)
     return triples
+
+
+def first_nonassociative(g):
+    """The first composable triple, in ``validate``'s order, where
+    (ab)c != a(bc), as ``(position, message)``; None when there is none.
+    The literal Python triple loop with four ``compose`` calls each."""
+    position = 0
+    for b in g.elements:
+        for a in g.source_fiber(g.range(b)):
+            for c in g.range_fiber(g.source(b)):
+                if g.compose(g.compose(a, b), c) != g.compose(a, g.compose(b, c)):
+                    return position, f"associativity fails at ({a!r}, {b!r}, {c!r})"
+                position += 1
+    return None
+
+
+def composition_arrays(g):
+    """(ia, ib, iab) element indices of every composable pair and its
+    product, from ``composable_pairs`` and ``compose``."""
+    rows = [(g.index(a), g.index(b), g.index(g.compose(a, b)))
+            for a, b in g.composable_pairs()]
+    return tuple(np.array([r[k] for r in rows], dtype=np.intp) for k in range(3))

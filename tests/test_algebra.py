@@ -10,6 +10,7 @@ from glab.generators import random_groupoid
 from glab.groups import symmetric_group
 
 from _oracles import (
+    composition_arrays,
     convolve_literal,
     expected_block_dimensions,
     expected_counts,
@@ -22,6 +23,42 @@ def elements_close(f, mapping, eps=1e-9):
         if abs(f.coefficient(el) - value) > eps:
             return False
     return abs(np.linalg.norm(f.coeffs) ** 2 - sum(abs(v) ** 2 for v in mapping.values())) < eps
+
+
+class TestPlan:
+    """``_Plan`` reads its pair arrays from the groupoid's composition
+    table and multiplies nothing itself."""
+
+    @staticmethod
+    def assert_matches(plan, expected):
+        for got, want in zip((plan.ia, plan.ib, plan.iab), expected):
+            assert np.array_equal(got, want)
+
+    def test_validated_groupoids(self, monkeypatch):
+        for seed in range(10):
+            g = random_groupoid(random.Random(seed), 32)
+            expected = composition_arrays(g)
+            assert "composition" in g._caches
+
+            def no_compose(a, b):
+                raise AssertionError("the plan multiplied")
+
+            monkeypatch.setattr(g, "compose", no_compose)
+            self.assert_matches(al._Plan(g), expected)
+            monkeypatch.undo()
+
+    def test_unvalidated_groupoids(self, monkeypatch, swap_and_fix):
+        def no_validate(self, *args, **kwargs):
+            raise AssertionError("validate was called")
+
+        units = gp.unit_space_groupoid(range(4))
+        sub = swap_and_fix.restrict({("a", "r0", "a"), ("b", "r0", "b")}, validate=False)
+        expected = [composition_arrays(g) for g in (units, sub)]
+        monkeypatch.setattr(gp.FiniteGroupoid, "validate", no_validate)
+        for g, want in zip((units, sub), expected):
+            assert "composition" not in g._caches
+            self.assert_matches(al._plan(g), want)
+            assert g._caches["composition"][0] is al._plan(g).ia
 
 
 class TestConvolution:

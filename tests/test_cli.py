@@ -159,6 +159,50 @@ class TestVerify:
         assert err.startswith(f"{bad}: error: ") and "non-scalar" in err
         assert out.index("pair.json") < out.index("swap.json")
 
+    def test_over_cap_instance_rejected_before_validation(self, capsys, tmp_path,
+                                                          monkeypatch):
+        from glab.groupoids import FiniteGroupoid
+
+        calls = []
+        monkeypatch.setattr(FiniteGroupoid, "validate",
+                            lambda self, *a, **k: calls.append(self))
+        path = tmp_path / "pair40.json"
+        path.write_text(dump_instance(
+            {"version": 1, "kind": "pair", "points": list(range(40))}))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 3
+        assert "1600 elements (cap 512)" in err
+        assert not calls
+
+    def test_bool_version_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "bool.json"
+        path.write_text('{"version": true, "kind": "pair", "points": [1, 2]}')
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert "'version'" in err
+
+    def test_internal_error_exit_code(self, capsys, swap_file, pair_file, monkeypatch):
+        import glab.cli as cli_mod
+
+        real = cli_mod.run_verify
+
+        def broken_on_pairs(groupoid, *args, **kwargs):
+            if groupoid.name.startswith("pair"):
+                raise RuntimeError("boom")
+            return real(groupoid, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "run_verify", broken_on_pairs)
+        code, out, err = run(capsys, "verify", str(pair_file))
+        assert code == 4
+        assert out == ""
+        assert err == "error: internal error: RuntimeError: boom\n"
+        code, out, err = run(capsys, "verify", "--batch", str(swap_file.parent),
+                             "--format", "json")
+        assert code == 4
+        assert err == f"{pair_file}: error: internal error: RuntimeError: boom\n"
+        assert json.loads(out)["all_passed"] is True
+        assert "swap.json" in out
+
     def test_missing_path(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify"])

@@ -33,6 +33,12 @@ class TestParsing:
         with pytest.raises(formats.InstanceFormatError, match="version"):
             formats.instance_from_dict({"version": 2, "kind": "pair", "points": [1]})
 
+    @pytest.mark.parametrize("version", [True, False, 1.0, "1"])
+    def test_version_type_checked(self, version):
+        with pytest.raises(formats.InstanceFormatError, match="'version'.*has type"):
+            formats.instance_from_dict(
+                {"version": version, "kind": "pair", "points": [1, 2]})
+
     def test_missing_field_named(self):
         with pytest.raises(formats.InstanceFormatError, match="'points'"):
             formats.instance_from_dict({"version": 1, "kind": "pair"})
@@ -166,6 +172,48 @@ class TestKinds:
             {"version": 1, "kind": "dynsys", "space": ["x"], "map": {"x": "x"}}
         )
         assert len(instance.obj.space) == 1
+
+
+class TestElementCount:
+    """``element_count`` reads the arrow count off a payload exactly."""
+
+    @pytest.mark.parametrize("kind", ["action", "partial-action"])
+    def test_action_kinds(self, kind):
+        for seed in range(5):
+            payload = random_instance(random.Random(seed), kind, 6)
+            instance = formats.instance_from_dict(payload)
+            assert formats.element_count(payload) == len(instance.groupoid())
+
+    def test_other_groupoid_kinds(self):
+        payloads = [
+            {"version": 1, "kind": "pair", "points": ["1", "2", "3"]},
+            {"version": 1, "kind": "group-bundle", "units": ["u", "v"],
+             "fibers": {"u": z2_payload(), "v": group_payload(cyclic_group(3))}},
+            {"version": 1, "kind": "groupoid-tables", "elements": ["u"],
+             "units": ["u"], "source": {"u": "u"}, "range": {"u": "u"},
+             "inverse": {"u": "u"}, "compose": [["u", "u", "u"]]},
+        ]
+        for payload in payloads:
+            instance = formats.instance_from_dict(payload)
+            assert formats.element_count(payload) == len(instance.groupoid())
+
+    def test_malformed_and_other_kinds_count_zero(self):
+        assert formats.element_count([]) == 0
+        assert formats.element_count({"kind": "pair", "points": 7}) == 0
+        assert formats.element_count({"kind": "group-bundle", "fibers": ["u"]}) == 0
+        assert formats.element_count({"kind": "dynsys", "space": [1, 2]}) == 0
+
+    def test_cap_checked_before_building(self, tmp_path, monkeypatch):
+        from glab.errors import CapExceededError
+
+        built = []
+        monkeypatch.setattr(formats.groupoids, "pair_groupoid", built.append)
+        path = tmp_path / "pair.json"
+        path.write_text(formats.dump_instance(
+            {"version": 1, "kind": "pair", "points": list(range(5))}))
+        with pytest.raises(CapExceededError, match="25 elements"):
+            formats.load_instance(path, max_elements=24)
+        assert not built
 
 
 class TestRoundTrips:

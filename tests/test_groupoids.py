@@ -1,5 +1,8 @@
+import gc
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +12,7 @@ from glab.errors import CapExceededError
 from glab.generators import random_groupoid, random_partial_action, random_group
 from glab.groups import cyclic_group, global_action
 
-from _oracles import bfs_orbits
+from _oracles import bfs_orbits, composition_arrays, first_nonassociative
 
 
 class TestValidation:
@@ -61,6 +64,173 @@ class TestValidation:
         report = g.validate()
         assert not report.ok
         assert "associativity" in report.failure or "source" in report.failure
+
+
+def with_table(g, table, name="table"):
+    """A copy of ``g`` that multiplies by the dict ``table``."""
+    return gp.FiniteGroupoid(
+        g.elements, g.units,
+        {el: g.source(el) for el in g.elements},
+        {el: g.range(el) for el in g.elements},
+        {el: g.inverse(el) for el in g.elements},
+        table, name=name,
+    )
+
+
+def corrupted(g, rng, count):
+    """``g`` with ``count`` products of non-unit, non-inverse pairs moved to
+    another arrow with the same source and range, so that every check but
+    associativity still holds; None when ``g`` has no such product."""
+    table = {(a, b): g.compose(a, b) for a, b in g.composable_pairs()}
+    candidates = []
+    for (a, b), ab in table.items():
+        if a in g.units or b in g.units or b == g.inverse(a):
+            continue
+        others = [el for el in g.elements if el != ab
+                  and g.source(el) == g.source(ab) and g.range(el) == g.range(ab)]
+        if others:
+            candidates.append(((a, b), others))
+    if not candidates:
+        return None
+    for key, others in rng.sample(candidates, min(count, len(candidates))):
+        table[key] = rng.choice(others)
+    return with_table(g, table, name="corrupted")
+
+
+class TestVectorisedValidation:
+    """``validate`` checks associativity over index arrays; the literal
+    triple loop in ``_oracles.first_nonassociative`` is the reference."""
+
+    def test_first_failure_matches_reference(self):
+        checked = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            g = corrupted(random_groupoid(rng, 48), rng, rng.randint(1, 3))
+            if g is None:
+                continue
+            expected = first_nonassociative(g)
+            assert expected is not None
+            report = g.validate()
+            assert not report.ok and report.associativity == "full"
+            assert report.failure == expected[1]
+            checked += 1
+        assert checked >= 20
+
+    @staticmethod
+    def late_failure():
+        """pair(18), holding the first 104,976 triples, then a Z3 bundle
+        with one broken product."""
+        g = gp.disjoint_union([gp.pair_groupoid(range(18)),
+                               gp.group_bundle({"u": cyclic_group(3)})])
+        table = {(a, b): g.compose(a, b) for a, b in g.composable_pairs()}
+        r1 = (1, ("u", "r1"))
+        table[(r1, r1)] = r1
+        return with_table(g, table)
+
+    def test_failure_past_the_first_chunk(self):
+        g = self.late_failure()
+        position, message = first_nonassociative(g)
+        assert position >= 18 ** 4 > 1 << 14
+        assert g.validate().failure == message
+
+    def test_sampled_mode_draws_from_every_triple(self):
+        # the first 50,000 triples all associate; the seeded draw still
+        # lands on a failing triple of the bundle
+        report = self.late_failure().validate(assoc_budget=50_000)
+        assert not report.ok and report.associativity == "sampled(50000)"
+        assert report.failure.startswith("associativity fails at ((1, ('u'")
+
+    @pytest.mark.parametrize("product, message", [
+        ("bogus", "(1, 2)*(2, 1) = 'bogus' is not an element"),
+        ((1, 2), "source((1, 2)*(2, 1)) != source((2, 1))"),
+        ((2, 1), "range((1, 2)*(2, 1)) != range((1, 2))"),
+        (None, "composition undefined on composable pair ((1, 2), (2, 1))"),
+    ])
+    def test_pass_messages(self, pair2, product, message):
+        table = {(a, b): pair2.compose(a, b) for a, b in pair2.composable_pairs()}
+        table[((1, 2), (2, 1))] = product
+        if product is None:
+            del table[((1, 2), (2, 1))]
+        g = with_table(pair2, table)
+        assert g.validate().failure == message
+        with pytest.raises(gp.GroupoidError, match=re.escape(message)):
+            g.composition_table()
+
+    def test_pass_names_an_extra_table_key(self, pair2):
+        table = {(a, b): pair2.compose(a, b) for a, b in pair2.composable_pairs()}
+        table[((1, 1), (2, 2))] = (1, 2)
+        assert with_table(pair2, table).validate().failure == (
+            "composition defined on non-composable pair ((1, 1), (2, 2))")
+
+    def test_pass_reports_what_compose_raises(self, pair2):
+        def compose(a, b):
+            if (a, b) == ((1, 2), (2, 1)):
+                raise gp.GroupoidError("no product here")
+            return pair2.compose(a, b)
+
+        assert with_table(pair2, compose).validate().failure == "no product here"
+
+    def test_sampled_mode_catches_pervasive_failure(self):
+        # Z7 with a*b shifted by one off the identity and inverse pairs:
+        # the axioms other than associativity hold, most triples fail
+        els = tuple(range(7))
+
+        def mul(a, b):
+            return (a + b + (a and b and (a + b) % 7 and 1)) % 7
+
+        g = gp.FiniteGroupoid(els, (0,), dict.fromkeys(els, 0), dict.fromkeys(els, 0),
+                              {a: -a % 7 for a in els}, mul)
+        report = g.validate(assoc_budget=100)
+        assert not report.ok and report.associativity == "sampled(100)"
+        a, b, c = (int(x) for x in report.failure.split("(")[1].rstrip(")").split(","))
+        assert mul(mul(a, b), c) != mul(a, mul(b, c))
+        assert g.validate().failure == first_nonassociative(g)[1]
+
+    def test_sampled_mode_on_a_valid_groupoid(self):
+        g = gp.pair_groupoid(range(6))
+        assert repr(g.validate(assoc_budget=50)) == (
+            "ValidationReport(ok, associativity=sampled(50))")
+        assert g.validate(assoc_budget=6 ** 4).associativity == "full"
+
+    def test_composition_table_from_the_pass(self, swap_and_fix):
+        for g in (swap_and_fix, gp.pair_groupoid(range(4)),
+                  gp.unit_space_groupoid(range(3)), gp.empty_groupoid()):
+            expected = composition_arrays(g)
+            for got, want in zip(g.composition_table(), expected):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_validate_caches_the_table(self):
+        g = gp.pair_groupoid(range(3))
+        g._caches.clear()
+        assert g.validate().ok
+        assert g.composition_table() is g._caches["composition"]
+
+    def test_pass_allocates_no_lasting_tracked_objects(self):
+        # per-pair tuples kept through the pass would set off collections
+        # that move the groupoid into the oldest generation, where dead
+        # groupoids pile up until a full collection
+        g = gp.pair_groupoid(range(18))
+        starts = []
+
+        def count(phase, info):
+            starts.append(phase)
+
+        threshold = gc.get_threshold()
+        gc.collect()
+        gc.set_threshold(700, 10, 10)
+        gc.callbacks.append(count)
+        try:
+            assert g.validate().ok
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*threshold)
+        assert starts.count("start") <= 1
+
+    def test_unvalidated_table_raises_on_a_bad_product(self):
+        g = gp.FiniteGroupoid(("u",), ("u",), {"u": "u"}, {"u": "u"}, {"u": "u"},
+                              lambda a, b: "nowhere")
+        with pytest.raises(gp.GroupoidError, match="is not an element"):
+            g.composition_table()
 
 
 class TestConstructors:
