@@ -7,7 +7,10 @@ a block-diagonal matrix *-algebra of total dimension |G|.  This module
 computes that realization, its decomposition into simple matrix
 blocks (minimal central idempotents, block dimensions, matrix units),
 and the lattice of two-sided ideals, which are exactly the sums of
-blocks.
+blocks.  The center is exact: it is spanned by the indicators of the
+isotropy conjugacy classes {h gamma h^-1}, one per block, so only the
+split of a generic central element into its spectral projections is
+numerical.
 
 Ideals are canonically represented by their block subsets; all
 subspace-level questions (diagonal intersection, support) are answered
@@ -52,24 +55,6 @@ class _Plan:
         self.inv = np.asarray([g.index(g.inverse(el)) for el in g.elements], dtype=np.intp)
         self.source_idx = np.asarray([g.index(g.source(el)) for el in g.elements], dtype=np.intp)
         self.unit_mask = self.source_idx == np.arange(n)
-        order = np.argsort(self.ia, kind="stable")
-        self._left = (self.ia[order], self.ib[order], self.iab[order])
-        # the table lists pairs by b, already in the order right actions need
-        self._right = (self.ib, self.ia, self.iab)
-
-    def left_action(self, h: int):
-        """(source positions, target positions) for f -> delta_h * f."""
-        keys, cols, tgts = self._left
-        lo = np.searchsorted(keys, h, side="left")
-        hi = np.searchsorted(keys, h, side="right")
-        return cols[lo:hi], tgts[lo:hi]
-
-    def right_action(self, h: int):
-        """(source positions, target positions) for f -> f * delta_h."""
-        keys, cols, tgts = self._right
-        lo = np.searchsorted(keys, h, side="left")
-        hi = np.searchsorted(keys, h, side="right")
-        return cols[lo:hi], tgts[lo:hi]
 
 
 def _plan(g: FiniteGroupoid) -> _Plan:
@@ -486,24 +471,22 @@ def _cluster(eigenvalues, expected=None, gap_eps: float = 1e-6):
     return clusters
 
 
-def _center_basis(g: FiniteGroupoid, tol: TolerancePolicy) -> np.ndarray:
-    """Orthonormal basis (columns) of the center, by intersecting the
-    kernels of all commutators with basis functions."""
-    plan = _plan(g)
-    n = plan.n
-    basis = np.eye(n, dtype=np.complex128)
-    for h in range(n):
-        lcols, ltgts = plan.left_action(h)
-        rcols, rtgts = plan.right_action(h)
-        m = np.zeros((n, basis.shape[1]), dtype=np.complex128)
-        m[ltgts] += basis[lcols]
-        m[rtgts] -= basis[rcols]
-        if basis.shape[1] == 0:
-            break
-        _, s, vh = np.linalg.svd(m, full_matrices=True)
-        cutoff = tol.zero_eps * max(1.0, float(s[0]) if s.size else 0.0)
-        r = int(np.sum(s > cutoff))
-        basis = basis @ vh[r:].conj().T
+def _center_basis(g: FiniteGroupoid) -> np.ndarray:
+    """Orthonormal basis (columns) of the center: the normalised indicators
+    of the isotropy conjugacy classes {h gamma h^-1}, one per block, in the
+    element order of their first arrow."""
+    classes = []
+    seen = set()
+    for gamma in g.isotropy_elements():
+        if gamma in seen:
+            continue
+        cls = {g.compose(g.compose(h, gamma), g.inverse(h))
+               for h in g.source_fiber(g.source(gamma))}
+        seen |= cls
+        classes.append([g.index(el) for el in cls])
+    basis = np.zeros((len(g), len(classes)), dtype=np.complex128)
+    for j, rows in enumerate(classes):
+        basis[rows, j] = 1.0 / np.sqrt(len(rows))
     return basis
 
 
@@ -511,11 +494,12 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
                seed: int | None = None) -> BlockDecomposition:
     """Decompose C*_r(G) into simple matrix blocks.
 
-    Finds the center by solving the commutation system, draws a generic
-    self-adjoint central element from a seeded stream (retrying on
-    eigenvalue collisions), and reads the minimal central idempotents
-    off its spectral projections.  The result is cached per groupoid
-    and (tol, seed) pair.
+    Takes the center from the isotropy conjugacy-class sums, draws a
+    generic self-adjoint central element in that basis from a seeded
+    stream (retrying on eigenvalue collisions), and reads the minimal
+    central idempotents off its spectral projections; a block's rank is
+    the size of its eigenvalue cluster.  The result is cached per
+    groupoid and (tol, seed) pair.
     """
     tol = tol or DEFAULT_TOLERANCE
     seed = DEFAULT_SEED if seed is None else seed
@@ -533,10 +517,8 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
 
     rep = full_representation(g)
     plan = _plan(g)
-    center = _center_basis(g, tol)
+    center = _center_basis(g)
     b = center.shape[1]
-    if b == 0:
-        raise DecompositionError("empty center on a nonzero algebra")
 
     rng = np.random.default_rng(seed)
     clusters = eigenvectors = None
@@ -571,8 +553,7 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
         coeffs = rep.coefficients(projection)
         if np.max(np.abs(rep.matrix(coeffs) - projection)) > _CHECK_EPS:
             raise DecompositionError("spectral projection is not in the algebra image")
-        s = np.linalg.svd(projection, compute_uv=False)
-        rank = int(np.sum(s > 0.5))
+        rank = hi - lo
         dim = float(np.sqrt(rank))
         rounding = abs(dim - round(dim))
         numerics["dim_rounding"] = max(numerics["dim_rounding"], rounding)

@@ -175,7 +175,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_dr(args) -> int:
-    caps = _caps_from_args(args)
+    caps = Caps()
     instance = load_instance(args.path)
     if instance.kind != "dynsys":
         raise InstanceFormatError(f"expected a dynsys instance, got {instance.kind!r}")
@@ -208,27 +208,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_seed=True):
+    def groupoid_options(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--tolerance", type=float, default=None,
                        help="zero_eps threshold (default 1e-9)")
-        if with_seed:
-            p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
-                           help="decomposition seed (default GLAB_SEED or 0xC0FFEE)")
+        p.add_argument("--seed", type=lambda s: int(s, 0), default=None,
+                       help="decomposition seed (default GLAB_SEED or 0xC0FFEE)")
         p.add_argument("--max-size", type=int, default=None)
         p.add_argument("--max-blocks", type=int, default=None)
-        p.add_argument("--max-vertices", type=int, default=None)
 
     p = sub.add_parser("analyze", help="full ideal inventory of a groupoid instance")
     p.add_argument("path")
-    common(p)
+    groupoid_options(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("verify", help="run the theorem suite")
     p.add_argument("path", nargs="?", default=None)
     p.add_argument("--batch", default=None, help="directory of .json instances")
     p.add_argument("--theorem", choices=THEOREMS, default="all")
-    common(p)
+    groupoid_options(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("random", help="emit a deterministic random instance")
@@ -239,18 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--loops", type=int, default=None, help="graph loop enrichment")
     p.add_argument("--group-order", type=int, default=None)
     p.add_argument("--max-size", type=int, default=None)
-    p.add_argument("--max-blocks", type=int, default=None)
     p.add_argument("--max-vertices", type=int, default=None)
     p.set_defaults(func=_cmd_random)
 
     p = sub.add_parser("graph", help="graph-algebra ideal lattice report")
     p.add_argument("path")
-    common(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--max-vertices", type=int, default=None)
     p.set_defaults(func=_cmd_graph)
 
     p = sub.add_parser("dr", help="finite dynamical system report")
     p.add_argument("path")
-    common(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_dr)
 
     return parser

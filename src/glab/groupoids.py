@@ -168,13 +168,14 @@ class FiniteGroupoid:
         pairs = self.composable_pairs()
         if self._mul_table is not None:
             pairs = list(pairs)
-            keys, expected = set(self._mul_table), set(pairs)
-            if expected - keys:
-                a, b = next(iter(expected - keys))
-                raise GroupoidError(f"composition undefined on composable pair ({a!r}, {b!r})")
-            if keys - expected:
-                a, b = next(iter(keys - expected))
-                raise GroupoidError(f"composition defined on non-composable pair ({a!r}, {b!r})")
+            # the first missing pair in pair order, the first extra in table order
+            for a, b in pairs:
+                if (a, b) not in self._mul_table:
+                    raise GroupoidError(f"composition undefined on composable pair ({a!r}, {b!r})")
+            expected = set(pairs)
+            for a, b in self._mul_table:
+                if (a, b) not in expected:
+                    raise GroupoidError(f"composition defined on non-composable pair ({a!r}, {b!r})")
         index, source, range_ = self._index, self._source, self._range
         rows = []
         for a, b in pairs:

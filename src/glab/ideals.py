@@ -297,21 +297,15 @@ def _triple_table(decomp: BlockDecomposition, obm) -> tuple:
 # -- obstruction ideal and the collapse representation --------------------------
 
 
+_OBSTRUCTION_SUPPORT = "obstruction ideal support differs from the non-effective reduction"
+
+
 def obstruction_ideal(decomp_or_groupoid, tol=None, seed=None) -> Ideal:
     """The dynamical ideal over the non-effective units."""
-    decomp = _decomposition_of(decomp_or_groupoid, tol, seed)
-    g = decomp.groupoid
-    noneffective = g.units - g.effective_units()
-    ideal = decomp.dynamical_ideal_of(noneffective)
-    expected = frozenset(
-        el for el in g.elements
-        if g.source(el) in noneffective and g.range(el) in noneffective
-    )
-    if ideal.support() != expected:
-        raise DecompositionError(
-            "obstruction ideal support differs from the non-effective reduction"
-        )
-    return ideal
+    j_ob, _, failures = _obstruction(_decomposition_of(decomp_or_groupoid, tol, seed))
+    if _OBSTRUCTION_SUPPORT in failures:
+        raise DecompositionError(_OBSTRUCTION_SUPPORT)
+    return j_ob
 
 
 def _collapse_plan(g: FiniteGroupoid):
@@ -356,25 +350,41 @@ def collapse_kernel(decomp_or_groupoid, tol=None, seed=None) -> Ideal:
     is nonzero the kernel is purely non-dynamical with exactly the same
     support (and it is zero exactly when the obstruction ideal is).
     """
-    decomp = _decomposition_of(decomp_or_groupoid, tol, seed)
+    _, kernel, failures = _obstruction(_decomposition_of(decomp_or_groupoid, tol, seed))
+    if failures:
+        raise DecompositionError(failures[0])
+    return kernel
+
+
+def _obstruction(decomp: BlockDecomposition) -> tuple:
+    """(J^ob, the collapse kernel, the message of each statement about them
+    that fails): the kernel misses the diagonal, J^ob's support is the
+    non-effective reduction, and the kernel is zero when J^ob is and has
+    J^ob's support when it is not."""
     g = decomp.groupoid
+    noneffective = g.units - g.effective_units()
+    j_ob = decomp.dynamical_ideal_of(noneffective)
     killed = set()
     for blk in decomp.blocks:
         norms = [linalg.operator_norm(m) for m in collapse_matrices(g, blk.idempotent)]
         if max(norms, default=0.0) < 0.5:
             killed.add(blk.index)
     kernel = decomp.ideal(killed)
+    failures = []
     if kernel.diagonal_units():
-        raise DecompositionError("collapse kernel meets the diagonal")
-    j_ob = obstruction_ideal(decomp)
+        failures.append("collapse kernel meets the diagonal")
+    expected = frozenset(
+        el for el in g.elements
+        if g.source(el) in noneffective and g.range(el) in noneffective
+    )
+    if j_ob.support() != expected:
+        failures.append(_OBSTRUCTION_SUPPORT)
     if j_ob.is_zero:
         if not kernel.is_zero:
-            raise DecompositionError("collapse kernel is nonzero on an effective groupoid")
+            failures.append("collapse kernel is nonzero on an effective groupoid")
     elif kernel.support() != j_ob.support():
-        raise DecompositionError(
-            "collapse kernel support differs from the obstruction ideal support"
-        )
-    return kernel
+        failures.append("collapse kernel support differs from the obstruction ideal support")
+    return j_ob, kernel, failures
 
 
 # -- the perturbation witness ----------------------------------------------------
@@ -608,9 +618,8 @@ def _check_bijection(data: _LatticeData, triples) -> CheckResult:
 
 
 def _check_obstruction(data: _LatticeData) -> CheckResult:
-    decomp = data.decomp
+    j_ob, kernel, failures = _obstruction(data.decomp)
     witnesses = []
-    j_ob = obstruction_ideal(decomp)
     j_mask = _block_mask(j_ob.blocks)
     masks = data.ideal_masks
     escapes = data.pnd & ((masks & j_mask) != masks)
@@ -619,15 +628,7 @@ def _check_obstruction(data: _LatticeData) -> CheckResult:
             f"purely non-dynamical ideal {m:#x} escapes the obstruction ideal"
         )
     pnd_union = int(np.bitwise_or.reduce(masks[data.pnd])) if data.pnd.any() else 0
-    kernel = collapse_kernel(decomp)
-    if j_ob.is_zero:
-        if not kernel.is_zero:
-            witnesses.append("collapse kernel nonzero although every unit is effective")
-    else:
-        if not kernel.is_purely_nondynamical():
-            witnesses.append("collapse kernel is not purely non-dynamical")
-        if kernel.support() != j_ob.support():
-            witnesses.append("collapse kernel support mismatch")
+    witnesses.extend(failures)
     not_minimal = ((pnd_union & data.dynamical_of) == pnd_union) & (
         (j_mask & data.dynamical_of) != j_mask
     )

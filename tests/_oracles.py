@@ -287,3 +287,21 @@ def composition_arrays(g):
     rows = [(g.index(a), g.index(b), g.index(g.compose(a, b)))
             for a, b in g.composable_pairs()]
     return tuple(np.array([r[k] for r in rows], dtype=np.intp) for k in range(3))
+
+
+def commutator_center(g, eps=1e-9):
+    """Orthonormal basis (columns) of the center of the convolution algebra:
+    the common kernel of f -> delta_h * f - f * delta_h over all arrows h,
+    stacked into one matrix from ``composable_pairs`` and ``compose`` and
+    solved by one SVD."""
+    n = len(g)
+    index = {el: i for i, el in enumerate(g.elements)}
+    commutators = np.zeros((n * n, n), dtype=np.complex128)
+    for a, b in g.composable_pairs():
+        ab = index[g.compose(a, b)]
+        # delta_a * f takes f(b) to ab; f * delta_b takes f(a) to ab
+        commutators[index[a] * n + ab, index[b]] += 1.0
+        commutators[index[b] * n + ab, index[a]] -= 1.0
+    _, s, vh = np.linalg.svd(commutators, full_matrices=False)
+    rank = int(np.sum(s > eps * max(1.0, float(s[0]) if s.size else 0.0)))
+    return vh[rank:].conj().T

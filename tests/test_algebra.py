@@ -7,9 +7,10 @@ from glab import algebra as al
 from glab import groupoids as gp
 from glab.errors import CapExceededError
 from glab.generators import random_groupoid
-from glab.groups import symmetric_group
+from glab.groups import cyclic_group, symmetric_group
 
 from _oracles import (
+    commutator_center,
     composition_arrays,
     convolve_literal,
     expected_block_dimensions,
@@ -253,6 +254,45 @@ class TestWedderburn:
             g = random_groupoid(rng, 24)
             d = al.wedderburn(g)
             assert sum(n * n for n in d.dimensions) == len(g)
+
+
+class TestCenter:
+    """``_center_basis`` (isotropy class sums) against the commutator
+    kernel in ``_oracles.commutator_center``."""
+
+    @staticmethod
+    def assert_center(g):
+        basis = al._center_basis(g)
+        assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+        reference = commutator_center(g)
+        assert np.max(np.abs(basis @ basis.conj().T - reference @ reference.conj().T),
+                      initial=0.0) <= 1e-9
+        assert basis.shape[1] == len(expected_block_dimensions(g))
+
+    def test_worked_instances(self, z2_bundle, swap_and_fix, pair2, pair3):
+        s3_bundle = gp.group_bundle({"u": symmetric_group(3)})
+        for g in (z2_bundle, swap_and_fix, pair2, pair3, s3_bundle):
+            self.assert_center(g)
+
+    def test_constructions(self, swap_and_fix):
+        bundle = gp.group_bundle({"u": symmetric_group(3), "v": cyclic_group(4)})
+        tables = gp.from_tables(
+            bundle.elements, bundle.units,
+            {el: bundle.source(el) for el in bundle.elements},
+            {el: bundle.range(el) for el in bundle.elements},
+            {el: bundle.inverse(el) for el in bundle.elements},
+            [(a, b, bundle.compose(a, b)) for a, b in bundle.composable_pairs()],
+        )
+        union = gp.disjoint_union([swap_and_fix, bundle])
+        reduction = union.restrict(
+            {u for u in union.unit_list if u[0] == 1 or u[1][0] in "ab"}, validate=False)
+        for g in (tables, union, reduction):
+            self.assert_center(g)
+
+    def test_random_draws(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            self.assert_center(random_groupoid(rng, 32))
 
 
 class TestMatrixUnits:

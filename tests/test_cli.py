@@ -222,6 +222,24 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_obstruction_statement_failure_exits_1(self, capsys, swap_file, pair_file,
+                                                  monkeypatch):
+        # a collapse representation that kills every block: the kernel
+        # meets the diagonal, which the obstruction check reports
+        import glab.ideals as ideals_mod
+
+        real = ideals_mod.collapse_matrices
+        monkeypatch.setattr(ideals_mod, "collapse_matrices",
+                            lambda g, a: [0 * m for m in real(g, a)])
+        code, out, err = run(capsys, "verify", str(swap_file), "--format", "json")
+        assert (code, err) == (1, "")
+        check = next(c for c in json.loads(out)["checks"] if c["name"] == "obstruction")
+        assert not check["passed"]
+        assert "collapse kernel meets the diagonal" in check["witnesses"]
+        code, out, err = run(capsys, "verify", "--batch", str(swap_file.parent))
+        assert (code, err) == (1, "")
+        assert out.count("collapse kernel meets the diagonal") == 2
+
     def test_json_report_deterministic(self, capsys, swap_file):
         _, out1, _ = run(capsys, "verify", str(swap_file), "--format", "json")
         _, out2, _ = run(capsys, "verify", str(swap_file), "--format", "json")
@@ -239,6 +257,29 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(swap_file), "--max-blocks", "25")
         assert code == 0
         assert "warning" in err and "2^blocks" in err
+
+
+UNUSED_OPTIONS = [
+    ("analyze", "--max-vertices", "64"),
+    ("verify", "--max-vertices", "64"),
+    ("random", "--max-blocks", "5"),
+    *(("graph", flag, value) for flag, value in (
+        ("--tolerance", "1e-9"), ("--seed", "1"), ("--max-size", "9"), ("--max-blocks", "5"))),
+    *(("dr", flag, value) for flag, value in (
+        ("--tolerance", "1e-9"), ("--seed", "1"), ("--max-size", "9"), ("--max-blocks", "5"),
+        ("--max-vertices", "64"))),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", UNUSED_OPTIONS)
+def test_option_a_subcommand_does_not_use_is_input_error(capsys, swap_file, command,
+                                                         flag, value):
+    argv = ([command, "--type", "action", "--size", "3", "--seed", "1"]
+            if command == "random" else [command, str(swap_file)])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
 
 GOLDEN = Path(__file__).parent / "data"

@@ -1,6 +1,11 @@
 import gc
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,6 +166,36 @@ class TestVectorisedValidation:
         table[((1, 1), (2, 2))] = (1, 2)
         assert with_table(pair2, table).validate().failure == (
             "composition defined on non-composable pair ((1, 1), (2, 2))")
+
+    def test_pass_names_pairs_independently_of_hash_seed(self):
+        # string elements hash differently per PYTHONHASHSEED; the pass
+        # names the first missing pair in composable_pairs order and the
+        # first extra key in table order
+        script = textwrap.dedent("""
+            from glab import groupoids as gp
+            g = gp.pair_groupoid("abc")
+            pairs = list(g.composable_pairs())
+            for table in (
+                {p: g.compose(*p) for p in pairs if p not in pairs[5::4]},
+                {**{p: g.compose(*p) for p in pairs},
+                 **{(("a", "a"), y): y for y in g.elements if y[0] != "a"}},
+            ):
+                h = gp.FiniteGroupoid(g.elements, g.units, g._source, g._range,
+                                      g._inverse, table)
+                print(h.validate().failure)
+        """)
+        src = str(Path(gp.__file__).parents[1])
+        outputs = {
+            subprocess.run([sys.executable, "-c", script], check=True, text=True,
+                           capture_output=True,
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                           ).stdout
+            for seed in ("1", "2")
+        }
+        assert outputs == {
+            "composition undefined on composable pair (('c', 'a'), ('a', 'b'))\n"
+            "composition defined on non-composable pair (('a', 'a'), ('b', 'a'))\n"
+        }
 
     def test_pass_reports_what_compose_raises(self, pair2):
         def compose(a, b):

@@ -9,7 +9,9 @@ from glab import ideals as il
 from glab import cyclic_group, global_action
 from glab.errors import CapExceededError
 from glab.generators import random_groupoid
+from glab.linalg import TolerancePolicy
 from _oracles import (
+    expected_block_dimensions,
     expected_counts,
     ideal_span,
     set_enumerate_triples,
@@ -73,6 +75,17 @@ class TestObstruction:
         j = il.obstruction_ideal(z2_bundle)
         assert j == al.wedderburn(z2_bundle).full_ideal()
 
+    def test_support_statement_failure(self):
+        d = al.wedderburn(gp.group_bundle({"u": cyclic_group(2)}))
+        for blk in d.blocks:
+            blk.support = frozenset()
+        message = "obstruction ideal support differs from the non-effective reduction"
+        for statement in (il.obstruction_ideal, il.collapse_kernel):
+            with pytest.raises(al.DecompositionError, match=f"^{message}$"):
+                statement(d)
+        check = il.verify(d).check("obstruction")
+        assert not check.passed and check.witnesses == [message]
+
 
 class TestCollapseKernel:
     def test_z2_kernel_is_sign_block(self, z2_bundle):
@@ -96,6 +109,23 @@ class TestCollapseKernel:
 
     def test_pair_faithful(self, pair3):
         assert il.collapse_kernel(pair3).is_zero
+
+    def test_failed_statement_raises_its_message(self, swap_and_fix, monkeypatch):
+        real = il.collapse_matrices
+        monkeypatch.setattr(il, "collapse_matrices",
+                            lambda g, a: [0 * m for m in real(g, a)])
+        with pytest.raises(al.DecompositionError,
+                           match="^collapse kernel meets the diagonal$"):
+            il.collapse_kernel(swap_and_fix)
+        # the statement is about the kernel; J^ob itself stays available
+        assert il.obstruction_ideal(swap_and_fix).diagonal_units() == units_by_point(
+            swap_and_fix, "c")
+        check = il.verify(swap_and_fix).check("obstruction")
+        assert not check.passed
+        assert check.witnesses == [
+            "collapse kernel meets the diagonal",
+            "collapse kernel support differs from the obstruction ideal support",
+        ]
 
     def test_matrices_respect_convolution(self, swap_and_fix):
         rng = np.random.default_rng(21)
@@ -394,6 +424,25 @@ class TestVerify:
         assert report.all_passed
         assert report.check("lattice").details["invariant_sets"] == 1 << 16
         assert report.check("support").details["distinct_supports"] == 1 << 16
+
+    def test_verdicts_stable_across_seeds_and_tolerances(self):
+        # the range docs/file-formats.md documents: zero_eps from 1e-12 to 1e-4
+        rng = random.Random(2)
+        draws = []
+        while len(draws) < 20:
+            g = random_groupoid(rng, 32)
+            if len(expected_block_dimensions(g)) <= 10:
+                draws.append(g)
+        for g in draws:
+            outcomes = set()
+            for zero_eps in (1e-12, 1e-9, 1e-6, 1e-4):
+                for seed in (0, 1, 2):
+                    report = il.verify(g, TolerancePolicy(zero_eps=zero_eps), seed)
+                    assert report.all_passed, (g.name, zero_eps, seed)
+                    outcomes.add((tuple(sorted(report.block_dimensions)),
+                                  tuple(sorted(report.counts.items()))))
+            assert outcomes == {(tuple(expected_block_dimensions(g)),
+                                 tuple(sorted(expected_counts(g).items())))}, g.name
 
     def test_cap(self):
         g = gp.unit_space_groupoid(tuple(range(21)))
