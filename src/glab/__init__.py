@@ -12,7 +12,6 @@ from .linalg import (
     TolerancePolicy,
     hermitian_eigen,
     operator_norm,
-    subspace_membership,
 )
 from .groups import (
     CayleyGroup,
@@ -86,7 +85,7 @@ __all__ = [
     "from_partial_action", "from_tables", "full_representation",
     "global_action", "group_bundle", "hermitian_eigen", "involute", "jmap",
     "make_triple", "obstruction_ideal", "operator_norm", "pair_groupoid",
-    "random_element", "sandwich", "subspace_membership", "symmetric_group",
+    "random_element", "sandwich", "symmetric_group",
     "theta", "theta_inverse", "trivial_group", "unit_element",
     "unit_space_groupoid", "verify", "wedderburn",
 ]

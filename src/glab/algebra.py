@@ -4,22 +4,25 @@ For a finite groupoid the convolution algebra of all complex functions
 on the groupoid IS the reduced C*-algebra: the direct sum of the
 regular representations over all units is faithful, so the algebra is
 a block-diagonal matrix *-algebra of total dimension |G|.  This module
-computes that realization, its decomposition into simple matrix
-blocks (minimal central idempotents, block dimensions, matrix units),
-and the lattice of two-sided ideals, which are exactly the sums of
-blocks.  The center is exact: it is spanned by the indicators of the
-isotropy conjugacy classes {h gamma h^-1}, one per block, so only the
-split of a generic central element into its spectral projections is
-numerical.
+computes its decomposition into simple matrix blocks (minimal central
+idempotents, block dimensions, matrix units) and the lattice of
+two-sided ideals, which are exactly the sums of blocks.
 
-Ideals are canonically represented by their block subsets; all
-subspace-level questions (diagonal intersection, support) are answered
-through the decomposition, so ideal identity is exact and free of
-tolerance drift.
+The decomposition works inside the center, whose exact orthonormal
+basis C (|G| x b) is the normalised isotropy class sums {h gamma h^-1}.
+Left convolution by a self-adjoint central w is Hermitian and keeps the
+center, so one b x b eigensolve of M = C^H (w * C) splits a generic w.
+Minimal central idempotents are l2-orthogonal and sum to 1, so the
+eigenvector u_k gives e_k = C u_k <u_k, C^H 1>, of rank
+tr lambda(e_k) = sum over units x of |G^x| e_k(x).
+
+Ideals are canonically represented by their block subsets, so ideal
+identity is exact and free of tolerance drift.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +57,7 @@ class _Plan:
         self.ia, self.ib, self.iab = g.composition_table()
         self.inv = np.asarray([g.index(g.inverse(el)) for el in g.elements], dtype=np.intp)
         self.source_idx = np.asarray([g.index(g.source(el)) for el in g.elements], dtype=np.intp)
+        self.range_idx = self.source_idx[self.inv]
         self.unit_mask = self.source_idx == np.arange(n)
 
 
@@ -490,16 +494,29 @@ def _center_basis(g: FiniteGroupoid) -> np.ndarray:
     return basis
 
 
+def _block_order(a, b) -> int:
+    """Blocks by (first unit of the orbit, dimension).  A tie goes to the
+    idempotent with the larger real part at the first arrow, in element
+    order, where the real parts differ by more than 1e-6; blocks of
+    conjugate characters, equal in real part, by imaginary parts alike."""
+    if a[:2] != b[:2]:
+        return -1 if a[:2] < b[:2] else 1
+    diff = b[2].coeffs - a[2].coeffs
+    diff = np.concatenate([diff.real, diff.imag])
+    decisive = np.flatnonzero(np.abs(diff) > 1e-6)
+    return int(np.sign(diff[decisive[0]])) if decisive.size else 0
+
+
 def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
                seed: int | None = None) -> BlockDecomposition:
     """Decompose C*_r(G) into simple matrix blocks.
 
-    Takes the center from the isotropy conjugacy-class sums, draws a
-    generic self-adjoint central element in that basis from a seeded
-    stream (retrying on eigenvalue collisions), and reads the minimal
-    central idempotents off its spectral projections; a block's rank is
-    the size of its eigenvalue cluster.  The result is cached per
-    groupoid and (tol, seed) pair.
+    Draws a generic self-adjoint central element w in the class-sum basis
+    C from a seeded stream (retrying on eigenvalue collisions), solves the
+    b x b Hermitian M = C^H (w * C), and reads each minimal central
+    idempotent, its rank and its support (every arrow whose range fiber
+    meets it) off one eigenvector of M.  Blocks are numbered by
+    ``_block_order``.  The result is cached per groupoid and (tol, seed).
     """
     tol = tol or DEFAULT_TOLERANCE
     seed = DEFAULT_SEED if seed is None else seed
@@ -515,89 +532,72 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
         g._caches[key] = decomp
         return decomp
 
-    rep = full_representation(g)
     plan = _plan(g)
     center = _center_basis(g)
     b = center.shape[1]
 
     rng = np.random.default_rng(seed)
-    clusters = eigenvectors = None
-    for attempt in range(_RETRIES):
-        t = rng.standard_normal(b) + 1j * rng.standard_normal(b)
-        w = center @ t
+    for _ in range(_RETRIES):
+        w = center @ (rng.standard_normal(b) + 1j * rng.standard_normal(b))
         w = (w + np.conj(w[plan.inv])) / 2.0
         if np.linalg.norm(w) < 1e-12:
             numerics["retries"] += 1
             continue
-        m = rep.matrix(w)
-        eigenvalues, eigenvectors = linalg.hermitian_eigen(m, tol)
+        w_el = AlgebraElement(g, w)
+        m = center.conj().T @ np.column_stack(
+            [(w_el * AlgebraElement(g, c)).coeffs for c in center.T])
+        eigenvalues, vectors = linalg.hermitian_eigen(m, tol)
         numerics["eig_residual"] = max(
-            numerics["eig_residual"], linalg.eigen_residual(m, eigenvalues, eigenvectors)
+            numerics["eig_residual"], linalg.eigen_residual(m, eigenvalues, vectors)
         )
-        clusters = _cluster(eigenvalues, expected=b)
-        if clusters is not None:
+        if _cluster(eigenvalues, expected=b) is not None:
             break
         numerics["retries"] += 1
-    if clusters is None:
+    else:
         raise DecompositionError(
             f"central element eigenvalues kept colliding after {_RETRIES} draws"
         )
 
-    unit_positions = np.flatnonzero(plan.unit_mask)
+    idempotents = center @ (vectors * (vectors.conj().T @ (center.conj().T @ plan.unit_mask)))
+    elements = [AlgebraElement(g, e) for e in idempotents.T.copy()]
+    if not all((e * e).allclose(e, _CHECK_EPS) and e.adjoint().allclose(e, _CHECK_EPS)
+               for e in elements):
+        raise DecompositionError("central idempotents are not self-adjoint idempotents")
+    if np.max(np.abs(idempotents.sum(axis=1) - plan.unit_mask)) > _CHECK_EPS:
+        raise DecompositionError("central idempotents do not sum to the unit")
+    if np.max(np.abs(vectors.conj().T @ vectors - np.eye(b))) > _CHECK_EPS:
+        raise DecompositionError("central idempotents are not orthogonal")
+    ranks = idempotents[plan.range_idx].sum(axis=0).real
+    dims = np.rint(np.sqrt(np.maximum(ranks, 0.0)))
+    rounding = np.abs(ranks - dims * dims)
+    numerics["dim_rounding"] = float(rounding.max())
+    if rounding.max() > _CHECK_EPS:
+        raise DecompositionError(
+            f"block rank {ranks[rounding.argmax()]:.6g} is not a perfect square")
+    if int(np.sum(dims * dims)) != n:
+        raise DecompositionError("block dimensions do not account for dim C*_r(G)")
+
+    magnitude = np.abs(idempotents) / np.maximum(np.linalg.norm(idempotents, axis=0), 1e-300)
+    fiber_peak = np.zeros((n, b))
+    np.maximum.at(fiber_peak, plan.range_idx, magnitude)
+    supports = fiber_peak[plan.range_idx] > tol.zero_eps
+    units = [(i, g.elements[i]) for i in np.flatnonzero(plan.unit_mask)]
     order = {u: i for i, u in enumerate(g.unit_list)}
     orbits = g.orbits()
     raw_blocks = []
-    for lo, hi in clusters:
-        vectors = eigenvectors[:, lo:hi]
-        projection = vectors @ vectors.conj().T
-        coeffs = rep.coefficients(projection)
-        if np.max(np.abs(rep.matrix(coeffs) - projection)) > _CHECK_EPS:
-            raise DecompositionError("spectral projection is not in the algebra image")
-        rank = hi - lo
-        dim = float(np.sqrt(rank))
-        rounding = abs(dim - round(dim))
-        numerics["dim_rounding"] = max(numerics["dim_rounding"], rounding)
-        if rounding > 1e-6:
-            raise DecompositionError(f"block rank {rank} is not a perfect square")
-        dim = int(round(dim))
-
-        col_norms = np.linalg.norm(projection, axis=0)
-        nz = col_norms > tol.zero_eps
-        normalized = np.abs(projection[:, nz]) / col_norms[nz]
-        support_mask = normalized.max(axis=1, initial=0.0) > tol.zero_eps
-        support = frozenset(g.elements[i] for i in np.flatnonzero(support_mask))
-
-        e_norm = np.abs(coeffs) / max(float(np.linalg.norm(coeffs)), 1e-300)
-        orbit = frozenset(
-            g.elements[i] for i in unit_positions if e_norm[i] > tol.zero_eps
-        )
+    for k, e in enumerate(elements):
+        orbit = frozenset(u for i, u in units if magnitude[i, k] > tol.zero_eps)
         if orbit not in orbits:
             raise DecompositionError(
-                f"block diagonal footprint {sorted(map(repr, orbit))} is not an orbit"
-            )
-        raw_blocks.append((orbit, dim, AlgebraElement(g, coeffs), support))
+                f"block diagonal footprint {sorted(map(repr, orbit))} is not an orbit")
+        support = frozenset(g.elements[i] for i in np.flatnonzero(supports[:, k]))
+        raw_blocks.append((min(order[u] for u in orbit), int(dims[k]), e, orbit, support))
 
-    if sum(dim * dim for _, dim, _, _ in raw_blocks) != n:
-        raise DecompositionError("block dimensions do not account for dim C*_r(G)")
-
-    raw_blocks.sort(key=lambda blk: (min(order[u] for u in blk[0]), blk[1]))
+    raw_blocks.sort(key=functools.cmp_to_key(_block_order))
     blocks = [
         Block(index=i, dimension=dim, idempotent=e, orbit=orbit, support=support)
-        for i, (orbit, dim, e, support) in enumerate(raw_blocks)
+        for i, (_, dim, e, orbit, support) in enumerate(raw_blocks)
     ]
-
-    total = sum((blk.idempotent.coeffs for blk in blocks),
-                np.zeros(n, dtype=np.complex128))
-    if np.max(np.abs(total - plan.unit_mask)) > _CHECK_EPS:
-        raise DecompositionError("central idempotents do not sum to the unit")
-    for lo, hi in clusters:
-        for lo2, hi2 in clusters:
-            if lo2 <= lo:
-                continue
-            overlap = eigenvectors[:, lo:hi].conj().T @ eigenvectors[:, lo2:hi2]
-            if np.max(np.abs(overlap), initial=0.0) > _CHECK_EPS:
-                raise DecompositionError("central idempotents are not orthogonal")
-
     decomp = BlockDecomposition(g, tol, seed, blocks, numerics)
     g._caches[key] = decomp
     return decomp

@@ -93,39 +93,3 @@ def eigen_residual(m, eigenvalues, eigenvectors) -> float:
     scale = max(float(np.abs(np.asarray(eigenvalues)).max()), np.finfo(float).tiny)
     residual = np.linalg.norm(a @ eigenvectors - eigenvectors * np.asarray(eigenvalues), axis=0)
     return float(residual.max()) / scale
-
-
-def orthonormal_basis(vectors, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> np.ndarray:
-    """Orthonormal basis (columns) for the span of the given row vectors.
-
-    Singular values at or below ``zero_eps`` are discarded, matching the
-    package-wide rank convention.
-    """
-    b = np.asarray(vectors, dtype=np.complex128)
-    if b.size == 0:
-        return np.zeros((b.shape[1] if b.ndim == 2 else 0, 0), dtype=np.complex128)
-    u, s, _ = np.linalg.svd(b.T, full_matrices=False)
-    rank = int(np.sum(s > tol.zero_eps))
-    return u[:, :rank]
-
-
-def subspace_membership(basis, v, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> bool:
-    """Whether ``v`` lies in the span of the basis vectors.
-
-    True iff the distance from ``v`` to the span is at most
-    ``zero_eps * max(1, ||v||)``.
-    """
-    w = np.asarray(v, dtype=np.complex128).ravel()
-    rows = [np.asarray(b, dtype=np.complex128).ravel() for b in basis]
-    for row in rows:
-        if row.shape != w.shape:
-            raise LinalgInputError(
-                f"basis vector of length {row.size} vs vector of length {w.size}"
-            )
-    norm_v = float(np.linalg.norm(w))
-    if not rows:
-        return norm_v <= tol.zero_eps
-    q = orthonormal_basis(np.array(rows), tol)
-    dist = float(np.linalg.norm(w - q @ (q.conj().T @ w)))
-    return dist <= tol.zero_eps * max(1.0, norm_v)
-

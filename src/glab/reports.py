@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import ideals as ideal_ops
-from .algebra import BlockDecomposition
+from .algebra import BlockDecomposition, DecompositionError
 from .errors import CapExceededError
 from .formats import Instance
 from .groups import PartialAction
@@ -109,8 +109,11 @@ def analyze_report(instance: Instance, source, decomp: BlockDecomposition,
             "sandwich": {"lower": unit_sets[lo], "upper": unit_sets[up]},
             "triple_quotient_blocks": _sub_indices(ov, q),
         })
-    obstruction = ideal_ops.obstruction_ideal(decomp)
-    kernel = ideal_ops.collapse_kernel(decomp)
+    # the message obstruction_ideal, then collapse_kernel, would raise
+    obstruction, kernel, failures = ideal_ops._obstruction(decomp)
+    if failures:
+        support = ideal_ops._OBSTRUCTION_SUPPORT
+        raise DecompositionError(support if support in failures else failures[0])
     report["counts"] = {
         "ideals": len(rows),
         "dynamical": sum(1 for r in rows if r["dynamical"]),

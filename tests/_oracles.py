@@ -4,9 +4,10 @@ Everything here recomputes expected values from first principles with
 deliberately different code paths than the library: orbits by breadth
 first search, convolution by the literal double sum, block dimensions
 by counting conjugacy classes of the isotropy group and solving the
-sum-of-squares constraint, and ideal/triple counts by per-orbit
-combinatorics.  The sandwich sets and the triple bijection are kept in
-the frozenset formulation (unit sets, ``Ideal`` diagonals and supports,
+sum-of-squares constraint, ideal/triple counts by per-orbit
+combinatorics, and the minimal central idempotents by splitting a dense
+regular representation.  The sandwich sets and the triple bijection are
+kept in the frozenset formulation (unit sets, ``Ideal`` diagonals and supports,
 subquotient decompositions) that the library's bitmask layer replaced.
 """
 
@@ -16,6 +17,8 @@ import itertools
 from math import prod
 
 import numpy as np
+
+from glab.linalg import LinalgInputError
 
 
 def bfs_orbits(g):
@@ -305,3 +308,60 @@ def commutator_center(g, eps=1e-9):
     _, s, vh = np.linalg.svd(commutators, full_matrices=False)
     rank = int(np.sum(s > eps * max(1.0, float(s[0]) if s.size else 0.0)))
     return vh[rank:].conj().T
+
+
+def dense_central_idempotents(g, seed=0, gap=1e-6):
+    """Coefficient vectors of the minimal central idempotents: the spectral
+    projections of a random self-adjoint element of ``commutator_center``
+    in the dense regular representation, which is built from
+    ``composable_pairs`` and ``compose`` (delta_a sends delta_b to
+    delta_ab), with f read back from a matrix P as f(gamma) =
+    P[gamma, source(gamma)].  Draws whose eigenvalues give fewer clusters
+    than the center has dimensions are redrawn."""
+    n = len(g)
+    index = {el: i for i, el in enumerate(g.elements)}
+    inverse = [index[g.inverse(el)] for el in g.elements]
+    source = [index[g.source(el)] for el in g.elements]
+    center = commutator_center(g)
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        w = center @ (rng.standard_normal(center.shape[1])
+                      + 1j * rng.standard_normal(center.shape[1]))
+        w = (w + np.conj(w[inverse])) / 2
+        left = np.zeros((n, n), dtype=np.complex128)
+        for a, b in g.composable_pairs():
+            left[index[g.compose(a, b)], index[b]] += w[index[a]]
+        values, vectors = np.linalg.eigh(left)
+        cuts = [0] + [i for i in range(1, n)
+                      if values[i] - values[i - 1] > gap * max(1.0, abs(values).max())] + [n]
+        if len(cuts) - 1 == center.shape[1]:
+            return [(vectors[:, lo:hi] @ vectors[:, lo:hi].conj().T)[range(n), source]
+                    for lo, hi in zip(cuts, cuts[1:])]
+    raise ValueError("central element eigenvalues kept colliding")
+
+
+def orthonormal_basis(vectors, eps=1e-9):
+    """Orthonormal basis (columns) for the span of the given row vectors;
+    singular values at or below ``eps`` are discarded."""
+    b = np.asarray(vectors, dtype=np.complex128)
+    if b.size == 0:
+        return np.zeros((b.shape[1] if b.ndim == 2 else 0, 0), dtype=np.complex128)
+    u, s, _ = np.linalg.svd(b.T, full_matrices=False)
+    return u[:, :int(np.sum(s > eps))]
+
+
+def subspace_membership(basis, v, eps=1e-9) -> bool:
+    """Whether ``v`` lies in the span of the basis vectors: its distance
+    from the span is at most ``eps * max(1, ||v||)``."""
+    w = np.asarray(v, dtype=np.complex128).ravel()
+    rows = [np.asarray(b, dtype=np.complex128).ravel() for b in basis]
+    for row in rows:
+        if row.shape != w.shape:
+            raise LinalgInputError(
+                f"basis vector of length {row.size} vs vector of length {w.size}"
+            )
+    norm_v = float(np.linalg.norm(w))
+    if not rows:
+        return norm_v <= eps
+    q = orthonormal_basis(np.array(rows), eps)
+    return float(np.linalg.norm(w - q @ (q.conj().T @ w))) <= eps * max(1.0, norm_v)

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,17 +7,49 @@ import pytest
 from glab import algebra as al
 from glab import groupoids as gp
 from glab.errors import CapExceededError
+from glab.formats import load_instance
 from glab.generators import random_groupoid
 from glab.groups import cyclic_group, symmetric_group
+from glab.ideals import collapse_kernel
 
 from _oracles import (
     commutator_center,
     composition_arrays,
     convolve_literal,
+    dense_central_idempotents,
     expected_block_dimensions,
     expected_counts,
     numeric_diagonal_units,
 )
+
+
+def constructions(swap_and_fix):
+    """A ``from_tables`` bundle, a ``disjoint_union`` and a
+    ``restrict(validate=False)`` reduction of that union."""
+    bundle = gp.group_bundle({"u": symmetric_group(3), "v": cyclic_group(4)})
+    tables = gp.from_tables(
+        bundle.elements, bundle.units,
+        {el: bundle.source(el) for el in bundle.elements},
+        {el: bundle.range(el) for el in bundle.elements},
+        {el: bundle.inverse(el) for el in bundle.elements},
+        [(a, b, bundle.compose(a, b)) for a, b in bundle.composable_pairs()],
+    )
+    union = gp.disjoint_union([swap_and_fix, bundle])
+    reduction = union.restrict(
+        {u for u in union.unit_list if u[0] == 1 or u[1][0] in "ab"}, validate=False)
+    return [tables, union, reduction]
+
+
+@pytest.fixture(scope="module")
+def reference_groupoids(z2_bundle, swap_and_fix, pair2, pair3):
+    """The worked instances, the constructions, 30 random draws and an
+    S4 bundle over four units."""
+    rng = random.Random(5)
+    return ([z2_bundle, swap_and_fix, pair2, pair3,
+             gp.group_bundle({"u": symmetric_group(3)})]
+            + constructions(swap_and_fix)
+            + [random_groupoid(rng, 32) for _ in range(30)]
+            + [gp.group_bundle({f"u{i}": symmetric_group(4) for i in range(4)})])
 
 
 def elements_close(f, mapping, eps=1e-9):
@@ -238,15 +271,66 @@ class TestWedderburn:
     def test_cached(self, swap_and_fix):
         assert al.wedderburn(swap_and_fix) is al.wedderburn(swap_and_fix)
 
-    def test_block_support_is_orbit_reduction(self, swap_and_fix):
-        d = al.wedderburn(swap_and_fix)
-        for blk in d.blocks:
-            expected = frozenset(
-                el for el in swap_and_fix.elements
-                if swap_and_fix.source(el) in blk.orbit
-                and swap_and_fix.range(el) in blk.orbit
-            )
-            assert blk.support == expected
+    def test_block_support_is_orbit_reduction(self, reference_groupoids):
+        for g in reference_groupoids:
+            for blk in al.wedderburn(g).blocks:
+                expected = frozenset(
+                    el for el in g.elements
+                    if g.source(el) in blk.orbit and g.range(el) in blk.orbit
+                )
+                assert blk.support == expected
+
+    def test_idempotents_match_dense_oracle(self, reference_groupoids):
+        for g in reference_groupoids:
+            reference = dense_central_idempotents(g)
+            blocks = al.wedderburn(g).blocks
+            assert len(blocks) == len(reference)
+            matched = set()
+            for blk in blocks:
+                errors = [np.max(np.abs(blk.idempotent.coeffs - r)) for r in reference]
+                assert min(errors) <= 1e-9
+                matched.add(int(np.argmin(errors)))
+            assert len(matched) == len(blocks)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda c: c * np.r_[np.ones(c.shape[1] - 1), 1.001],
+        lambda c: c[:, :-1],
+    ], ids=["scaled-column", "dropped-column"])
+    def test_corrupted_center_basis_is_refused(self, monkeypatch, corrupt):
+        real = al._center_basis
+        monkeypatch.setattr(al, "_center_basis", lambda g: corrupt(real(g)))
+        with pytest.raises(al.DecompositionError, match="^central idempotents are not"):
+            al.wedderburn(gp.group_bundle({"u": symmetric_group(3)}))
+
+    def test_eigensolves_only_in_the_center(self, monkeypatch):
+        shapes = []
+        real = al.linalg.hermitian_eigen
+
+        def recording(m, *args, **kwargs):
+            shapes.append(np.shape(m))
+            return real(m, *args, **kwargs)
+
+        def refuse(self, f):
+            raise AssertionError("the dense regular representation was built")
+
+        monkeypatch.setattr(al.linalg, "hermitian_eigen", recording)
+        monkeypatch.setattr(al.Representation, "matrix", refuse)
+        d = al.wedderburn(gp.group_bundle({f"u{i}": symmetric_group(4) for i in range(8)}))
+        assert shapes and set(shapes) == {(d.block_count, d.block_count)}
+
+    @pytest.mark.parametrize("name, kernel", [
+        ("z2_bundle", [1]),
+        ("action8", [1, 3, 4, 5, 7]),
+    ])
+    def test_tied_block_numbering_is_seed_independent(self, name, kernel):
+        path = Path(__file__).parent / "data" / f"{name}.json"
+        reference = None
+        for seed in (al.DEFAULT_SEED, *range(8)):
+            d = al.wedderburn(load_instance(path).groupoid(), seed=seed)
+            assert sorted(collapse_kernel(d).blocks) == kernel
+            coeffs = np.array([blk.idempotent.coeffs for blk in d.blocks])
+            reference = coeffs if reference is None else reference
+            assert np.max(np.abs(coeffs - reference)) <= 1e-9
 
     def test_dimension_counts_random(self):
         rng = random.Random(99)
@@ -275,18 +359,7 @@ class TestCenter:
             self.assert_center(g)
 
     def test_constructions(self, swap_and_fix):
-        bundle = gp.group_bundle({"u": symmetric_group(3), "v": cyclic_group(4)})
-        tables = gp.from_tables(
-            bundle.elements, bundle.units,
-            {el: bundle.source(el) for el in bundle.elements},
-            {el: bundle.range(el) for el in bundle.elements},
-            {el: bundle.inverse(el) for el in bundle.elements},
-            [(a, b, bundle.compose(a, b)) for a, b in bundle.composable_pairs()],
-        )
-        union = gp.disjoint_union([swap_and_fix, bundle])
-        reduction = union.restrict(
-            {u for u in union.unit_list if u[0] == 1 or u[1][0] in "ab"}, validate=False)
-        for g in (tables, union, reduction):
+        for g in constructions(swap_and_fix):
             self.assert_center(g)
 
     def test_random_draws(self):

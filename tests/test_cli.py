@@ -51,6 +51,36 @@ class TestAnalyze:
         assert report["parameters"]["seed"] == 0xC0FFEE
         assert len(report["conventions"]) == 3
 
+    def test_obstruction_data_built_once(self, capsys, swap_file, monkeypatch):
+        import glab.ideals as ideals_mod
+
+        calls = []
+        real = ideals_mod.collapse_matrices
+        monkeypatch.setattr(ideals_mod, "collapse_matrices",
+                            lambda g, a: calls.append(a) or real(g, a))
+        code, out, _ = run(capsys, "analyze", str(swap_file), "--format", "json")
+        assert code == 0
+        # one collapse representation per block
+        assert len(calls) == len(json.loads(out)["instance"]["block_dimensions"])
+
+    @pytest.mark.parametrize("failures, message", [
+        (["collapse kernel meets the diagonal"], "collapse kernel meets the diagonal"),
+        (["collapse kernel meets the diagonal",
+          "obstruction ideal support differs from the non-effective reduction"],
+         "obstruction ideal support differs from the non-effective reduction"),
+    ])
+    def test_failed_obstruction_statement(self, capsys, swap_file, monkeypatch,
+                                          failures, message):
+        # the support message first, as obstruction_ideal raises it before
+        # collapse_kernel raises the first failure
+        import glab.ideals as ideals_mod
+
+        real = ideals_mod._obstruction
+        monkeypatch.setattr(ideals_mod, "_obstruction",
+                            lambda d: real(d)[:2] + (failures,))
+        code, _, err = run(capsys, "analyze", str(swap_file))
+        assert (code, err) == (2, f"error: {message}\n")
+
     def test_pair_report(self, capsys, pair_file):
         code, out, _ = run(capsys, "analyze", str(pair_file), "--format", "json")
         assert code == 0
