@@ -1,19 +1,21 @@
 """Combinatorial dynamics: finite single-map systems and directed graphs.
 
-For a map T on a finite set the periodic loci are literal fixed-point
-sets of iterates (every subset of a finite discrete space is open), and
-the non-effective locus of the associated semidirect-product dynamics
-is computed twice, from two independent characterizations: forward
-orbits meeting the periodic locus, and eventual periodicity.  On a
-finite space both sides are everything whenever the space is nonempty;
-the content of the computation is the agreement of the two sides, and
-reports say so.
+A map T on a finite set is a functional graph, so its periodic loci
+(literal fixed-point sets of iterates; every subset of a finite discrete
+space is open) are read off its cycles: T^p fixes x exactly when x lies
+on a cycle whose length divides p.  The non-effective locus of the
+associated semidirect-product dynamics is computed twice, from two
+independent characterizations: forward orbits meeting the periodic
+locus, and eventual periodicity.  On a finite space both sides are
+everything whenever the space is nonempty; the content of the
+computation is the agreement of the two sides, and reports say so.
 
 For directed graphs (row-finite, no sinks in v1) the lattice of
 saturated hereditary vertex sets plays the role of the invariant-set
 lattice, and the obstruction vertex set is the least saturated
 hereditary set swallowing every cycle without an exit; it vanishes
-exactly when every cycle has an exit.
+exactly when every cycle has an exit.  The cycles of a map and the
+exit-less cycles of a graph are found by one shared walk (``_cycles``).
 """
 
 from __future__ import annotations
@@ -32,6 +34,28 @@ class DynamicsError(ValueError):
 
 class UnsupportedGraphError(DynamicsError):
     """Graph shape outside the supported fragment (e.g. a sink)."""
+
+
+def _cycles(successor: dict) -> list:
+    """The cycles of a partial map, each once, as a tuple of its points in
+    the order the map visits them.
+
+    Each unvisited point is followed until the walk leaves the map's
+    domain or meets a visited point; when that point is on the current
+    walk, the walk has closed a cycle.
+    """
+    visited = set()
+    out = []
+    for start in successor:
+        walk = {}                         # point -> position on this walk
+        x = start
+        while x in successor and x not in visited:
+            visited.add(x)
+            walk[x] = len(walk)
+            x = successor[x]
+        if x in walk:
+            out.append(tuple(walk)[walk[x]:])
+    return out
 
 
 # -- finite dynamical systems ---------------------------------------------------
@@ -54,36 +78,21 @@ class FiniteDynSystem:
         extra = set(self.mapping) - self._space_set
         if extra:
             raise DynamicsError(f"map defined off the space: {sorted(map(repr, extra))}")
-        self._loci: dict = {}
+        self._cycles = tuple(_cycles(self.mapping))
 
     def __len__(self):
         return len(self.space)
 
-    def apply(self, x, times: int = 1):
-        for _ in range(times):
-            x = self.mapping[x]
-        return x
-
     def periodic_locus(self, p: int) -> frozenset:
-        """Points fixed by the p-th iterate (p >= 1)."""
+        """Points fixed by the p-th iterate (p >= 1): the points of the
+        cycles whose length divides p."""
         if p < 1:
             raise DynamicsError("period must be at least 1")
-        return self._locus(p)
-
-    def _locus(self, p: int) -> frozenset:
-        # the map never changes, so each locus is computed once per system
-        locus = self._loci.get(p)
-        if locus is None:
-            locus = frozenset(x for x in self.space if self.apply(x, p) == x)
-            self._loci[p] = locus
-        return locus
+        return frozenset(x for c in self._cycles if p % len(c) == 0 for x in c)
 
     def periodic_points(self) -> frozenset:
-        """Union of all periodic loci; stabilizes by p = |X|."""
-        out = frozenset()
-        for p in range(1, len(self.space) + 1):
-            out |= self._locus(p)
-        return out
+        """Union of all periodic loci: the points of all the cycles."""
+        return frozenset(x for c in self._cycles for x in c)
 
     def forward_orbit(self, x) -> frozenset:
         seen = []
@@ -215,7 +224,10 @@ class DirectedGraph:
             idents.add(edge.ident)
             out.append(edge)
         self.edges = tuple(out)
-        self._out = {v: tuple(e for e in self.edges if e.src == v) for v in self.vertices}
+        adjacency = {v: [] for v in self.vertices}
+        for e in self.edges:
+            adjacency[e.src].append(e)
+        self._out = {v: tuple(es) for v, es in adjacency.items()}
 
     def out_edges(self, v) -> tuple:
         return self._out[v]
@@ -236,30 +248,28 @@ class DirectedGraph:
     def simple_cycles(self, cap: int = CYCLE_CAP) -> list:
         """All cycles through pairwise-distinct vertices, as edge tuples.
 
-        Rotations are identified by rooting each cycle at its smallest
-        edge (edge order as given).
+        Each cycle is found once, by the search from its first vertex in
+        vertex order, which only steps to later vertices.  It is rooted at
+        its smallest edge (edge order as given), and the list is sorted
+        by edge order.
         """
         edge_order = {e.ident: i for i, e in enumerate(self.edges)}
-        cycles = set()
+        rank = {v: i for i, v in enumerate(self.vertices)}
+        cycles = []
 
-        def extend(path, visited, start):
-            if len(cycles) > cap:
-                raise CapExceededError(f"more than {cap} simple cycles")
-            tip = path[-1].dst
+        def extend(path, tip, start, visited):
             for e in self._out[tip]:
                 if e.dst == start:
-                    cycle = tuple(path) + (e,)
+                    if len(cycles) >= cap:
+                        raise CapExceededError(f"more than {cap} simple cycles")
+                    cycle = path + (e,)
                     k = min(range(len(cycle)), key=lambda i: edge_order[cycle[i].ident])
-                    cycles.add(cycle[k:] + cycle[:k])
-                elif e.dst not in visited:
-                    extend(path + [e], visited | {e.dst}, start)
+                    cycles.append(cycle[k:] + cycle[:k])
+                elif rank[e.dst] > rank[start] and e.dst not in visited:
+                    extend(path + (e,), e.dst, start, visited | {e.dst})
 
         for v in self.vertices:
-            for e in self._out[v]:
-                if e.dst == v:
-                    cycles.add((e,))
-                elif e.dst != v:
-                    extend([e], {v, e.dst}, v)
+            extend((), v, v, set())
         return sorted(cycles, key=lambda c: [edge_order[e.ident] for e in c])
 
     def cycle_has_exit(self, cycle) -> bool:
@@ -273,32 +283,19 @@ class DirectedGraph:
                     return True
         return False
 
-    def condition_L(self, cap: int = CYCLE_CAP) -> bool:
+    def condition_L(self) -> bool:
         """Every cycle has an exit."""
-        return not self.exitless_cycle_vertices(cap)
+        return not self.exitless_cycle_vertices()
 
-    def exitless_cycle_vertices(self, cap: int = CYCLE_CAP) -> frozenset:
+    def exitless_cycle_vertices(self) -> frozenset:
         """Vertices on cycles without exits.
 
         A cycle has no exit iff each of its vertices has out-degree 1,
-        so these are found by following the unique edges inside the
-        out-degree-one part (no cycle enumeration required).
+        so these are the cycles of the unique-out-edge map on the
+        out-degree-one vertices (no cycle enumeration required).
         """
-        unique = {v: es[0] for v, es in self._out.items() if len(es) == 1}
-        out = set()
-        for v in unique:
-            if v in out:
-                continue
-            seen = {}
-            cur, steps = v, 0
-            while cur in unique and cur not in seen:
-                seen[cur] = steps
-                cur = unique[cur].dst
-                steps += 1
-            if cur in seen:
-                cycle = [x for x, k in seen.items() if k >= seen[cur]]
-                out.update(cycle)
-        return frozenset(out)
+        unique = {v: es[0].dst for v, es in self._out.items() if len(es) == 1}
+        return frozenset(v for cycle in _cycles(unique) for v in cycle)
 
     # -- hereditary and saturated vertex sets -----------------------------------
 

@@ -5,8 +5,10 @@ deliberately different code paths than the library: orbits by breadth
 first search, convolution by the literal double sum, block dimensions
 by counting conjugacy classes of the isotropy group and solving the
 sum-of-squares constraint, ideal/triple counts by per-orbit
-combinatorics, and the minimal central idempotents by splitting a dense
-regular representation.  The sandwich sets and the triple bijection are
+combinatorics, the minimal central idempotents by splitting a dense
+regular representation, periodic loci by iterating the map p times, and
+simple cycles by a search from every vertex that identifies rotations
+in a set.  The sandwich sets and the triple bijection are
 kept in the frozenset formulation (unit sets, ``Ideal`` diagonals and supports,
 subquotient decompositions) that the library's bitmask layer replaced.
 """
@@ -365,3 +367,39 @@ def subspace_membership(basis, v, eps=1e-9) -> bool:
         return norm_v <= eps
     q = orthonormal_basis(np.array(rows), eps)
     return float(np.linalg.norm(w - q @ (q.conj().T @ w))) <= eps * max(1.0, norm_v)
+
+
+def iterated_periodic_locus(system, p):
+    """Points fixed by the p-th iterate, by applying the map p times."""
+    def apply(x):
+        for _ in range(p):
+            x = system.mapping[x]
+        return x
+
+    return frozenset(x for x in system.space if apply(x) == x)
+
+
+def all_starts_simple_cycles(graph):
+    """Simple cycles of a graph, by a search from every vertex through any
+    unvisited vertex; each cycle is found once per vertex on it, and the
+    rotations are identified in a set by rooting each at its smallest edge."""
+    edge_order = {e.ident: i for i, e in enumerate(graph.edges)}
+    out = {v: [e for e in graph.edges if e.src == v] for v in graph.vertices}
+    cycles = set()
+
+    def extend(path, visited, start):
+        for e in out[path[-1].dst]:
+            if e.dst == start:
+                cycle = tuple(path) + (e,)
+                k = min(range(len(cycle)), key=lambda i: edge_order[cycle[i].ident])
+                cycles.add(cycle[k:] + cycle[:k])
+            elif e.dst not in visited:
+                extend(path + [e], visited | {e.dst}, start)
+
+    for v in graph.vertices:
+        for e in out[v]:
+            if e.dst == v:
+                cycles.add((e,))
+            else:
+                extend([e], {v, e.dst}, v)
+    return sorted(cycles, key=lambda c: [edge_order[e.ident] for e in c])

@@ -407,6 +407,31 @@ class TestGraphAndDr:
         assert non["orbit_side_size"] == 3
         assert report["periodic_loci"]["3"]["size"] == 3
 
+    def test_graph_over_cap(self, capsys, tmp_path):
+        path = tmp_path / "ring.json"
+        vertices = [f"v{i}" for i in range(65)]
+        path.write_text(dump_instance({
+            "version": 1, "kind": "graph", "vertices": vertices,
+            "edges": [{"id": f"e{i}", "src": v, "dst": vertices[(i + 1) % 65]}
+                      for i, v in enumerate(vertices)],
+        }))
+        code, out, err = run(capsys, "graph", str(path))
+        assert code == 3
+        assert "65 vertices exceed the cap 64" in err
+        assert out == ""
+
+    def test_dr_over_cap(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        space = [f"x{i}" for i in range(1025)]
+        path.write_text(dump_instance({
+            "version": 1, "kind": "dynsys", "space": space,
+            "map": {x: space[0] for x in space},
+        }))
+        code, out, err = run(capsys, "dr", str(path))
+        assert code == 3
+        assert "1025 points exceed the cap 1024" in err
+        assert out == ""
+
     def test_parse_error_exit_code(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

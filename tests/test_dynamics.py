@@ -14,6 +14,8 @@ from glab.errors import CapExceededError
 from glab.generators import random_dynsys, random_graph
 from glab.formats import instance_from_dict
 
+from _oracles import all_starts_simple_cycles, iterated_periodic_locus
+
 
 def three_cycle():
     return FiniteDynSystem((1, 2, 3), {1: 2, 2: 3, 3: 1})
@@ -216,7 +218,77 @@ class TestGraphs:
         g = DirectedGraph(vertices, edges)
         with pytest.raises(CapExceededError):
             g.simple_cycles(cap=1000)
+        # each loop counts against the cap as it is found
+        two_loops = DirectedGraph(("v",), [("l1", "v", "v"), ("l2", "v", "v")])
+        with pytest.raises(CapExceededError, match="more than 1 simple cycles"):
+            two_loops.simple_cycles(cap=1)
+        # a graph with exactly cap cycles lists all of them
+        k5 = DirectedGraph(vertices[:5], [
+            (f"e{i}-{j}", f"v{i}", f"v{j}") for i in range(5) for j in range(5)
+        ])
+        count = len(k5.simple_cycles())
+        assert count == 5 + 10 + 20 + 30 + 24     # loops, then C(5, k)·(k-1)! per k
+        assert len(k5.simple_cycles(cap=count)) == count
+        with pytest.raises(CapExceededError, match=f"more than {count - 1} simple"):
+            k5.simple_cycles(cap=count - 1)
 
     def test_duplicate_edge_ids_rejected(self):
         with pytest.raises(DynamicsError):
             DirectedGraph(("v",), [("e", "v", "v"), ("e", "v", "v")])
+
+
+def shuffled_multigraph(rng, n):
+    """A random graph with extra loops and parallel edges, its vertex and
+    edge orders shuffled (the cycle search depends on vertex order)."""
+    payload = random_graph(rng, n, loops=rng.randint(0, 3),
+                           edge_probability=rng.choice([None, 0.3]))
+    edges = [(e["id"], e["src"], e["dst"]) for e in payload["edges"]]
+    edges += [(f"p{i}", src, dst)
+              for i, (_, src, dst) in enumerate(rng.sample(edges, min(3, len(edges))))]
+    vertices = list(payload["vertices"])
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return DirectedGraph(vertices, edges)
+
+
+class TestAgainstOracles:
+    """The cycle-based answers match the iterate-the-map and all-starts
+    references in ``_oracles``."""
+
+    def test_periodic_loci(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            s = instance_from_dict(random_dynsys(rng, rng.randint(0, 60))).obj
+            n = len(s.space)
+            loci = [iterated_periodic_locus(s, p) for p in range(1, 2 * n + 2)]
+            assert [s.periodic_locus(p) for p in range(1, 2 * n + 2)] == loci
+            assert s.periodic_points() == frozenset().union(*loci[:n])
+
+    def graphs(self):
+        rng = random.Random(43)
+        yield from (graph_of(random_graph(rng, rng.randint(1, 9))) for _ in range(60))
+        yield from (shuffled_multigraph(rng, rng.randint(1, 8)) for _ in range(60))
+        yield DirectedGraph(("w", "u", "v"), [
+            ("b", "v", "u"), ("l1", "u", "u"), ("a", "u", "v"), ("a2", "u", "v"),
+            ("c", "w", "u"), ("l2", "v", "v"), ("d", "v", "w"), ("l3", "u", "u"),
+        ])
+        yield DirectedGraph(("c", "b", "a"), [
+            ("z", "a", "b"), ("y", "b", "c"), ("x", "c", "a"), ("w", "b", "a"),
+        ])
+
+    def test_simple_cycles(self):
+        for g in self.graphs():
+            assert g.simple_cycles() == all_starts_simple_cycles(g)
+
+    def test_exitless_cycle_vertices(self):
+        for g in self.graphs():
+            exitless = {e.src for c in all_starts_simple_cycles(g)
+                        if all(len([f for f in g.edges if f.src == e.src]) == 1 for e in c)
+                        for e in c}
+            assert g.exitless_cycle_vertices() == exitless
+            assert g.condition_L() == (not exitless)
+
+    def test_out_edges_keep_input_order(self):
+        for g in self.graphs():
+            for v in g.vertices:
+                assert g.out_edges(v) == tuple(e for e in g.edges if e.src == v)
