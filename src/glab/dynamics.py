@@ -16,11 +16,20 @@ lattice, and the obstruction vertex set is the least saturated
 hereditary set swallowing every cycle without an exit; it vanishes
 exactly when every cycle has an exit.  The cycles of a map and the
 exit-less cycles of a graph are found by one shared walk (``_cycles``).
+
+Inside ``DirectedGraph`` a vertex set is an ``int`` bitmask (bit i is
+``vertices[i]``); the public methods take and return frozensets.  The
+hereditary closure of a set is the union of its vertices' forward-reach
+masks, and saturating a hereditary mask (adding every vertex whose
+out-neighbours all lie in it) keeps it hereditary, so each saturated
+hereditary closure is one table lookup per member and one saturation
+loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CapExceededError
 
@@ -224,24 +233,30 @@ class DirectedGraph:
             idents.add(edge.ident)
             out.append(edge)
         self.edges = tuple(out)
+        self._index = {v: i for i, v in enumerate(self.vertices)}
         adjacency = {v: [] for v in self.vertices}
+        self._succ = [0] * len(self.vertices)     # out-neighbour mask per vertex
         for e in self.edges:
             adjacency[e.src].append(e)
+            self._succ[self._index[e.src]] |= 1 << self._index[e.dst]
         self._out = {v: tuple(es) for v, es in adjacency.items()}
+        self._sinks = tuple(v for v in self.vertices if not self._out[v])
 
     def out_edges(self, v) -> tuple:
         return self._out[v]
 
     def sinks(self) -> tuple:
-        return tuple(v for v in self.vertices if not self._out[v])
+        return self._sinks
 
     def _reject_sinks(self, operation: str):
-        sinks = self.sinks()
-        if sinks:
+        if self._sinks:
             raise UnsupportedGraphError(
-                f"{operation} requires a sink-free graph; vertex {sinks[0]!r} has no "
-                f"outgoing edge"
+                f"{operation} requires a sink-free graph; vertex {self._sinks[0]!r} has "
+                f"no outgoing edge"
             )
+
+    def _members(self, mask: int) -> frozenset:
+        return frozenset(v for i, v in enumerate(self.vertices) if mask >> i & 1)
 
     # -- cycles ------------------------------------------------------------
 
@@ -249,39 +264,44 @@ class DirectedGraph:
         """All cycles through pairwise-distinct vertices, as edge tuples.
 
         Each cycle is found once, by the search from its first vertex in
-        vertex order, which only steps to later vertices.  It is rooted at
-        its smallest edge (edge order as given), and the list is sorted
-        by edge order.
+        vertex order, which only steps to later vertices.  The search
+        keeps an explicit stack of out-edge iterators, so cycle length is
+        not bounded by the recursion limit.  Each cycle is rooted at its
+        smallest edge (edge order as given), and the list is sorted by
+        edge order.
         """
-        edge_order = {e.ident: i for i, e in enumerate(self.edges)}
-        rank = {v: i for i, v in enumerate(self.vertices)}
+        dst = [self._index[e.dst] for e in self.edges]
+        out = [[] for _ in self.vertices]
+        for k, e in enumerate(self.edges):
+            out[self._index[e.src]].append(k)
         cycles = []
-
-        def extend(path, tip, start, visited):
-            for e in self._out[tip]:
-                if e.dst == start:
+        for start in range(len(out)):
+            path = []                         # edge indices from start
+            on_path = 1 << start
+            stack = [iter(out[start])]        # one iterator per path vertex
+            while stack:
+                k = next(stack[-1], None)
+                if k is None:
+                    stack.pop()
+                    if path:
+                        on_path ^= 1 << dst[path.pop()]
+                elif dst[k] == start:
                     if len(cycles) >= cap:
                         raise CapExceededError(f"more than {cap} simple cycles")
-                    cycle = path + (e,)
-                    k = min(range(len(cycle)), key=lambda i: edge_order[cycle[i].ident])
-                    cycles.append(cycle[k:] + cycle[:k])
-                elif rank[e.dst] > rank[start] and e.dst not in visited:
-                    extend(path + (e,), e.dst, start, visited | {e.dst})
-
-        for v in self.vertices:
-            extend((), v, v, set())
-        return sorted(cycles, key=lambda c: [edge_order[e.ident] for e in c])
+                    cycle = path + [k]
+                    first = cycle.index(min(cycle))
+                    cycles.append(tuple(cycle[first:] + cycle[:first]))
+                elif dst[k] > start and not on_path >> dst[k] & 1:
+                    path.append(k)
+                    on_path |= 1 << dst[k]
+                    stack.append(iter(out[dst[k]]))
+        return [tuple(self.edges[k] for k in c) for c in sorted(cycles)]
 
     def cycle_has_exit(self, cycle) -> bool:
         """Some vertex on the cycle has an outgoing edge other than the
-        cycle's own next edge at that vertex."""
-        cycle = tuple(cycle)
-        next_edge = {e.src: e.ident for e in cycle}
-        for e in cycle:
-            for out in self._out[e.src]:
-                if out.ident != next_edge[e.src]:
-                    return True
-        return False
+        cycle's own next edge at that vertex.  A simple cycle leaves each
+        of its vertices by exactly one edge, so this is an out-degree test."""
+        return any(len(self._out[e.src]) > 1 for e in cycle)
 
     def condition_L(self) -> bool:
         """Every cycle has an exit."""
@@ -312,41 +332,73 @@ class DirectedGraph:
                 return False
         return True
 
+    @cached_property
+    def _reach(self) -> list:
+        """The forward-reach mask of each vertex, itself included, by a mask
+        BFS per vertex in reverse vertex order; a BFS that meets a vertex
+        whose mask is already built takes that mask instead of expanding it."""
+        reach = [0] * len(self.vertices)
+        for i in reversed(range(len(reach))):
+            seen = frontier = 1 << i
+            while frontier:
+                step = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    j = low.bit_length() - 1
+                    if reach[j]:
+                        seen |= reach[j]
+                    else:
+                        step |= self._succ[j]
+                frontier = step & ~seen
+                seen |= frontier
+            reach[i] = seen
+        return reach
+
+    def _saturate(self, mask: int) -> int:
+        """Least saturated superset of a hereditary mask: add each outside
+        vertex whose out-neighbours all lie inside, until a pass adds none.
+        An added vertex has no out-neighbour outside, so the result is
+        hereditary too."""
+        outside = [i for i in range(len(self.vertices)) if not mask >> i & 1]
+        while True:
+            stay = []
+            for i in outside:
+                if self._succ[i] & ~mask:
+                    stay.append(i)
+                else:
+                    mask |= 1 << i
+            if len(stay) == len(outside):
+                return mask
+            outside = stay
+
     def saturated_hereditary_closure(self, members) -> frozenset:
-        """Least saturated hereditary superset."""
+        """Least saturated hereditary superset: the saturation of the union
+        of the members' forward-reach masks."""
         self._reject_sinks("saturated hereditary closure")
-        current = set(members)
-        changed = True
-        while changed:
-            changed = False
-            for v in list(current):
-                for e in self._out[v]:
-                    if e.dst not in current:
-                        current.add(e.dst)
-                        changed = True
-            for v in self.vertices:
-                if v not in current and all(e.dst in current for e in self._out[v]):
-                    current.add(v)
-                    changed = True
-        return frozenset(current)
+        mask = 0
+        for v in members:
+            mask |= self._reach[self._index[v]]
+        return self._members(self._saturate(mask))
 
     def hereditary_saturated_sets(self, cap: int = LATTICE_CAP) -> list:
         """The full lattice of saturated hereditary vertex sets.
 
-        Generated output-sensitively: close upward from the empty set by
-        adding single vertices and closing, until no new sets appear.
-        Meet is intersection; join is the closure of the union.
+        Generated output-sensitively: from the empty set, join each found
+        set with the closure of each single vertex outside it (the
+        saturation of the set's mask or'd with the vertex's reach mask),
+        until no new sets appear.  Meet is intersection; join is the
+        closure of the union.  Sorted by size, then by vertex positions.
         """
         self._reject_sinks("the gauge-invariant ideal lattice")
-        order = {v: i for i, v in enumerate(self.vertices)}
-        found = {frozenset()}
-        frontier = [frozenset()]
+        found = {0}
+        frontier = [0]
         while frontier:
             base = frontier.pop()
-            for v in self.vertices:
-                if v in base:
+            for i, reach in enumerate(self._reach):
+                if base >> i & 1:
                     continue
-                new = self.saturated_hereditary_closure(base | {v})
+                new = self._saturate(base | reach)
                 if new not in found:
                     if len(found) >= cap:
                         raise CapExceededError(
@@ -354,7 +406,10 @@ class DirectedGraph:
                         )
                     found.add(new)
                     frontier.append(new)
-        return sorted(found, key=lambda s: (len(s), sorted(order[v] for v in s)))
+        n = len(self.vertices)
+        ordered = sorted(found, key=lambda m: (m.bit_count(),
+                                               [i for i in range(n) if m >> i & 1]))
+        return [self._members(m) for m in ordered]
 
     def obstruction_vertex_set(self) -> frozenset:
         """Least saturated hereditary set containing all exit-less-cycle

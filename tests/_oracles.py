@@ -6,11 +6,14 @@ first search, convolution by the literal double sum, block dimensions
 by counting conjugacy classes of the isotropy group and solving the
 sum-of-squares constraint, ideal/triple counts by per-orbit
 combinatorics, the minimal central idempotents by splitting a dense
-regular representation, periodic loci by iterating the map p times, and
+regular representation, periodic loci by iterating the map p times,
 simple cycles by a search from every vertex that identifies rotations
-in a set.  The sandwich sets and the triple bijection are
-kept in the frozenset formulation (unit sets, ``Ideal`` diagonals and supports,
-subquotient decompositions) that the library's bitmask layer replaced.
+in a set, and exits by comparing each cycle vertex's out-edges with the
+cycle's next edge.  The sandwich sets, the triple bijection and the
+saturated hereditary closures and lattice of a graph are kept in the
+frozenset formulation (unit sets, ``Ideal`` diagonals and supports,
+subquotient decompositions, vertex sets rescanned until nothing changes)
+that the library's bitmask layers replaced.
 """
 
 from __future__ import annotations
@@ -403,3 +406,55 @@ def all_starts_simple_cycles(graph):
             else:
                 extend([e], {v, e.dst}, v)
     return sorted(cycles, key=lambda c: [edge_order[e.ident] for e in c])
+
+
+def next_edge_cycle_has_exit(graph, cycle):
+    """Some vertex on the cycle has an out-edge other than the cycle's own
+    next edge at that vertex."""
+    next_edge = {e.src: e.ident for e in cycle}
+    return any(f.ident != next_edge[e.src]
+               for e in cycle for f in graph.edges if f.src == e.src)
+
+
+def _out_edge_lists(graph):
+    return {v: [e for e in graph.edges if e.src == v] for v in graph.vertices}
+
+
+def set_saturated_hereditary_closure(graph, members, out=None):
+    """Least saturated hereditary superset of a vertex set: add every edge's
+    target from inside, then every vertex whose edges all land inside, and
+    rescan until nothing changes."""
+    out = out or _out_edge_lists(graph)
+    current = set(members)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(current):
+            for e in out[v]:
+                if e.dst not in current:
+                    current.add(e.dst)
+                    changed = True
+        for v in graph.vertices:
+            if v not in current and all(e.dst in current for e in out[v]):
+                current.add(v)
+                changed = True
+    return frozenset(current)
+
+
+def set_hereditary_saturated_sets(graph):
+    """Every saturated hereditary vertex set, closing upward from the empty
+    set by adding one vertex at a time; sorted by size, then by the sorted
+    vertex positions."""
+    out = _out_edge_lists(graph)
+    order = {v: i for i, v in enumerate(graph.vertices)}
+    found = {frozenset()}
+    frontier = [frozenset()]
+    while frontier:
+        base = frontier.pop()
+        for v in graph.vertices:
+            if v not in base:
+                new = set_saturated_hereditary_closure(graph, base | {v}, out)
+                if new not in found:
+                    found.add(new)
+                    frontier.append(new)
+    return sorted(found, key=lambda s: (len(s), sorted(order[v] for v in s)))

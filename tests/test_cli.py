@@ -327,6 +327,22 @@ def test_json_report_matches_golden(capsys, monkeypatch, command, name):
     assert out.encode() == (GOLDEN / f"{name}.{command}.json").read_bytes()
 
 
+@pytest.mark.parametrize("command, name, fmt, suffix", (
+    ("graph", "graph16", "json", "json"),
+    ("graph", "graph16", "text", "txt"),
+    ("dr", "map40", "json", "json"),
+))
+def test_dynamics_report_matches_golden(capsys, command, name, fmt, suffix, monkeypatch):
+    """Byte-for-byte against reports committed in tests/data: ``graph16`` has
+    a complete piece, a chorded ring feeding it, an exit-less ring, an
+    exit-less loop and tails; ``map40`` has cycles of lengths 1, 2, 3, 4
+    and 6 with random trees hanging off them."""
+    monkeypatch.chdir(GOLDEN)
+    code, out, _ = run(capsys, command, f"{name}.json", "--format", fmt)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.{command}.{suffix}").read_bytes()
+
+
 class TestRandom:
     def test_byte_identical(self, capsys):
         code1, out1, _ = run(capsys, "random", "--type", "action", "--size", "5",
@@ -419,6 +435,21 @@ class TestGraphAndDr:
         assert code == 3
         assert "65 vertices exceed the cap 64" in err
         assert out == ""
+
+    def test_long_ring_past_cap(self, capsys, tmp_path):
+        # the cycle search keeps its own stack, so a 1,200-edge cycle does
+        # not hit the recursion limit
+        path = tmp_path / "ring.json"
+        vertices = [f"v{i}" for i in range(1200)]
+        path.write_text(dump_instance({
+            "version": 1, "kind": "graph", "vertices": vertices,
+            "edges": [{"id": f"e{i}", "src": v, "dst": vertices[(i + 1) % 1200]}
+                      for i, v in enumerate(vertices)],
+        }))
+        code, out, _ = run(capsys, "graph", str(path), "--max-vertices", "2000",
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["cycles"]["count"] == 1
 
     def test_dr_over_cap(self, capsys, tmp_path):
         path = tmp_path / "big.json"

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,13 @@ from glab.errors import CapExceededError
 from glab.generators import random_dynsys, random_graph
 from glab.formats import instance_from_dict
 
-from _oracles import all_starts_simple_cycles, iterated_periodic_locus
+from _oracles import (
+    all_starts_simple_cycles,
+    iterated_periodic_locus,
+    next_edge_cycle_has_exit,
+    set_hereditary_saturated_sets,
+    set_saturated_hereditary_closure,
+)
 
 
 def three_cycle():
@@ -292,3 +299,37 @@ class TestAgainstOracles:
         for g in self.graphs():
             for v in g.vertices:
                 assert g.out_edges(v) == tuple(e for e in g.edges if e.src == v)
+
+    def test_cycle_has_exit(self):
+        for g in self.graphs():
+            for cycle in all_starts_simple_cycles(g):
+                assert g.cycle_has_exit(cycle) == next_edge_cycle_has_exit(g, cycle)
+
+    def closure_graphs(self):
+        rng = random.Random(47)
+        yield from (graph_of(random_graph(rng, rng.randint(1, 14))) for _ in range(200))
+        yield from (shuffled_multigraph(rng, rng.randint(1, 12)) for _ in range(60))
+
+    def test_closures_and_lattice(self):
+        """The bitmask closures, lattice and obstruction set match the
+        frozenset rescans; random subsets need not be hereditary."""
+        rng = random.Random(53)
+        for g in self.closure_graphs():
+            lattice = set_hereditary_saturated_sets(g)
+            assert g.hereditary_saturated_sets() == lattice
+            for _ in range(6):
+                members = rng.sample(g.vertices, rng.randint(0, len(g.vertices)))
+                assert (g.saturated_hereditary_closure(members)
+                        == set_saturated_hereditary_closure(g, members))
+            exitless = {e.src for c in all_starts_simple_cycles(g)
+                        if not next_edge_cycle_has_exit(g, c) for e in c}
+            expected = (set_saturated_hereditary_closure(g, exitless) if exitless
+                        else frozenset())
+            assert g.obstruction_vertex_set() == expected
+
+    def test_lattice_cap(self):
+        for g in itertools.islice(self.closure_graphs(), 40):
+            size = len(g.hereditary_saturated_sets())
+            assert len(g.hereditary_saturated_sets(cap=size)) == size
+            with pytest.raises(CapExceededError, match=f"exceeds the cap {size - 1}"):
+                g.hereditary_saturated_sets(cap=size - 1)
