@@ -16,13 +16,14 @@ Minimal central idempotents are l2-orthogonal and sum to 1, so the
 eigenvector u_k gives e_k = C u_k <u_k, C^H 1>, of rank
 tr lambda(e_k) = sum over units x of |G^x| e_k(x).
 
-Ideals are canonically represented by their block subsets, so ideal
-identity is exact and free of tolerance drift.
+Ideals are canonically represented by their block subsets, held as
+bitmasks, so ideal identity is exact and free of tolerance drift.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,7 @@ DEFAULT_SEED = 0xC0FFEE
 MAX_BLOCKS = 20
 _RETRIES = 8
 _CHECK_EPS = 1e-7
+_GAP_EPS = 1e-6     # relative eigenvalue gap that separates two clusters
 
 
 class AlgebraError(ValueError):
@@ -296,26 +298,62 @@ class BlockDecomposition:
     def dimensions(self) -> tuple:
         return tuple(b.dimension for b in self.blocks)
 
+    @functools.cached_property
+    def orbit_masks(self) -> tuple:
+        """Per orbit, in ``groupoid.orbits()`` order, the mask of the
+        blocks over it (bit i is block i)."""
+        index = {orbit: o for o, orbit in enumerate(self.groupoid.orbits())}
+        masks = [0] * len(index)
+        for blk in self.blocks:
+            masks[index[blk.orbit]] |= 1 << blk.index
+        return tuple(masks)
+
     def orbit_blocks(self) -> dict:
         """Map each orbit to the tuple of indices of blocks sitting over it."""
-        out: dict = {}
-        for blk in self.blocks:
-            out.setdefault(blk.orbit, []).append(blk.index)
-        return {orbit: tuple(ids) for orbit, ids in out.items()}
+        return {orbit: tuple(_bits(bm))
+                for orbit, bm in zip(self.groupoid.orbits(), self.orbit_masks)}
+
+    # -- the block/orbit incidence ---------------------------------------
+    #
+    # An ideal is a block mask m and an invariant unit set an orbit mask w
+    # (bit o is ``orbits()[o]``).  ``filled``, ``touched`` and ``over`` take
+    # one int mask or an int64 array of masks, through the same code.
+
+    def filled(self, m):
+        """The orbits all of whose blocks ideal ``m`` holds: its diagonal."""
+        return sum((((m & bm) == bm) << o for o, bm in enumerate(self.orbit_masks)), m & 0)
+
+    def touched(self, m):
+        """The orbits some block of ideal ``m`` sits over: its support."""
+        return sum((((m & bm) != 0) << o for o, bm in enumerate(self.orbit_masks)), m & 0)
+
+    def over(self, w):
+        """The dynamical ideal over orbit set ``w``: every block over its orbits."""
+        return sum(((w >> o & 1) * bm for o, bm in enumerate(self.orbit_masks)), w & 0)
+
+    def orbit_mask(self, members) -> int:
+        """The orbits inside a unit set."""
+        return sum(1 << o for o, orbit in enumerate(self.groupoid.orbits()) if orbit <= members)
+
+    def orbit_set(self, w: int) -> frozenset:
+        """The units of the orbits in ``w``."""
+        orbits = self.groupoid.orbits()
+        return frozenset().union(*(orbits[o] for o in _bits(w)))
 
     # -- ideals ---------------------------------------------------------
 
     def ideal(self, block_indices) -> "Ideal":
-        blocks = frozenset(block_indices)
-        if not blocks <= set(range(self.block_count)):
-            raise AlgebraError(f"unknown block indices {sorted(blocks)}")
-        return Ideal(self, blocks)
+        indices = list(block_indices)
+        if not all(isinstance(i, numbers.Integral) and not isinstance(i, bool)
+                   and 0 <= i < self.block_count for i in indices):
+            raise AlgebraError(f"unknown block indices {sorted(frozenset(indices))}")
+        return Ideal(self, _block_mask({int(i) for i in indices}))
 
     def zero_ideal(self) -> "Ideal":
-        return Ideal(self, frozenset())
+        return Ideal(self, 0)
 
     def full_ideal(self) -> "Ideal":
-        return Ideal(self, frozenset(range(self.block_count)))
+        return Ideal(self, (1 << self.block_count) - 1)
 
     def all_ideals(self, max_blocks: int = MAX_BLOCKS) -> list:
         """All 2^b block subsets, ordered by their bitmask."""
@@ -324,30 +362,24 @@ class BlockDecomposition:
             raise CapExceededError(
                 f"{b} blocks would enumerate 2^{b} ideals (cap {max_blocks})"
             )
-        return [
-            Ideal(self, frozenset(i for i in range(b) if mask >> i & 1))
-            for mask in range(1 << b)
-        ]
+        return [Ideal(self, m) for m in range(1 << b)]
 
     def dynamical_ideal_of(self, members) -> "Ideal":
         """The ideal generated by the diagonal functions on an invariant unit set."""
         members = frozenset(members)
         if not self.groupoid.is_invariant_unit_set(members):
             raise GroupoidError(f"unit set is not invariant: {sorted(map(repr, members))}")
-        return Ideal(
-            self,
-            frozenset(b.index for b in self.blocks if b.orbit <= members),
-        )
+        return Ideal(self, self.over(self.orbit_mask(members)))
 
     def ideal_generated_by(self, a: AlgebraElement) -> "Ideal":
         """The two-sided ideal generated by one element (a block subset)."""
         scale = max(1.0, float(np.linalg.norm(a.coeffs)))
-        blocks = set()
+        mask = 0
         for blk in self.blocks:
             comp = blk.idempotent * a
             if np.max(np.abs(comp.coeffs), initial=0.0) > self.tol.zero_eps * scale:
-                blocks.add(blk.index)
-        return Ideal(self, frozenset(blocks))
+                mask |= 1 << blk.index
+        return Ideal(self, mask)
 
     # -- subquotients ------------------------------------------------------
 
@@ -394,8 +426,7 @@ class BlockDecomposition:
         sub = BlockDecomposition(
             sub_groupoid, self.tol, self.seed, blocks, dict(self.numerics)
         )
-        cache_key = ("wedderburn", self.tol.zero_eps, self.tol.eig_residual, self.seed)
-        sub_groupoid._caches[cache_key] = sub
+        sub_groupoid._caches[_wedderburn_key(self.tol, self.seed)] = sub
         result = (sub, mapping)
         self._subquotients[key] = result
         return result
@@ -458,21 +489,25 @@ class BlockDecomposition:
         return f"BlockDecomposition({self.groupoid.name}: blocks {dims})"
 
 
-def _cluster(eigenvalues, expected=None, gap_eps: float = 1e-6):
-    """Split sorted eigenvalues at gaps; None if the count mismatches."""
+def _cluster(eigenvalues, expected: int):
+    """Split sorted eigenvalues at gaps above ``_GAP_EPS`` times their
+    scale, as (lo, hi) index ranges; None unless there are ``expected``."""
     n = len(eigenvalues)
-    if n == 0:
-        return []
     scale = max(1.0, float(np.max(np.abs(eigenvalues))))
     bounds = [0]
     for i in range(1, n):
-        if eigenvalues[i] - eigenvalues[i - 1] > gap_eps * scale:
+        if eigenvalues[i] - eigenvalues[i - 1] > _GAP_EPS * scale:
             bounds.append(i)
     bounds.append(n)
-    clusters = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    if expected is not None and len(clusters) != expected:
+    if len(bounds) - 1 != expected:
         return None
-    return clusters
+    return list(zip(bounds, bounds[1:]))
+
+
+def _wedderburn_key(tol: TolerancePolicy, seed: int) -> tuple:
+    """The groupoid cache key of a decomposition, shared by ``wedderburn``
+    and the subquotients ``restriction_decomposition`` registers."""
+    return ("wedderburn", tol.zero_eps, tol.eig_residual, seed)
 
 
 def _center_basis(g: FiniteGroupoid) -> np.ndarray:
@@ -520,7 +555,7 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
     """
     tol = tol or DEFAULT_TOLERANCE
     seed = DEFAULT_SEED if seed is None else seed
-    key = ("wedderburn", tol.zero_eps, tol.eig_residual, seed)
+    key = _wedderburn_key(tol, seed)
     cached = g._caches.get(key)
     if cached is not None:
         return cached
@@ -608,70 +643,73 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
 
 @dataclass(frozen=True)
 class Ideal:
-    """A two-sided ideal, canonically a subset of Wedderburn blocks."""
+    """A two-sided ideal, canonically a sum of Wedderburn blocks, held as
+    the mask of its blocks (bit i is block i).  Its diagonal, sandwich
+    sets and dynamical hull are read off the decomposition's block/orbit
+    incidence (``filled``, ``touched``, ``over``)."""
 
     decomposition: BlockDecomposition
-    blocks: frozenset
+    mask: int
 
-    def __eq__(self, other):
-        if not isinstance(other, Ideal):
-            return NotImplemented
-        return self.decomposition is other.decomposition and self.blocks == other.blocks
-
-    def __hash__(self):
-        return hash((id(self.decomposition), self.blocks))
+    @property
+    def blocks(self) -> frozenset:
+        return frozenset(_bits(self.mask))
 
     @property
     def is_zero(self) -> bool:
-        return not self.blocks
+        return not self.mask
 
     @property
     def dimension(self) -> int:
-        return sum(
-            self.decomposition.blocks[i].dimension ** 2 for i in self.blocks
-        )
+        return sum(blk.dimension ** 2 for blk in self.decomposition.blocks
+                   if self.mask >> blk.index & 1)
 
     def support(self) -> frozenset:
         """All arrows where some element of the ideal is nonzero."""
-        return frozenset().union(
-            *(self.decomposition.blocks[i].support for i in self.blocks)
-        )
+        return frozenset().union(*(blk.support for blk in self.decomposition.blocks
+                                   if self.mask >> blk.index & 1))
 
     def diagonal_units(self) -> frozenset:
-        """Units x with delta_x in the ideal: those none of whose blocks
-        are missing (read off the block/orbit incidence)."""
-        outside: frozenset = frozenset()
-        for blk in self.decomposition.blocks:
-            if blk.index not in self.blocks:
-                outside |= blk.orbit
-        return self.decomposition.groupoid.units - outside
+        """Units x with delta_x in the ideal: those of the orbits it fills."""
+        d = self.decomposition
+        return d.orbit_set(d.filled(self.mask))
 
     def is_dynamical(self) -> bool:
         """Generated by its diagonal intersection."""
-        return self == self.decomposition.dynamical_ideal_of(self.diagonal_units())
+        d = self.decomposition
+        return d.over(d.filled(self.mask)) == self.mask
 
     def is_purely_nondynamical(self) -> bool:
         """Nonzero with trivial diagonal intersection."""
-        return bool(self.blocks) and not self.diagonal_units()
+        return self.mask != 0 and self.decomposition.filled(self.mask) == 0
 
     def __and__(self, other):
         self._check(other)
-        return Ideal(self.decomposition, self.blocks & other.blocks)
+        return Ideal(self.decomposition, self.mask & other.mask)
 
     def __or__(self, other):
         self._check(other)
-        return Ideal(self.decomposition, self.blocks | other.blocks)
+        return Ideal(self.decomposition, self.mask | other.mask)
 
     def __le__(self, other):
         self._check(other)
-        return self.blocks <= other.blocks
+        return (self.mask & other.mask) == self.mask
 
     def _check(self, other):
         if self.decomposition is not other.decomposition:
             raise AlgebraError("ideals live in different decompositions")
 
     def __repr__(self):
-        return f"Ideal(blocks={sorted(self.blocks)})"
+        return f"Ideal(blocks={_bits(self.mask)})"
+
+
+def _bits(m: int) -> list:
+    """The positions of the set bits of ``m``, ascending."""
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def _block_mask(blocks) -> int:
+    return sum(1 << i for i in blocks)
 
 
 def all_ideals(g: FiniteGroupoid, tol: TolerancePolicy | None = None,

@@ -13,17 +13,21 @@ Verifiers are exhaustive, not sampled: the statements are universally
 quantified and finite instances admit complete checks within the
 block-count cap.
 
-Inside this module an ideal is an int bitmask over the Wedderburn
-blocks (bit i is block i) and an invariant unit set is a bitmask over
-the orbits (bit o is ``orbits()[o]``).  The triple bijection is then
-bit arithmetic: theta^-1 of an ideal m is (the orbits m fills, the
-orbits m touches, m minus the blocks over the filled orbits), and
-theta(U, V, q) is the blocks over U together with q.  ``verify`` and
-the analyze report run on numpy tables of these masks over all 2^b
-ideals, all 2^orbits unit sets and, per arrow, the blocks whose support
-holds it (``_LatticeData``).  Ideals become ``Ideal`` objects and unit
-sets frozensets only at the public functions (``sandwich``, ``theta``,
-``theta_inverse``, ``enumerate_triples``, ``make_triple``).
+An ideal is the int bitmask of its Wedderburn blocks (``Ideal.mask``,
+bit i is block i) and an invariant unit set is a bitmask over the
+orbits (bit o is ``orbits()[o]``).  Which blocks sit over which orbit
+is decided in one place, ``BlockDecomposition``: ``filled(m)`` (the
+orbits ideal m fills), ``touched(m)`` (the orbits it has a block over)
+and ``over(w)`` (the dynamical ideal over orbit set w), each on one mask
+or on a numpy array of masks.  The triple bijection is then bit
+arithmetic: theta^-1 of m is (filled(m), touched(m), m minus
+over(filled(m))), and theta(U, V, q) is over(U) together with q.  The
+public functions (``sandwich``, ``theta``, ``theta_inverse``,
+``enumerate_triples``, ``make_triple``) apply these to one mask;
+``verify`` and the analyze report apply them to all 2^b ideals and all
+2^orbits unit sets at once (``_LatticeData``), and add per arrow the
+blocks whose support holds it.  Unit sets become frozensets only at the
+public functions.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from .algebra import (
     BlockDecomposition,
     DecompositionError,
     Ideal,
+    _bits,
+    _block_mask,
     _plan,
     delta,
     wedderburn,
@@ -72,49 +78,7 @@ def _decomposition_of(obj, tol=None, seed=None) -> BlockDecomposition:
     raise TypeError(f"expected a groupoid or decomposition, got {type(obj).__name__}")
 
 
-# -- block and orbit masks ------------------------------------------------------
-
-
-def _orbit_block_masks(decomp: BlockDecomposition) -> list:
-    """Per orbit of the unit space (in ``orbits()`` order), the mask of the
-    blocks sitting over it."""
-    orbits = decomp.groupoid.orbits()
-    index = {orbit: o for o, orbit in enumerate(orbits)}
-    masks = [0] * len(orbits)
-    for blk in decomp.blocks:
-        masks[index[blk.orbit]] |= 1 << blk.index
-    return masks
-
-
-def _filled(obm, m: int) -> int:
-    """The orbits all of whose blocks ideal ``m`` contains (its diagonal)."""
-    return sum(1 << o for o, bm in enumerate(obm) if m & bm == bm)
-
-
-def _touched(obm, m: int) -> int:
-    """The orbits some block of ideal ``m`` sits over (its support)."""
-    return sum(1 << o for o, bm in enumerate(obm) if m & bm)
-
-
-def _over(obm, w: int) -> int:
-    """The dynamical ideal over orbit set ``w``: every block over its orbits."""
-    return sum(bm for o, bm in enumerate(obm) if w >> o & 1)
-
-
-def _block_mask(blocks) -> int:
-    return sum(1 << i for i in blocks)
-
-
-def _bits(m: int) -> list:
-    return [i for i in range(m.bit_length()) if m >> i & 1]
-
-
-def _orbit_mask(orbits, members) -> int:
-    return sum(1 << o for o, orbit in enumerate(orbits) if orbit <= members)
-
-
-def _orbit_set(orbits, w: int) -> frozenset:
-    return frozenset().union(*(orbits[o] for o in _bits(w)))
+# -- subquotient block indices ---------------------------------------------------
 
 
 def _sub_indices(over: int, q: int) -> list:
@@ -134,11 +98,8 @@ def sandwich(ideal: Ideal):
     support: the orbits the ideal has a block over.  The verifier scans
     the whole dynamical lattice for extremality.
     """
-    decomp = ideal.decomposition
-    orbits = decomp.groupoid.orbits()
-    obm = _orbit_block_masks(decomp)
-    m = _block_mask(ideal.blocks)
-    return _orbit_set(orbits, _filled(obm, m)), _orbit_set(orbits, _touched(obm, m))
+    decomp, m = ideal.decomposition, ideal.mask
+    return decomp.orbit_set(decomp.filled(m)), decomp.orbit_set(decomp.touched(m))
 
 
 # -- triples -------------------------------------------------------------------
@@ -166,8 +127,8 @@ class SandwichTriple:
 
 
 def _triple_masks(decomp: BlockDecomposition, triple: SandwichTriple) -> tuple:
-    """(block masks per orbit, U, q) of a triple, with q over the parent's
-    blocks; raises InvalidTripleError if the triple conditions fail."""
+    """(U, q) of a triple as masks, with q over the parent's blocks;
+    raises InvalidTripleError if the triple conditions fail."""
     g = decomp.groupoid
     if not triple.lower <= triple.upper:
         raise InvalidTripleError("U is not contained in V")
@@ -179,20 +140,19 @@ def _triple_masks(decomp: BlockDecomposition, triple: SandwichTriple) -> tuple:
         raise InvalidTripleError(
             "quotient ideal does not live over the canonical subquotient"
         )
-    obm = _orbit_block_masks(decomp)
-    between = _orbit_mask(g.orbits(), triple.between)
-    parents = _bits(_over(obm, between))
-    q = _block_mask(parents[j] for j in triple.quotient_ideal.blocks)
+    between = decomp.orbit_mask(triple.between)
+    parents = _bits(decomp.over(between))
+    q = _block_mask(parents[j] for j in _bits(triple.quotient_ideal.mask))
     if not between:
         if q:
             raise InvalidTripleError("V = U requires the zero ideal")
     elif not q:
         raise InvalidTripleError("quotient ideal is zero on a nonzero subquotient")
-    elif _filled(obm, q):
+    elif decomp.filled(q):
         raise InvalidTripleError("quotient ideal has nontrivial diagonal intersection")
-    elif _touched(obm, q) != between:
+    elif decomp.touched(q) != between:
         raise InvalidTripleError("quotient ideal does not have full support")
-    return obm, _orbit_mask(g.orbits(), triple.lower), q
+    return decomp.orbit_mask(triple.lower), q
 
 
 def make_triple(decomp_or_groupoid, lower, upper, quotient_blocks=(),
@@ -210,23 +170,20 @@ def theta(decomp_or_groupoid, triple: SandwichTriple, tol=None, seed=None) -> Id
     """The ideal associated to a triple: everything over U together with
     the blocks matching J across the subquotient correspondence."""
     decomp = _decomposition_of(decomp_or_groupoid, tol, seed)
-    obm, lower, q = _triple_masks(decomp, triple)
-    return decomp.ideal(_bits(_over(obm, lower) | q))
+    lower, q = _triple_masks(decomp, triple)
+    return Ideal(decomp, decomp.over(lower) | q)
 
 
 def theta_inverse(ideal: Ideal) -> SandwichTriple:
     """The triple of an ideal: its sandwich sets and the induced
     subquotient ideal (the blocks outside I_U, which are purely
     non-dynamical with full support over V minus U)."""
-    decomp = ideal.decomposition
-    orbits = decomp.groupoid.orbits()
-    obm = _orbit_block_masks(decomp)
-    m = _block_mask(ideal.blocks)
-    lower, upper = _filled(obm, m), _touched(obm, m)
+    decomp, m = ideal.decomposition, ideal.mask
+    lower, upper = decomp.filled(m), decomp.touched(m)
     between = upper & ~lower
-    sub, _ = decomp.restriction_decomposition(_orbit_set(orbits, between))
-    quotient = sub.ideal(_sub_indices(_over(obm, between), m & ~_over(obm, lower)))
-    return SandwichTriple(_orbit_set(orbits, lower), _orbit_set(orbits, upper), quotient)
+    sub, _ = decomp.restriction_decomposition(decomp.orbit_set(between))
+    quotient = sub.ideal(_sub_indices(decomp.over(between), m & ~decomp.over(lower)))
+    return SandwichTriple(decomp.orbit_set(lower), decomp.orbit_set(upper), quotient)
 
 
 def enumerate_triples(decomp_or_groupoid, tol=None, seed=None,
@@ -238,22 +195,20 @@ def enumerate_triples(decomp_or_groupoid, tol=None, seed=None,
         raise CapExceededError(
             f"{decomp.block_count} blocks exceed the triple-enumeration cap {max_blocks}"
         )
-    orbits = decomp.groupoid.orbits()
-    obm = _orbit_block_masks(decomp)
     subs = {}
     triples = []
-    for lower, upper, q in zip(*(a.tolist() for a in _triple_table(decomp, obm))):
+    for lower, upper, q in zip(*(a.tolist() for a in _triple_table(decomp))):
         between = upper & ~lower
         if between not in subs:
-            subs[between] = decomp.restriction_decomposition(_orbit_set(orbits, between))[0]
-        quotient = subs[between].ideal(_sub_indices(_over(obm, between), q))
+            subs[between] = decomp.restriction_decomposition(decomp.orbit_set(between))[0]
+        quotient = subs[between].ideal(_sub_indices(decomp.over(between), q))
         triples.append(SandwichTriple(
-            _orbit_set(orbits, lower), _orbit_set(orbits, upper), quotient
+            decomp.orbit_set(lower), decomp.orbit_set(upper), quotient
         ))
     return triples
 
 
-def _triple_table(decomp: BlockDecomposition, obm) -> tuple:
+def _triple_table(decomp: BlockDecomposition) -> tuple:
     """(U, V, q) mask arrays of every triple, q over the parent's blocks.
 
     Ordered by V minus U in ``invariant_subsets`` order, then by U as
@@ -266,6 +221,7 @@ def _triple_table(decomp: BlockDecomposition, obm) -> tuple:
     g = decomp.groupoid
     position = {u: i for i, u in enumerate(g.unit_list)}
     units = [sorted(position[u] for u in orbit) for orbit in g.orbits()]
+    obm = decomp.orbit_masks
     unit_masks = np.arange(1 << len(obm), dtype=np.int64)
     split = [o for o, bm in enumerate(obm) if bm.bit_count() > 1]
     choices = {
@@ -364,12 +320,12 @@ def _obstruction(decomp: BlockDecomposition) -> tuple:
     g = decomp.groupoid
     noneffective = g.units - g.effective_units()
     j_ob = decomp.dynamical_ideal_of(noneffective)
-    killed = set()
+    killed = 0
     for blk in decomp.blocks:
         norms = [linalg.operator_norm(m) for m in collapse_matrices(g, blk.idempotent)]
         if max(norms, default=0.0) < 0.5:
-            killed.add(blk.index)
-    kernel = decomp.ideal(killed)
+            killed |= 1 << blk.index
+    kernel = Ideal(decomp, killed)
     failures = []
     if kernel.diagonal_units():
         failures.append("collapse kernel meets the diagonal")
@@ -492,37 +448,29 @@ class _LatticeData:
     over orbits; the tables give, for every ideal mask, the orbits it
     fills (the U side) and touches (the V side) and whether it is
     dynamical or purely non-dynamical, for every orbit mask the
-    dynamical ideal over it, and per arrow (``arrows``) the mask of the
+    dynamical ideal over it (the decomposition's ``filled``, ``touched``
+    and ``over`` on whole arrays of masks), and per arrow (``arrows``) the mask of the
     blocks whose support holds it and the orbits of its source and range.
     """
 
     def __init__(self, decomp: BlockDecomposition):
         self.decomp = decomp
-        self.orbits = decomp.groupoid.orbits()
-        self.n_orbits = len(self.orbits)
+        self.n_orbits = len(decomp.orbit_masks)
         self.b = decomp.block_count
-        self.orbit_block_mask = _orbit_block_masks(decomp)
         self.ideal_masks = np.arange(1 << self.b, dtype=np.int64)
         self.unit_masks = np.arange(1 << self.n_orbits, dtype=np.int64)
-        self.inside = np.zeros(1 << self.b, dtype=np.int64)
-        self.touched = np.zeros(1 << self.b, dtype=np.int64)
-        self.dynamical_of = np.zeros(1 << self.n_orbits, dtype=np.int64)
-        for o, bm in enumerate(self.orbit_block_mask):
-            self.inside |= ((self.ideal_masks & bm) == bm).astype(np.int64) << o
-            self.touched |= ((self.ideal_masks & bm) != 0).astype(np.int64) << o
-            self.dynamical_of |= np.where(self.unit_masks >> o & 1 == 1, bm, 0)
+        self.inside = decomp.filled(self.ideal_masks)
+        self.touched = decomp.touched(self.ideal_masks)
+        self.dynamical_of = decomp.over(self.unit_masks)
         self.dynamical = self.dynamical_of[self.inside] == self.ideal_masks
         self.pnd = (self.ideal_masks != 0) & (self.inside == 0)
         g = decomp.groupoid
-        orbit_of = {u: o for o, orbit in enumerate(self.orbits) for u in orbit}
+        orbit_of = {u: o for o, orbit in enumerate(g.orbits()) for u in orbit}
         self.arrows = np.array(
             [(_block_mask(blk.index for blk in decomp.blocks if el in blk.support),
               orbit_of[g.source(el)], orbit_of[g.range(el)]) for el in g.elements],
             dtype=np.int64,
         ).reshape(-1, 3)
-
-    def orbit_set(self, w: int) -> frozenset:
-        return _orbit_set(self.orbits, w)
 
     def theta_inverse(self) -> tuple:
         """theta^-1 of every ideal mask m, as (U, V, q) arrays indexed by m."""
@@ -571,7 +519,7 @@ def _check_sandwich(data: _LatticeData) -> CheckResult:
                 witnesses.append(f"ideal {m:#x}: smaller dynamical ideal {w:#x} outside")
     else:
         for o in range(n_orbits):
-            bm = data.orbit_block_mask[o]
+            bm = data.decomp.orbit_masks[o]
             viol = (((masks & bm) == bm) & (data.inside >> o & 1 == 0)) | (
                 ((masks & bm) != 0) & (data.touched >> o & 1 == 0)
             )
@@ -620,7 +568,7 @@ def _check_bijection(data: _LatticeData, triples) -> CheckResult:
 def _check_obstruction(data: _LatticeData) -> CheckResult:
     j_ob, kernel, failures = _obstruction(data.decomp)
     witnesses = []
-    j_mask = _block_mask(j_ob.blocks)
+    j_mask = j_ob.mask
     masks = data.ideal_masks
     escapes = data.pnd & ((masks & j_mask) != masks)
     for m in np.flatnonzero(escapes)[:3]:
@@ -638,8 +586,8 @@ def _check_obstruction(data: _LatticeData) -> CheckResult:
         "obstruction",
         not witnesses,
         {
-            "obstruction_blocks": sorted(j_ob.blocks),
-            "kernel_blocks": sorted(kernel.blocks),
+            "obstruction_blocks": _bits(j_mask),
+            "kernel_blocks": _bits(kernel.mask),
         },
         witnesses[:5],
     )
@@ -735,7 +683,7 @@ def verify(g_or_decomp, tol: TolerancePolicy | None = None, seed: int | None = N
         )
     g = decomp.groupoid
     data = _LatticeData(decomp)
-    triples = _triple_table(decomp, data.orbit_block_mask)
+    triples = _triple_table(decomp)
     checks = [
         _check_sandwich(data),
         _check_bijection(data, triples),

@@ -11,12 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 from . import ideals as ideal_ops
-from .algebra import BlockDecomposition, DecompositionError
+from .algebra import BlockDecomposition, DecompositionError, _bits
 from .errors import CapExceededError
 from .formats import Instance
 from .groups import PartialAction
 from .groupoids import from_partial_action
-from .ideals import CONVENTIONS, VerificationReport, _LatticeData, _bits, _sub_indices
+from .ideals import CONVENTIONS, VerificationReport, _LatticeData, _sub_indices
+
+# ``graph``: the cycles listed, the lattice sets listed, and the lattice
+# sets whose pairwise meets and joins are checked
+_GRAPH_LISTING_CAP = 50
+# ``dr``: the largest space whose loci list their members, and the
+# invariant sets listed
+_DR_LISTING_CAP = 64
 
 
 def fmt_element(el) -> str:
@@ -94,7 +101,7 @@ def analyze_report(instance: Instance, source, decomp: BlockDecomposition,
     for blk in decomp.blocks:
         dimension += (masks >> blk.index & 1) * blk.dimension ** 2
     # at most 2^orbits distinct unit sets, each formatted once
-    unit_sets = {w: fmt_set(data.orbit_set(w))
+    unit_sets = {w: fmt_set(decomp.orbit_set(w))
                  for w in np.unique(np.concatenate([lower, upper])).tolist()}
     rows = []
     for m, lo, up, ov, q, dim, dyn, nd in zip(
@@ -148,13 +155,13 @@ def verify_report(instance: Instance, source, result: VerificationReport,
     return body
 
 
-def graph_report(instance: Instance, source, cycle_cap: int = 50) -> dict:
+def graph_report(instance: Instance, source) -> dict:
     graph = instance.obj
     cycles = graph.simple_cycles()
     exitless = graph.exitless_cycle_vertices()
     lattice = graph.hereditary_saturated_sets()
     as_set = set(lattice)
-    checked = lattice[:cycle_cap]
+    checked = lattice[:_GRAPH_LISTING_CAP]
     law_failures = []
     for a in checked:
         for b in checked:
@@ -171,7 +178,7 @@ def graph_report(instance: Instance, source, cycle_cap: int = 50) -> dict:
         },
         "cycles": {
             "count": len(cycles),
-            "listed": [[fmt_element(e.ident) for e in c] for c in cycles[:cycle_cap]],
+            "listed": [[fmt_element(e.ident) for e in c] for c in cycles[:_GRAPH_LISTING_CAP]],
             "with_exit": sum(1 for c in cycles if graph.cycle_has_exit(c)),
             "condition_L": graph.condition_L(),
             "exitless_cycle_vertices": fmt_set(exitless),
@@ -179,7 +186,7 @@ def graph_report(instance: Instance, source, cycle_cap: int = 50) -> dict:
         "obstruction_vertex_set": fmt_set(graph.obstruction_vertex_set()),
         "lattice": {
             "size": len(lattice),
-            "sets": [fmt_set(s) for s in lattice[:cycle_cap]],
+            "sets": [fmt_set(s) for s in lattice[:_GRAPH_LISTING_CAP]],
             "closure_laws_ok": not law_failures,
             "law_failures": law_failures[:5],
         },
@@ -187,7 +194,7 @@ def graph_report(instance: Instance, source, cycle_cap: int = 50) -> dict:
     }
 
 
-def dr_report(instance: Instance, source, member_cap: int = 64) -> dict:
+def dr_report(instance: Instance, source) -> dict:
     system = instance.obj
     periodic = system.periodic_points()
     loci = {}
@@ -195,7 +202,7 @@ def dr_report(instance: Instance, source, member_cap: int = 64) -> dict:
         locus = system.periodic_locus(p)
         loci[str(p)] = {
             "size": len(locus),
-            "members": fmt_set(locus) if len(system.space) <= member_cap else None,
+            "members": fmt_set(locus) if len(system.space) <= _DR_LISTING_CAP else None,
         }
     orbit_side = system.noneffective_locus()
     isotropy_side = system.eventually_periodic_locus()
@@ -209,7 +216,7 @@ def dr_report(instance: Instance, source, member_cap: int = 64) -> dict:
         "periodic_loci": loci,
         "periodic_points": {
             "size": len(periodic),
-            "members": fmt_set(periodic) if len(system.space) <= member_cap else None,
+            "members": fmt_set(periodic) if len(system.space) <= _DR_LISTING_CAP else None,
         },
         "noneffective_locus": {
             "orbit_side_size": len(orbit_side),
@@ -223,7 +230,7 @@ def dr_report(instance: Instance, source, member_cap: int = 64) -> dict:
         },
         "invariant_sets": {
             "size": len(invariant),
-            "sets": [fmt_set(s) for s in invariant[:member_cap]],
+            "sets": [fmt_set(s) for s in invariant[:_DR_LISTING_CAP]],
         },
         "conventions": list(CONVENTIONS),
     }

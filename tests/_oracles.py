@@ -11,9 +11,10 @@ simple cycles by a search from every vertex that identifies rotations
 in a set, and exits by comparing each cycle vertex's out-edges with the
 cycle's next edge.  The sandwich sets, the triple bijection and the
 saturated hereditary closures and lattice of a graph are kept in the
-frozenset formulation (unit sets, ``Ideal`` diagonals and supports,
-subquotient decompositions, vertex sets rescanned until nothing changes)
-that the library's bitmask layers replaced.
+frozenset formulation (unit sets, block sets whose diagonals and
+supports are read off each block's orbit and support, subquotient
+decompositions, vertex sets rescanned until nothing changes) that the
+library's bitmask layers replaced.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def ideal_span(ideal, eps=1e-8):
     decomp = ideal.decomposition
     g = decomp.groupoid
     vectors = []
-    for i in sorted(ideal.blocks):
+    for i in sorted(block_set(ideal)):
         e = decomp.blocks[i].idempotent
         for gamma in g.elements:
             back = g.inverse(gamma)
@@ -187,7 +188,54 @@ def all_subsets(items):
 
 # -- the set-based ideal layer ------------------------------------------------------
 #
-# Triples are (U, V, frozenset of subquotient block indices).
+# An ideal is a frozenset of block indices and a triple is (U, V, frozenset
+# of subquotient block indices).  Nothing here calls the library's
+# block/orbit incidence (``Ideal`` methods, ``orbit_masks``, ``filled``,
+# ``touched``, ``over``, ``orbit_blocks``, ``dynamical_ideal_of``): it is
+# rebuilt from each block's ``orbit`` and ``support``.
+
+
+def block_set(ideal):
+    """The block indices of an ideal, decoded from its mask."""
+    return frozenset(i for i in range(len(ideal.decomposition.blocks)) if ideal.mask >> i & 1)
+
+
+def set_dimension(decomp, blocks):
+    return sum(decomp.blocks[i].dimension ** 2 for i in blocks)
+
+
+def set_support(decomp, blocks):
+    return frozenset().union(*(decomp.blocks[i].support for i in blocks))
+
+
+def set_diagonal_units(decomp, blocks):
+    """The units minus the orbits of the blocks the ideal misses."""
+    outside = frozenset()
+    for blk in decomp.blocks:
+        if blk.index not in blocks:
+            outside |= blk.orbit
+    return decomp.groupoid.units - outside
+
+
+def set_dynamical_blocks(decomp, members):
+    """The blocks of the dynamical ideal over an invariant unit set."""
+    return frozenset(blk.index for blk in decomp.blocks if blk.orbit <= members)
+
+
+def set_orbit_blocks(decomp):
+    """Each orbit with the sorted indices of the blocks over it."""
+    out = {}
+    for blk in decomp.blocks:
+        out.setdefault(blk.orbit, []).append(blk.index)
+    return {orbit: tuple(sorted(ids)) for orbit, ids in out.items()}
+
+
+def set_is_dynamical(decomp, blocks):
+    return blocks == set_dynamical_blocks(decomp, set_diagonal_units(decomp, blocks))
+
+
+def set_is_purely_nondynamical(decomp, blocks):
+    return bool(blocks) and not set_diagonal_units(decomp, blocks)
 
 
 def set_sandwich(ideal):
@@ -196,14 +244,15 @@ def set_sandwich(ideal):
     be extremal against every orbit's blocks."""
     decomp = ideal.decomposition
     g = decomp.groupoid
-    lower = ideal.diagonal_units()
-    upper = frozenset(g.source(el) for el in ideal.support())
+    blocks = block_set(ideal)
+    lower = set_diagonal_units(decomp, blocks)
+    upper = frozenset(g.source(el) for el in set_support(decomp, blocks))
     assert g.is_invariant_unit_set(lower) and g.is_invariant_unit_set(upper)
-    assert decomp.dynamical_ideal_of(lower) <= ideal <= decomp.dynamical_ideal_of(upper)
-    for orbit, blocks in decomp.orbit_blocks().items():
-        if frozenset(blocks) <= ideal.blocks:
+    assert set_dynamical_blocks(decomp, lower) <= blocks <= set_dynamical_blocks(decomp, upper)
+    for orbit, over in set_orbit_blocks(decomp).items():
+        if frozenset(over) <= blocks:
             assert orbit <= lower, "diagonal support is not maximal"
-        if frozenset(blocks) & ideal.blocks:
+        if frozenset(over) & blocks:
             assert orbit <= upper, "support image is not minimal"
     return lower, upper
 
@@ -215,22 +264,21 @@ def set_check_triple(decomp, lower, upper, quotient):
     assert lower <= upper
     assert g.is_invariant_unit_set(lower) and g.is_invariant_unit_set(upper)
     sub, mapping = decomp.restriction_decomposition(upper - lower)
-    j = sub.ideal(quotient)
+    assert quotient <= frozenset(range(len(sub.blocks)))
     if upper == lower:
-        assert j.is_zero
+        assert not quotient
     else:
-        assert not j.is_zero
-        assert not j.diagonal_units()
-        assert j.support() == frozenset(sub.groupoid.elements)
+        assert quotient
+        assert not set_diagonal_units(sub, quotient)
+        assert set_support(sub, quotient) == frozenset(sub.groupoid.elements)
     return mapping
 
 
 def set_theta(decomp, triple):
+    """The block set of the ideal of a triple."""
     lower, _, quotient = triple
     mapping = set_check_triple(decomp, *triple)
-    blocks = set(decomp.dynamical_ideal_of(lower).blocks)
-    blocks.update(mapping[j] for j in quotient)
-    return decomp.ideal(blocks)
+    return set_dynamical_blocks(decomp, lower) | frozenset(mapping[j] for j in quotient)
 
 
 def set_theta_inverse(ideal):
@@ -238,9 +286,9 @@ def set_theta_inverse(ideal):
     lower, upper = set_sandwich(ideal)
     _, mapping = decomp.restriction_decomposition(upper - lower)
     inverse = {parent: child for child, parent in mapping.items()}
-    lower_blocks = decomp.dynamical_ideal_of(lower).blocks
+    lower_blocks = set_dynamical_blocks(decomp, lower)
     triple = (lower, upper,
-              frozenset(inverse[i] for i in ideal.blocks if i not in lower_blocks))
+              frozenset(inverse[i] for i in block_set(ideal) if i not in lower_blocks))
     set_check_triple(decomp, *triple)
     return triple
 
@@ -251,7 +299,7 @@ def set_enumerate_triples(decomp):
     subsets of the subquotient."""
     g = decomp.groupoid
     orbits = g.orbits()
-    orbit_blocks = decomp.orbit_blocks()
+    orbit_blocks = set_orbit_blocks(decomp)
     triples = []
     for between in g.invariant_subsets():
         per_orbit = [

@@ -469,6 +469,16 @@ class TestIdeals:
             span_dim = np.linalg.matrix_rank(np.array(vectors), tol=1e-8)
             assert span_dim == ideal.dimension
 
+    @pytest.mark.parametrize("indices", [[1.0], [True], [0, False], [3], [-1], ["0"]])
+    def test_ideal_rejects_non_block_indices(self, swap_and_fix, indices):
+        with pytest.raises(al.AlgebraError, match="unknown block indices"):
+            al.wedderburn(swap_and_fix).ideal(indices)
+
+    def test_ideal_accepts_numpy_integers(self, swap_and_fix):
+        d = al.wedderburn(swap_and_fix)
+        assert d.ideal(np.array([2, 0])) == d.ideal([0, 2])
+        assert d.ideal([np.int32(1), 1]).blocks == frozenset({1})
+
     def test_lattice_operations(self, swap_and_fix):
         d = al.wedderburn(swap_and_fix)
         a = d.ideal([0, 1])

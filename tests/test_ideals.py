@@ -14,8 +14,13 @@ from _oracles import (
     expected_block_dimensions,
     expected_counts,
     ideal_span,
+    set_diagonal_units,
+    set_dimension,
     set_enumerate_triples,
+    set_is_dynamical,
+    set_is_purely_nondynamical,
     set_sandwich,
+    set_support,
     set_theta,
     set_theta_inverse,
 )
@@ -214,6 +219,11 @@ class TestTriples:
         triple = il.make_triple(z2_bundle, frozenset(), z2_bundle.units, [0])
         assert il.theta(al.wedderburn(z2_bundle), triple).blocks == frozenset({0})
 
+    @pytest.mark.parametrize("quotient_blocks", [[0.0], [True]])
+    def test_make_triple_rejects_non_integer_blocks(self, z2_bundle, quotient_blocks):
+        with pytest.raises(al.AlgebraError, match="unknown block indices"):
+            il.make_triple(z2_bundle, frozenset(), z2_bundle.units, quotient_blocks)
+
 
 @pytest.fixture(scope="module")
 def small_decompositions(z2_bundle, swap_and_fix, pair3):
@@ -238,7 +248,8 @@ def small_decompositions(z2_bundle, swap_and_fix, pair3):
 def as_sets(data, lower, upper, q):
     """A (U, V, q) mask row as (U, V, subquotient block indices)."""
     over = int(data.dynamical_of[upper & ~lower])
-    return data.orbit_set(lower), data.orbit_set(upper), frozenset(il._sub_indices(over, q))
+    d = data.decomp
+    return d.orbit_set(lower), d.orbit_set(upper), frozenset(il._sub_indices(over, q))
 
 
 class TestMaskLayer:
@@ -257,10 +268,38 @@ class TestMaskLayer:
                         triple.quotient_ideal.blocks) == expected
                 assert il.sandwich(ideal) == set_sandwich(ideal)
 
+    def test_ideals_match_set_reference(self, small_decompositions):
+        """Each ideal's answers against the block-set reference; the binary
+        operations on all pairs, or on 16 partners above 64 ideals."""
+        rng = random.Random(9)
+        for d in small_decompositions:
+            ideals = d.all_ideals()
+            sets = [frozenset(i for i in range(d.block_count) if k >> i & 1)
+                    for k in range(len(ideals))]
+            partners = (range(len(ideals)) if len(ideals) <= 64
+                        else rng.sample(range(len(ideals)), 16))
+            for ideal, blocks in zip(ideals, sets):
+                assert ideal.blocks == blocks
+                assert ideal.dimension == set_dimension(d, blocks)
+                assert ideal.diagonal_units() == set_diagonal_units(d, blocks)
+                assert ideal.is_dynamical() == set_is_dynamical(d, blocks)
+                assert ideal.is_purely_nondynamical() == set_is_purely_nondynamical(d, blocks)
+                assert ideal.support() == set_support(d, blocks)
+                again = d.ideal(sorted(blocks))
+                assert again == ideal and hash(again) == hash(ideal)
+                for j in partners:
+                    other, theirs = ideals[j], sets[j]
+                    assert (ideal & other).blocks == blocks & theirs
+                    assert (ideal | other).blocks == blocks | theirs
+                    assert (ideal <= other) == (blocks <= theirs)
+                    assert (ideal == other) == (blocks == theirs)
+        first, second = small_decompositions[:2]
+        assert first.zero_ideal() != second.zero_ideal()
+
     def test_triples_match_set_reference(self, small_decompositions):
         for d in small_decompositions:
             data = il._LatticeData(d)
-            table = il._triple_table(d, data.orbit_block_mask)
+            table = il._triple_table(d)
             expected = set_enumerate_triples(d)
             assert [as_sets(data, *row)
                     for row in zip(*(a.tolist() for a in table))] == expected
@@ -268,7 +307,7 @@ class TestMaskLayer:
             assert [(t.lower, t.upper, t.quotient_ideal.blocks)
                     for t in public] == expected
             for t, reference in zip(public, expected):
-                assert il.theta(d, t) == set_theta(d, reference)
+                assert il.theta(d, t).blocks == set_theta(d, reference)
 
     @pytest.mark.parametrize("arrow, broken", [
         (("b", "r1", "a"), "inversion"),     # its inverse keeps the block
@@ -307,7 +346,7 @@ class TestMaskLayer:
     def test_invalid_rows(self, z2_bundle):
         d = al.wedderburn(gp.disjoint_union([z2_bundle, z2_bundle]))
         data = il._LatticeData(d)
-        first, second = data.orbit_block_mask
+        first, second = d.orbit_masks
         one, other = first & -first, second & -second
         rows = [  # (U, V, q) over orbits 0b01 and 0b10
             (0, 0b11, one | other, False),
@@ -324,7 +363,7 @@ class TestMaskLayer:
     def test_bijection_check_can_fail(self, swap_and_fix):
         d = al.wedderburn(swap_and_fix)
         data = il._LatticeData(d)
-        triples = il._triple_table(d, data.orbit_block_mask)
+        triples = il._triple_table(d)
         assert il._check_bijection(data, triples).passed
         data.touched[1] ^= 1
         result = il._check_bijection(data, triples)
