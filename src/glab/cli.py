@@ -80,11 +80,29 @@ def _tolerance_from_args(args) -> TolerancePolicy:
     return TolerancePolicy()
 
 
+# The ideals table's stand-in while the rest of an analyze report is
+# encoded.  The split is made at the whole top-level line, which no JSON
+# string can contain (its newline would be escaped), so a unit or point
+# named like the stand-in cannot move it.
+_ROWS_STANDIN = "<ideal rows>"
+_ROWS_LINE = f'\n  "ideals": "{_ROWS_STANDIN}"'
+
+
 def _emit(report: dict, fmt: str):
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
+    if fmt != "json":
         print(reports.render_text(report), end="")
+        return
+    table = report.get("ideals")
+    if not isinstance(table, reports._IdealTable):
+        print(json.dumps(report, sort_keys=True, indent=2))
+        return
+    text = json.dumps({**report, "ideals": _ROWS_STANDIN}, sort_keys=True, indent=2)
+    head, tail = text.split(_ROWS_LINE)
+    out = sys.stdout
+    out.write(head + '\n  "ideals": [\n')
+    for chunk in table.json_rows():
+        out.write(chunk)
+    out.write("\n  ]" + tail + "\n")
 
 
 def _load_groupoid_instance(path, caps: Caps):

@@ -416,6 +416,28 @@ class FiniteGroupoid:
             )
         return result
 
+    def _bisections(self) -> list:
+        """Every nonempty bisection of non-unit arrows, by size, each size
+        in ``itertools.combinations`` order of the non-units; built once
+        per groupoid."""
+        out = self._caches.get("bisections")
+        if out is None:
+            nonunits = [el for el in self.elements if el not in self.units]
+
+            def is_bisection(subset):
+                return (
+                    len({self._source[el] for el in subset}) == len(subset)
+                    and len({self._range[el] for el in subset}) == len(subset)
+                )
+
+            out = self._caches["bisections"] = [
+                frozenset(candidate)
+                for k in range(1, len(nonunits) + 1)
+                for candidate in itertools.combinations(nonunits, k)
+                if is_bisection(candidate)
+            ]
+        return out
+
     def _joint_effectiveness_search(self, x, max_nonunits: int = 12,
                                     budget: int = 200_000):
         """Exhaustive bisection-family search; None when out of budget."""
@@ -428,19 +450,7 @@ class FiniteGroupoid:
         ]
         if not isotropy:
             return True
-
-        def is_bisection(subset):
-            return (
-                len({self._source[el] for el in subset}) == len(subset)
-                and len({self._range[el] for el in subset}) == len(subset)
-            )
-
-        bisections = [
-            frozenset(candidate)
-            for k in range(1, len(nonunits) + 1)
-            for candidate in itertools.combinations(nonunits, k)
-            if is_bisection(candidate)
-        ]
+        bisections = self._bisections()
         containing = {
             gamma: [b for b in bisections if gamma in b] for gamma in isotropy
         }

@@ -1,12 +1,17 @@
 """Machine- and human-readable reports for the command line.
 
 Reports are plain dicts (JSON-ready) with a ``command`` discriminator;
-``render_text`` lays them out as stable tables.  Every report echoes
-the seed, the tolerances, and the package conventions verbatim, and is
+``render_text`` lays them out as stable tables.  The one exception is
+the ``ideals`` table of an ``analyze`` report: its 2^b rows are held as
+the lattice's mask columns and written out from them, in the bytes
+``json.dumps`` would give their dicts.  Every report echoes the seed,
+the tolerances, and the package conventions verbatim, and is
 deterministic for a fixed input and seed.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -71,6 +76,116 @@ def freeness_table(action: PartialAction) -> list:
     return rows
 
 
+# One ideal row as ``json.dumps(row, sort_keys=True, indent=2)`` lays it out
+# as an item of a top-level list
+_JSON_ROW = (
+    '    {\n'
+    '      "blocks": %s,\n'
+    '      "dimension": %d,\n'
+    '      "dynamical": %s,\n'
+    '      "purely_non_dynamical": %s,\n'
+    '      "sandwich": {\n'
+    '        "lower": %s,\n'
+    '        "upper": %s\n'
+    '      },\n'
+    '      "triple_quotient_blocks": %s\n'
+    '    }'
+)
+_JSON_BOOL = ("false", "true")
+# rows encoded per slice, so that no column is ever a list of 2^b ints
+_JSON_SLICE = 1 << 12
+
+
+def _json_list(lines: list, indent: int) -> str:
+    """The ``indent=2`` layout of a list given its item lines, indented
+    already, when its opening bracket sits on a line indented by
+    ``indent`` spaces."""
+    return "[\n" + ",\n".join(lines) + "\n" + " " * indent + "]" if lines else "[]"
+
+
+class _IdealTable:
+    """The ``ideals`` rows of an ``analyze`` report, one per ideal mask m,
+    held as the lattice columns indexed by m: the sandwich pair U, V
+    (``lower``, ``upper``; orbit masks), the blocks ``over`` V minus U and
+    the triple's ``quotient`` (block masks), ``dimension``, ``dynamical``
+    and ``pnd``.  ``units`` is the legend: every (formatted unit, orbit
+    index), sorted by name.
+
+    Iterating yields the rows as dicts; ``json_rows`` writes them in the
+    bytes ``json.dumps(..., sort_keys=True, indent=2)`` gives those dicts
+    as the items of the report's top-level ``ideals`` list.
+    """
+
+    def __init__(self, decomp: BlockDecomposition):
+        data = _LatticeData(decomp)
+        masks = data.ideal_masks
+        self.lower, self.upper, self.quotient = data.theta_inverse()
+        self.over = data.dynamical_of[self.upper & ~self.lower]
+        self.dimension = np.zeros(len(masks), dtype=np.int64)
+        for blk in decomp.blocks:
+            self.dimension += (masks >> blk.index & 1) * blk.dimension ** 2
+        self.dynamical, self.pnd = data.dynamical, data.pnd
+        self.units = sorted((fmt_element(u), o)
+                            for o, orbit in enumerate(decomp.groupoid.orbits())
+                            for u in orbit)
+
+    def __len__(self) -> int:
+        return len(self.lower)
+
+    def _columns(self, start: int = 0, stop: int | None = None) -> list:
+        return [c[start:stop].tolist() for c in (
+            self.lower, self.upper, self.over, self.quotient, self.dimension,
+            self.dynamical, self.pnd)]
+
+    def _unit_sets(self, encode) -> dict:
+        """Per distinct sandwich set (an orbit mask), its sorted units,
+        each passed through ``encode`` once."""
+        legend = [(encode(name), o) for name, o in self.units]
+        distinct = np.unique(np.concatenate([self.lower, self.upper])).tolist()
+        return {w: [text for text, o in legend if w >> o & 1] for w in distinct}
+
+    def __iter__(self):
+        sets = self._unit_sets(str)
+        for m, (lo, up, ov, q, dim, dyn, nd) in enumerate(zip(*self._columns())):
+            yield {
+                "blocks": _bits(m),
+                "dimension": dim,
+                "dynamical": dyn,
+                "purely_non_dynamical": nd,
+                "sandwich": {"lower": sets[lo], "upper": sets[up]},
+                "triple_quotient_blocks": _sub_indices(ov, q),
+            }
+
+    def json_rows(self):
+        """The rows' JSON text, joined by ``",\\n"``, in slices of
+        ``_JSON_SLICE`` rows.  A block list is the concatenation of the
+        texts of its low b//2 bits and of its high bits (ascending either
+        way), a sandwich set is encoded once per orbit mask, and a
+        triple's quotient once per (V minus U, quotient) pair."""
+        b = len(self).bit_length() - 1
+        half = b // 2
+        item = ",\n        %d".__mod__
+        low = ["".join(map(item, _bits(x))) for x in range(1 << half)]
+        high = ["".join(item(half + i) for i in _bits(y)) for y in range(1 << (b - half))]
+        low_mask = (1 << half) - 1
+        sets = {w: _json_list(lines, 8) for w, lines in
+                self._unit_sets(lambda name: " " * 10 + json.dumps(name)).items()}
+        quotients = {}
+        for start in range(0, len(self), _JSON_SLICE):
+            rows = []
+            for m, lo, up, ov, q, dim, dyn, nd in zip(
+                    range(start, len(self)), *self._columns(start, start + _JSON_SLICE)):
+                blocks = low[m & low_mask] + high[m >> half]
+                quotient = quotients.get((ov, q))
+                if quotient is None:
+                    quotient = quotients[ov, q] = _json_list(
+                        ["        %d" % i for i in _sub_indices(ov, q)], 6)
+                rows.append(_JSON_ROW % (
+                    "[\n" + blocks[2:] + "\n      ]" if blocks else "[]", dim,
+                    _JSON_BOOL[dyn], _JSON_BOOL[nd], sets[lo], sets[up], quotient))
+            yield (",\n" if start else "") + ",\n".join(rows)
+
+
 def analyze_report(instance: Instance, source, decomp: BlockDecomposition,
                    max_blocks: int) -> dict:
     g = decomp.groupoid
@@ -93,41 +208,19 @@ def analyze_report(instance: Instance, source, decomp: BlockDecomposition,
         raise CapExceededError(
             f"{b} blocks would enumerate 2^{b} ideals (cap {max_blocks})"
         )
-    data = _LatticeData(decomp)
-    masks = data.ideal_masks
-    lower, upper, quotient = data.theta_inverse()
-    over = data.dynamical_of[upper & ~lower]
-    dimension = np.zeros(len(masks), dtype=np.int64)
-    for blk in decomp.blocks:
-        dimension += (masks >> blk.index & 1) * blk.dimension ** 2
-    # at most 2^orbits distinct unit sets, each formatted once
-    unit_sets = {w: fmt_set(decomp.orbit_set(w))
-                 for w in np.unique(np.concatenate([lower, upper])).tolist()}
-    rows = []
-    for m, lo, up, ov, q, dim, dyn, nd in zip(
-            range(len(masks)), lower.tolist(), upper.tolist(), over.tolist(),
-            quotient.tolist(), dimension.tolist(), data.dynamical.tolist(),
-            data.pnd.tolist()):
-        rows.append({
-            "blocks": _bits(m),
-            "dimension": dim,
-            "dynamical": dyn,
-            "purely_non_dynamical": nd,
-            "sandwich": {"lower": unit_sets[lo], "upper": unit_sets[up]},
-            "triple_quotient_blocks": _sub_indices(ov, q),
-        })
+    table = _IdealTable(decomp)
     # the message obstruction_ideal, then collapse_kernel, would raise
     obstruction, kernel, failures = ideal_ops._obstruction(decomp)
     if failures:
         support = ideal_ops._OBSTRUCTION_SUPPORT
         raise DecompositionError(support if support in failures else failures[0])
     report["counts"] = {
-        "ideals": len(rows),
-        "dynamical": sum(1 for r in rows if r["dynamical"]),
-        "purely_non_dynamical": sum(1 for r in rows if r["purely_non_dynamical"]),
-        "triples": len(rows),
+        "ideals": len(table),
+        "dynamical": int(table.dynamical.sum()),
+        "purely_non_dynamical": int(table.pnd.sum()),
+        "triples": len(table),
     }
-    report["ideals"] = rows
+    report["ideals"] = table
     report["obstruction_ideal"] = {
         "blocks": sorted(obstruction.blocks),
         "noneffective_units": fmt_set(g.units - g.effective_units()),

@@ -337,6 +337,57 @@ def first_nonassociative(g):
     return None
 
 
+def joint_effectiveness_search(g, x, max_nonunits=12, budget=200_000):
+    """The exhaustive bisection-family search for joint effectiveness at
+    ``x``, rebuilding the list of every bisection for each call; None when
+    out of budget or past ``max_nonunits`` non-unit arrows."""
+    nonunits = [el for el in g.elements if el not in g.units]
+    if len(nonunits) > max_nonunits:
+        return None
+    isotropy = [el for el in nonunits if g.source(el) == x and g.range(el) == x]
+    if not isotropy:
+        return True
+
+    def is_bisection(subset):
+        return (len({g.source(el) for el in subset}) == len(subset)
+                and len({g.range(el) for el in subset}) == len(subset))
+
+    bisections = [
+        frozenset(candidate)
+        for k in range(1, len(nonunits) + 1)
+        for candidate in itertools.combinations(nonunits, k)
+        if is_bisection(candidate)
+    ]
+    containing = {gamma: [b for b in bisections if gamma in b] for gamma in isotropy}
+
+    def family_has_witness(family):
+        common = frozenset.intersection(
+            *[frozenset(g.source(el) for el in b) for b in family])
+        for y in common:
+            moved = True
+            for b in family:
+                arrow = next(el for el in b if g.source(el) == y)
+                if g.range(arrow) == y:
+                    moved = False
+                    break
+            if moved:
+                return True
+        return False
+
+    spent = 0
+    for size in (1, 2):
+        for gammas in itertools.combinations(isotropy, min(size, len(isotropy))):
+            for family in itertools.product(*(containing[gm] for gm in gammas)):
+                spent += 1
+                if spent > budget:
+                    return None
+                if not family_has_witness(family):
+                    return False
+        if len(isotropy) < 2:
+            break
+    return True
+
+
 def composition_arrays(g):
     """(ia, ib, iab) element indices of every composable pair and its
     product, from ``composable_pairs`` and ``compose``."""

@@ -1,12 +1,20 @@
+import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from glab.cli import main
-from glab.formats import dump_instance
-from glab.generators import group_payload
+from glab import groupoids as gp
+from glab import reports
+from glab.algebra import wedderburn
+from glab.cli import _ROWS_STANDIN, _emit, main
+from glab.formats import Instance, dump_instance, load_instance
+from glab.generators import group_payload, random_groupoid
 from glab.groups import cyclic_group
+
+from _oracles import (block_set, set_dimension, set_is_dynamical,
+                      set_is_purely_nondynamical, set_sandwich, set_theta_inverse)
 
 
 def run(capsys, *argv):
@@ -325,6 +333,104 @@ def test_json_report_matches_golden(capsys, monkeypatch, command, name):
     code, out, _ = run(capsys, command, f"{name}.json", "--format", "json")
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.{command}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ("swap_and_fix", "z2_bundle", "action8"))
+def test_analyze_text_matches_golden(capsys, monkeypatch, name):
+    """The ``glab analyze`` text report, byte-for-byte against tests/data."""
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.delenv("GLAB_SEED", raising=False)
+    code, out, _ = run(capsys, "analyze", f"{name}.json")
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"{name}.analyze.txt").read_bytes()
+
+
+def rows_as_dicts(report) -> str:
+    """``json.dumps`` of an analyze report with its ideal rows as dicts,
+    as ``--format json`` printed it before the rows were streamed."""
+    return json.dumps({**report, "ideals": list(report["ideals"])},
+                      sort_keys=True, indent=2) + "\n"
+
+
+def first_difference(out: str, expected: str):
+    """None for equal texts, else the first differing line as (index, got,
+    wanted): pytest's own diff of two multi-megabyte texts takes minutes."""
+    lines = itertools.zip_longest(out.split("\n"), expected.split("\n"))
+    return next(((i, a, b) for i, (a, b) in enumerate(lines) if a != b), None)
+
+
+class TestStreamedIdealRows:
+    """``analyze --format json`` writes the ideal rows from the lattice
+    columns; its bytes must be those of ``json.dumps`` on the row dicts."""
+
+    def test_escaped_names_and_a_point_named_like_the_standin(self, capsys, tmp_path):
+        z2 = cyclic_group(2)
+        odd = ['a"b', "c\\d", "é", "\U0001d50a", _ROWS_STANDIN, "z"]
+        payload = {
+            "version": 1,
+            "kind": "partial-action",
+            "group": group_payload(z2),
+            "space": odd,
+            "maps": {
+                "r0": {x: x for x in odd},
+                "r1": {odd[0]: odd[2], odd[2]: odd[0], odd[1]: odd[3], odd[3]: odd[1],
+                       _ROWS_STANDIN: _ROWS_STANDIN},
+            },
+        }
+        path = tmp_path / "odd.json"
+        path.write_text(dump_instance(payload))
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+        assert code == 0
+        assert f'"point": "{_ROWS_STANDIN}"' in out and "\\ud835\\udd0a" in out
+        instance = load_instance(str(path))
+        report = reports.analyze_report(instance, str(path),
+                                        wedderburn(instance.groupoid()), 20)
+        assert first_difference(out, rows_as_dicts(report)) is None
+        assert json.loads(out)["ideals"][0] == {
+            "blocks": [], "dimension": 0, "dynamical": True,
+            "purely_non_dynamical": False, "sandwich": {"lower": [], "upper": []},
+            "triple_quotient_blocks": [],
+        }
+
+    def test_numeric_units_over_several_slices(self, capsys):
+        g = gp.unit_space_groupoid(range(14))
+        report = reports.analyze_report(Instance("groupoid-tables", {}, g), "units",
+                                        wedderburn(g), 20)
+        _emit(report, "json")
+        out = capsys.readouterr().out
+        assert first_difference(out, rows_as_dicts(report)) is None
+        rows = json.loads(out)["ideals"]
+        assert len(rows) == 1 << 14
+        # unit names sort as text
+        assert rows[-1]["sandwich"]["upper"] == sorted(map(str, range(14)))
+        assert rows[-1]["sandwich"]["upper"][:3] == ["0", "1", "10"]
+
+    def test_rows_match_set_reference(self, capsys):
+        rng = random.Random(1010)
+        checked = 0
+        while checked < 12:
+            g = random_groupoid(rng, 24)
+            d = wedderburn(g)
+            if d.block_count > 7:
+                continue
+            checked += 1
+            report = reports.analyze_report(Instance("groupoid-tables", {}, g), "draw",
+                                            d, 20)
+            _emit(report, "json")
+            out = capsys.readouterr().out
+            assert first_difference(out, rows_as_dicts(report)) is None
+            for ideal, row in zip(d.all_ideals(), json.loads(out)["ideals"], strict=True):
+                blocks = block_set(ideal)
+                lower, upper = set_sandwich(ideal)
+                assert row == {
+                    "blocks": sorted(blocks),
+                    "dimension": set_dimension(d, blocks),
+                    "dynamical": set_is_dynamical(d, blocks),
+                    "purely_non_dynamical": set_is_purely_nondynamical(d, blocks),
+                    "sandwich": {"lower": reports.fmt_set(lower),
+                                 "upper": reports.fmt_set(upper)},
+                    "triple_quotient_blocks": sorted(set_theta_inverse(ideal)[2]),
+                }
 
 
 @pytest.mark.parametrize("command, name, fmt, suffix", (

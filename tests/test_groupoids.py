@@ -17,7 +17,8 @@ from glab.errors import CapExceededError
 from glab.generators import random_groupoid, random_partial_action, random_group
 from glab.groups import cyclic_group, global_action
 
-from _oracles import bfs_orbits, composition_arrays, first_nonassociative
+from _oracles import (bfs_orbits, composition_arrays, first_nonassociative,
+                      joint_effectiveness_search)
 
 
 class TestValidation:
@@ -406,6 +407,23 @@ class TestEffectiveness:
         for g in (swap_and_fix, pair2):
             for x in g.unit_list:
                 assert g.is_jointly_effective_at(x) == g.is_effective_at(x)
+
+    def test_bisection_search_matches_reference(self):
+        """The search over the once-built bisection list against the search
+        that rebuilds it per point, on draws with at most 12 non-units,
+        at the default budget and at a budget that runs out."""
+        rng = random.Random(419)
+        searched = 0
+        while searched < 30:
+            g = random_groupoid(rng, 20)
+            if len(g.elements) - len(g.units) > 12 or g.is_effective():
+                continue
+            searched += 1
+            for x in g.unit_list:
+                for budget in (200_000, 0):
+                    assert (g._joint_effectiveness_search(x, budget=budget)
+                            == joint_effectiveness_search(g, x, budget=budget))
+            assert g._bisections() is g._caches["bisections"]
 
     def test_isotropy_group(self, swap_and_fix):
         fixed = next(u for u in swap_and_fix.unit_list if u[0] == "c")
