@@ -58,7 +58,7 @@ class _Plan:
         self.n = n = len(g)
         self.ia, self.ib, self.iab = g.composition_table()
         self.inv = np.asarray([g.index(g.inverse(el)) for el in g.elements], dtype=np.intp)
-        self.source_idx = np.asarray([g.index(g.source(el)) for el in g.elements], dtype=np.intp)
+        self.source_idx = g._pair_slots().src
         self.range_idx = self.source_idx[self.inv]
         self.unit_mask = self.source_idx == np.arange(n)
 
@@ -514,18 +514,19 @@ def _center_basis(g: FiniteGroupoid) -> np.ndarray:
     """Orthonormal basis (columns) of the center: the normalised indicators
     of the isotropy conjugacy classes {h gamma h^-1}, one per block, in the
     element order of their first arrow."""
-    classes = []
-    seen = set()
-    for gamma in g.isotropy_elements():
-        if gamma in seen:
-            continue
-        cls = {g.compose(g.compose(h, gamma), g.inverse(h))
-               for h in g.source_fiber(g.source(gamma))}
-        seen |= cls
-        classes.append([g.index(el) for el in cls])
-    basis = np.zeros((len(g), len(classes)), dtype=np.complex128)
-    for j, rows in enumerate(classes):
-        basis[rows, j] = 1.0 / np.sqrt(len(rows))
+    plan = _plan(g)
+    # the composable pairs (h, gamma) with gamma isotropy: h runs over the
+    # arrows from gamma's unit, those that conjugate it
+    isotropy = plan.source_idx == plan.range_idx
+    conj = isotropy[plan.ib]
+    h, gamma = plan.ia[conj], plan.ib[conj]
+    # each class is named by its first arrow, the least index in it
+    first = np.full(len(g), len(g))
+    np.minimum.at(first, gamma, g._products(plan.iab[conj], plan.inv[h]))
+    members = np.flatnonzero(isotropy)
+    names, column, sizes = np.unique(first[members], return_inverse=True, return_counts=True)
+    basis = np.zeros((len(g), len(names)), dtype=np.complex128)
+    basis[members, column] = 1.0 / np.sqrt(sizes[column])
     return basis
 
 

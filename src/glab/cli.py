@@ -11,6 +11,7 @@ glab, reported as ``error: internal error: ...`` on stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -272,8 +273,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` keeps no state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command == "verify" and not args.batch and args.path is None:
         parser.error("verify needs a path or --batch")

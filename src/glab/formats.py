@@ -123,7 +123,8 @@ def _action_from_dict(payload: dict, kind: str) -> PartialAction:
         raise InstanceFormatError(
             f"maps given for non-elements {sorted(unknown)!r}"
         )
-    maps = {g: dict(raw_maps.get(g, {})) for g in group.elements}
+    maps = {g: dict(_need(raw_maps, g, dict, f"{kind}.maps"))
+            for g in group.elements if g in raw_maps}
     try:
         action = PartialAction(group, space, maps)
     except Exception as exc:
@@ -156,7 +157,8 @@ def instance_from_dict(payload: dict, source=None) -> Instance:
             if set(units) != set(fiber_payloads):
                 raise InstanceFormatError("fibers do not match the unit list")
             fibers = {
-                u: group_from_dict(fiber_payloads[u], where=f"fibers[{u!r}]")
+                u: group_from_dict(_need(fiber_payloads, u, dict, "fibers"),
+                                   where=f"fibers[{u!r}]")
                 for u in units
             }
             obj = groupoids.group_bundle(fibers)

@@ -65,6 +65,26 @@ class IsotropyGroup:
         return CayleyGroup(self.elements, table, name=f"isotropy@{self.base!r}")
 
 
+@dataclass(frozen=True)
+class _PairSlots:
+    """Element-index arrays of a groupoid and of its composable pairs.
+
+    ``src`` and ``rng`` give each element's source and range; ``ia`` and
+    ``ib`` list the pairs in ``composable_pairs`` order.  That order groups
+    the pairs by b, and within b takes a in ``source_fiber`` order, so the
+    pair (a, b) sits at ``start[b] + pos[a]``: ``start`` is the running sum
+    of the run lengths |G_{r(b)}| and ``pos[a]`` is a's place in its source
+    fiber.
+    """
+
+    src: np.ndarray
+    rng: np.ndarray
+    ia: np.ndarray
+    ib: np.ndarray
+    start: np.ndarray
+    pos: np.ndarray
+
+
 class FiniteGroupoid:
     """A finite groupoid with explicit source/range/inverse and a
     composition strategy (a table for raw input, a formula for
@@ -88,6 +108,9 @@ class FiniteGroupoid:
         if len(self._index) != len(self.elements):
             raise GroupoidError("duplicate elements")
         self._caches: dict = {}
+        # a constructor's product on index arrays (ia, ib) -> iab, in place
+        # of one ``compose`` call per pair
+        self._compose_indices = None
 
     # -- basic structure ------------------------------------------------
 
@@ -159,55 +182,89 @@ class FiniteGroupoid:
         ``composable_pairs`` order, and of its product (cached by ``validate``)."""
         return self._caches.get("composition") or self._composition()
 
+    def _pair_slots(self) -> _PairSlots:
+        slots = self._caches.get("pair_slots")
+        if slots is None:
+            n, index = len(self.elements), self._index
+            src = np.fromiter((index[self._source[el]] for el in self.elements), np.intp, n)
+            rng = np.fromiter((index[self._range[el]] for el in self.elements), np.intp, n)
+            by_source = np.argsort(src, kind="stable")
+            size = np.bincount(src, minlength=n)
+            first = np.cumsum(size) - size
+            pos = np.empty(n, dtype=np.intp)
+            pos[by_source] = np.arange(n) - first[src[by_source]]
+            run = size[rng]
+            start = np.cumsum(run) - run
+            ib = np.repeat(np.arange(n), run)
+            ia = by_source[first[rng[ib]] + np.arange(len(ib)) - start[ib]]
+            slots = self._caches["pair_slots"] = _PairSlots(src, rng, ia, ib, start, pos)
+        return slots
+
+    def _products(self, a, b):
+        """The indices of a[k]*b[k] for index arrays of composable pairs:
+        one lookup at their pair slots."""
+        slots = self._pair_slots()
+        return self.composition_table()[2][slots.start[b] + slots.pos[a]]
+
     # -- validation ------------------------------------------------------
 
+    def _checked_product(self, a, b) -> int:
+        """The index of a*b, or raise naming the check it fails."""
+        ab = self.compose(a, b)
+        if ab not in self._index:
+            raise GroupoidError(f"{a!r}*{b!r} = {ab!r} is not an element")
+        if self._source[ab] != self._source[b]:
+            raise GroupoidError(f"source({a!r}*{b!r}) != source({b!r})")
+        if self._range[ab] != self._range[a]:
+            raise GroupoidError(f"range({a!r}*{b!r}) != range({a!r})")
+        return self._index[ab]
+
     def _composition(self) -> tuple:
-        """One pass over the composable pairs: multiply each once and cache
-        the index arrays, or raise at the first failed check.  It keeps ints
-        only: lasting per-pair tuples would trigger GC passes that age ``self``."""
-        pairs = self.composable_pairs()
-        if self._mul_table is not None:
-            pairs = list(pairs)
-            # the first missing pair in pair order, the first extra in table order
-            for a, b in pairs:
-                if (a, b) not in self._mul_table:
-                    raise GroupoidError(f"composition undefined on composable pair ({a!r}, {b!r})")
-            expected = set(pairs)
-            for a, b in self._mul_table:
-                if (a, b) not in expected:
-                    raise GroupoidError(f"composition defined on non-composable pair ({a!r}, {b!r})")
-        index, source, range_ = self._index, self._source, self._range
-        rows = []
-        for a, b in pairs:
-            ab = self.compose(a, b)
-            if ab not in index:
-                raise GroupoidError(f"{a!r}*{b!r} = {ab!r} is not an element")
-            if source[ab] != source[b]:
-                raise GroupoidError(f"source({a!r}*{b!r}) != source({b!r})")
-            if range_[ab] != range_[a]:
-                raise GroupoidError(f"range({a!r}*{b!r}) != range({a!r})")
-            rows.extend((index[a], index[b], index[ab]))
-        table = tuple(np.array(rows, dtype=np.intp).reshape(-1, 3).T.copy())
+        """Multiply every composable pair once and cache the index arrays,
+        or raise at the first failed check.  A constructor's index product
+        is checked with array comparisons; otherwise one ``compose`` call
+        per pair, keeping ints only: lasting per-pair tuples would trigger
+        GC passes that age ``self``."""
+        slots = self._pair_slots()
+        ia, ib, els = slots.ia, slots.ib, self.elements
+        if self._compose_indices is not None:
+            iab = np.asarray(self._compose_indices(ia, ib), dtype=np.intp)
+            bad = np.flatnonzero((slots.src[iab] != slots.src[ib])
+                                 | (slots.rng[iab] != slots.rng[ia]))
+            if len(bad):
+                self._checked_product(els[ia[bad[0]]], els[ib[bad[0]]])
+                raise GroupoidError("internal error: index product disagrees with compose")
+        else:
+            if self._mul_table is not None:
+                pairs = [(els[a], els[b]) for a, b in zip(ia.tolist(), ib.tolist())]
+                # the first missing pair in pair order, the first extra in table order
+                for a, b in pairs:
+                    if (a, b) not in self._mul_table:
+                        raise GroupoidError(
+                            f"composition undefined on composable pair ({a!r}, {b!r})")
+                expected = set(pairs)
+                for a, b in self._mul_table:
+                    if (a, b) not in expected:
+                        raise GroupoidError(
+                            f"composition defined on non-composable pair ({a!r}, {b!r})")
+            iab = np.fromiter((self._checked_product(els[a], els[b])
+                               for a, b in zip(ia.tolist(), ib.tolist())), np.intp, len(ia))
+        table = (ia, ib, iab)
         self._caches["composition"] = table
         return table
 
-    def _associativity(self, table, assoc_budget: int):
+    def _associativity(self, assoc_budget: int):
         """``(mode, first failure or None)`` for (ab)c = a(bc).  Triple t
         pairs the (a, b) whose run holds t with the (t - start)-th arrow c
-        of ``range_fiber(source(b))``; products are looked up in the keys
-        ``b*n + a``, which ascend in pair order."""
-        ia, ib, iab = table
-        n, index = len(self.elements), self._index
-        src = np.fromiter((index[self._source[el]] for el in self.elements), np.intp, n)
-        rng = np.fromiter((index[self._range[el]] for el in self.elements), np.intp, n)
+        of ``range_fiber(source(b))``; products are pair-slot lookups."""
+        slots = self._pair_slots()
+        src, rng, ia, ib = slots.src, slots.rng, slots.ia, slots.ib
+        iab, n = self.composition_table()[2], len(self.elements)
         by_range = np.argsort(rng, kind="stable")
         count = np.bincount(rng, minlength=n)[src[ib]]
         ends = np.cumsum(count)
         base = np.searchsorted(rng[by_range], src[ib]) - (ends - count)
-        n_triples, keys = int(ends[-1]) if len(ends) else 0, ib * n + ia
-
-        def product(x, y):
-            return iab[np.searchsorted(keys, y * n + x)]
+        n_triples, product = int(ends[-1]) if len(ends) else 0, self._products
 
         mode = "full" if n_triples <= assoc_budget else f"sampled({assoc_budget})"
         # numpy.random is imported on first use, at about 6 MiB of RSS
@@ -260,20 +317,26 @@ class FiniteGroupoid:
             if self._source[self._inverse[el]] != self._range[el]:
                 return fail(f"source(inverse({el!r})) != range({el!r})")
         try:
-            table = self._composition()
+            self._composition()
         except GroupoidError as exc:
             return fail(str(exc))
-        for el in self.elements:
-            if self.compose(el, self._source[el]) != el:
-                return fail(f"{el!r}*source({el!r}) != {el!r}")
-            if self.compose(self._range[el], el) != el:
-                return fail(f"range({el!r})*{el!r} != {el!r}")
-            if self.compose(el, self._inverse[el]) != self._range[el]:
-                return fail(f"{el!r}*inverse({el!r}) != range({el!r})")
-            if self.compose(self._inverse[el], el) != self._source[el]:
-                return fail(f"inverse({el!r})*{el!r} != source({el!r})")
+        slots, index = self._pair_slots(), self._index
+        src, rng, every = slots.src, slots.rng, np.arange(len(self.elements))
+        inv = np.fromiter((index[self._inverse[el]] for el in self.elements), np.intp,
+                          len(self.elements))
+        laws = (
+            (self._products(every, src) != every, "{0!r}*source({0!r}) != {0!r}"),
+            (self._products(rng, every) != every, "range({0!r})*{0!r} != {0!r}"),
+            (self._products(every, inv) != rng, "{0!r}*inverse({0!r}) != range({0!r})"),
+            (self._products(inv, every) != src, "inverse({0!r})*{0!r} != source({0!r})"),
+        )
+        broken = np.stack([bad for bad, _ in laws])
+        failing = np.flatnonzero(broken.any(axis=0))
+        if len(failing):
+            el = failing[0]
+            return fail(laws[int(broken[:, el].argmax())][1].format(self.elements[el]))
 
-        mode, failure = self._associativity(table, assoc_budget)
+        mode, failure = self._associativity(assoc_budget)
         return ValidationReport(failure is None, failure, associativity=mode)
 
     # -- orbits and invariant sets ----------------------------------------
@@ -519,6 +582,8 @@ def pair_groupoid(points, name: str | None = None) -> FiniteGroupoid:
         lambda a, b: (a[0], b[1]),
         name=name or f"pair({len(points)})",
     )
+    n = len(points)
+    g._compose_indices = lambda ia, ib: ia // n * n + ib % n
     return _validated(g)
 
 
@@ -541,6 +606,17 @@ def group_bundle(fibers, name: str | None = None) -> FiniteGroupoid:
         compose,
         name=name or f"bundle({len(fibers)} units)",
     )
+    # one flat table of every fiber's products, as element indices
+    groups = list(fibers.values())
+    order = np.array([grp.order for grp in groups], dtype=np.intp)
+    offset = np.cumsum(order) - order
+    table_start = np.cumsum(order * order) - order * order
+    flat = np.concatenate([np.zeros(0, np.intp)] + [
+        grp._mul_index.ravel() + off for grp, off in zip(groups, offset.tolist())])
+    fiber = np.repeat(np.arange(len(groups)), order)
+    local = np.arange(len(elements)) - offset[fiber]
+    g._compose_indices = lambda ia, ib: flat[
+        table_start[fiber[ia]] + local[ia] * order[fiber[ia]] + local[ib]]
     return _validated(g)
 
 
@@ -556,12 +632,19 @@ def from_partial_action(action: PartialAction, name: str | None = None) -> Finit
         raise ConstructionError(str(exc)) from exc
     group = action.group
     e = group.identity
-    elements = []
-    for g in group.elements:
+    point = {y: i for i, y in enumerate(action.space)}
+    elements, g_of, y_of = [], [], []
+    # elem_of[g, y]: the element (g.y, g, y), where y lies in dom(g)
+    elem_of = np.full((group.order, len(point)), -1, dtype=np.intp)
+    for i, g in enumerate(group.elements):
         m = action.maps[g]
         for y in action.space:
             if y in m:
+                elem_of[i, point[y]] = len(elements)
                 elements.append((m[y], g, y))
+                g_of.append(i)
+                y_of.append(point[y])
+    g_of, y_of = np.array(g_of, dtype=np.intp), np.array(y_of, dtype=np.intp)
 
     def compose(a, b):
         return (a[0], group.mul(a[1], b[1]), b[2])
@@ -575,6 +658,8 @@ def from_partial_action(action: PartialAction, name: str | None = None) -> Finit
         compose,
         name=name or f"{group.name} partial action on {len(action.space)} points",
     )
+    mul = group._mul_index
+    g._compose_indices = lambda ia, ib: elem_of[mul[g_of[ia], g_of[ib]], y_of[ib]]
     return _validated(g)
 
 
@@ -607,6 +692,14 @@ def disjoint_union(parts, name: str | None = None) -> FiniteGroupoid:
         compose,
         name=name or f"union({', '.join(p.name for p in parts)})",
     )
+    # the union's pairs are its parts' pairs, part by part; a part whose
+    # products were never checked goes through the per-pair pass instead
+    tables = [part._caches.get("composition") for part in parts]
+    if all(table is not None for table in tables):
+        offsets = np.cumsum([0] + [len(part) for part in parts]).tolist()
+        products = np.concatenate([np.zeros(0, np.intp)] + [
+            table[2] + off for table, off in zip(tables, offsets)])
+        g._compose_indices = lambda ia, ib: products
     return _validated(g)
 
 
@@ -618,7 +711,7 @@ def empty_groupoid() -> FiniteGroupoid:
 def unit_space_groupoid(points) -> FiniteGroupoid:
     """A space of units with no other arrows (all-trivial bundle)."""
     points = tuple(points)
-    return FiniteGroupoid(
+    g = FiniteGroupoid(
         points,
         points,
         {x: x for x in points},
@@ -627,3 +720,5 @@ def unit_space_groupoid(points) -> FiniteGroupoid:
         lambda a, b: a,
         name=f"units({len(points)})",
     )
+    g._compose_indices = lambda ia, ib: ia
+    return g

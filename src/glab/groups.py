@@ -10,6 +10,11 @@ from __future__ import annotations
 
 from itertools import permutations
 
+import numpy as np
+
+
+_TRIPLE_BLOCK = 1 << 16     # triples (a, b, c) compared per block of rows
+
 
 class GroupError(ValueError):
     """Raised for malformed group tables."""
@@ -46,13 +51,15 @@ class CayleyGroup:
         return cls(elements, table, name=name)
 
     def _check(self):
-        els = self.elements
+        els, index = self.elements, self._index
+        rows = []
         for g in els:
             for h in els:
                 if (g, h) not in self._table:
                     raise GroupError(f"table is missing product {g!r}*{h!r}")
-                if self._table[(g, h)] not in self._index:
+                if self._table[(g, h)] not in index:
                     raise GroupError(f"product {g!r}*{h!r} is not a group element")
+                rows.append(index[self._table[(g, h)]])
         identity = None
         for e in els:
             if all(self._table[(e, g)] == g and self._table[(g, e)] == g for g in els):
@@ -70,14 +77,20 @@ class CayleyGroup:
             else:
                 raise GroupError(f"element {g!r} has no inverse")
         self._inverse = inverse
-        for a in els:
-            for b in els:
-                ab = self._table[(a, b)]
-                for c in els:
-                    if self._table[(ab, c)] != self._table[(a, self._table[(b, c)])]:
-                        raise GroupError(
-                            f"associativity fails at ({a!r}, {b!r}, {c!r})"
-                        )
+        # t[i, j] is the index of els[i] * els[j]; the constructors reuse it.
+        # (ab)c against a(bc) for a block of rows a at a time, as [a, b, c]
+        k = len(els)
+        t = np.array(rows, dtype=np.intp).reshape(k, k)
+        rows_per_block = max(1, _TRIPLE_BLOCK // (k * k))
+        for lo in range(0, k, rows_per_block):
+            ab = t[lo:lo + rows_per_block]
+            bad = np.flatnonzero(t[ab] != ab[:, t])
+            if len(bad):
+                a, b, c = np.unravel_index(bad[0], ab.shape + (k,))
+                raise GroupError(
+                    f"associativity fails at ({els[lo + a]!r}, {els[b]!r}, {els[c]!r})"
+                )
+        self._mul_index = t
 
     @property
     def order(self) -> int:

@@ -593,6 +593,15 @@ def _check_obstruction(data: _LatticeData) -> CheckResult:
     )
 
 
+def _unique_rows(rows):
+    """The distinct rows of a 2-D int array in lexicographic order, as
+    ``np.unique(rows, axis=0)`` gives them: one sort and a neighbour compare."""
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(ordered), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[fresh]
+
+
 def _check_lattice_iso(data: _LatticeData) -> CheckResult:
     witnesses = []
     n_orbits = data.n_orbits
@@ -604,7 +613,7 @@ def _check_lattice_iso(data: _LatticeData) -> CheckResult:
     # an arrow lies in the support of I_U when one of its blocks lies over
     # U, and in the reduction to U when its source and range orbits do
     bad_support = np.zeros(len(unit_masks), dtype=bool)
-    for blocks, source, range_ in np.unique(data.arrows, axis=0).tolist():
+    for blocks, source, range_ in _unique_rows(data.arrows).tolist():
         in_reduction = (unit_masks >> source & unit_masks >> range_ & 1) == 1
         bad_support |= ((ideal_of & blocks) != 0) != in_reduction
     for w in np.flatnonzero(bad_diagonal | bad_support)[:5]:
@@ -640,13 +649,11 @@ def _check_support_invariance(data: _LatticeData) -> CheckResult:
     touched = _distinct(data.touched, data.n_orbits)
     supports = data.dynamical_of[touched]
     not_inverse = np.zeros(len(touched), dtype=bool)
-    for a, a_inv in np.unique(np.stack([blocks, blocks[plan.inv]], axis=1),
-                              axis=0).tolist():
+    for a, a_inv in _unique_rows(np.stack([blocks, blocks[plan.inv]], axis=1)).tolist():
         not_inverse |= ((supports & a) != 0) != ((supports & a_inv) != 0)
     not_composed = np.zeros(len(touched), dtype=bool)
-    for a, b, ab in np.unique(
-            np.stack([blocks[plan.ia], blocks[plan.ib], blocks[plan.iab]], axis=1),
-            axis=0).tolist():
+    for a, b, ab in _unique_rows(
+            np.stack([blocks[plan.ia], blocks[plan.ib], blocks[plan.iab]], axis=1)).tolist():
         not_composed |= ((supports & a) != 0) & ((supports & b) != 0) & ((supports & ab) == 0)
     witnesses = []
     for i in np.flatnonzero(not_inverse | not_composed)[:5]:

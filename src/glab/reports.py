@@ -20,7 +20,7 @@ from .algebra import BlockDecomposition, DecompositionError, _bits
 from .errors import CapExceededError
 from .formats import Instance
 from .groups import PartialAction
-from .groupoids import from_partial_action
+from .groupoids import FiniteGroupoid
 from .ideals import CONVENTIONS, VerificationReport, _LatticeData, _sub_indices
 
 # ``graph``: the cycles listed, the lattice sets listed, and the lattice
@@ -53,10 +53,9 @@ def _instance_header(instance: Instance, source) -> dict:
     return {"source": str(source), "kind": instance.kind}
 
 
-def freeness_table(action: PartialAction) -> list:
+def freeness_table(action: PartialAction, g: FiniteGroupoid) -> list:
     """Per-point freeness of a partial action against the effectiveness
-    of its transformation groupoid (the two sides computed separately)."""
-    g = from_partial_action(action)
+    of its transformation groupoid ``g`` (the two sides computed separately)."""
     e = action.group.identity
     rows = []
     for x in action.space:
@@ -73,6 +72,9 @@ def freeness_table(action: PartialAction) -> list:
             "jointly_effective": jointly,
             "agree": free == effective and strong == jointly,
         })
+    # the search's list of bisections is only needed here; ``g`` outlives
+    # the report until a full collection (its decomposition points back)
+    g._caches.pop("bisections", None)
     return rows
 
 
@@ -232,7 +234,7 @@ def analyze_report(instance: Instance, source, decomp: BlockDecomposition,
         "support_matches_obstruction": kernel.support() == obstruction.support(),
     }
     if isinstance(instance.obj, PartialAction):
-        report["freeness"] = freeness_table(instance.obj)
+        report["freeness"] = freeness_table(instance.obj, g)
     return report
 
 

@@ -337,6 +337,49 @@ def first_nonassociative(g):
     return None
 
 
+def first_law_failure(g):
+    """The first element, in element order, that breaks a unit or inverse
+    law, with the first law it breaks, as ``validate`` words it; None when
+    there is none.  Four ``compose`` calls per element."""
+    for el in g.elements:
+        if g.compose(el, g.source(el)) != el:
+            return f"{el!r}*source({el!r}) != {el!r}"
+        if g.compose(g.range(el), el) != el:
+            return f"range({el!r})*{el!r} != {el!r}"
+        if g.compose(el, g.inverse(el)) != g.range(el):
+            return f"{el!r}*inverse({el!r}) != range({el!r})"
+        if g.compose(g.inverse(el), el) != g.source(el):
+            return f"inverse({el!r})*{el!r} != source({el!r})"
+    return None
+
+
+def first_group_failure(elements, rows):
+    """The first failed group axiom of the table ``rows[i][j] = elements[i] *
+    elements[j]``, as ``CayleyGroup`` words it, or None: the literal loops,
+    with the O(k^3) triple loop for associativity."""
+    table = {(g, h): rows[i][j] for i, g in enumerate(elements)
+             for j, h in enumerate(elements)}
+    for g in elements:
+        for h in elements:
+            if table[(g, h)] not in elements:
+                return f"product {g!r}*{h!r} is not a group element"
+    identity = next((e for e in elements
+                     if all(table[(e, g)] == g and table[(g, e)] == g for g in elements)),
+                    None)
+    if identity is None:
+        return "table has no identity element"
+    for g in elements:
+        if not any(table[(g, h)] == identity and table[(h, g)] == identity
+                   for h in elements):
+            return f"element {g!r} has no inverse"
+    for a in elements:
+        for b in elements:
+            for c in elements:
+                if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+                    return f"associativity fails at ({a!r}, {b!r}, {c!r})"
+    return None
+
+
 def joint_effectiveness_search(g, x, max_nonunits=12, budget=200_000):
     """The exhaustive bisection-family search for joint effectiveness at
     ``x``, rebuilding the list of every bisection for each call; None when
@@ -394,6 +437,24 @@ def composition_arrays(g):
     rows = [(g.index(a), g.index(b), g.index(g.compose(a, b)))
             for a, b in g.composable_pairs()]
     return tuple(np.array([r[k] for r in rows], dtype=np.intp) for k in range(3))
+
+
+def class_sum_basis(g):
+    """The normalised indicators of the isotropy conjugacy classes
+    {h gamma h^-1}, one column per class in the element order of its first
+    arrow, with two ``compose`` calls per conjugation."""
+    classes, seen = [], set()
+    for gamma in g.elements:
+        if g.source(gamma) != g.range(gamma) or gamma in seen:
+            continue
+        cls = {g.compose(g.compose(h, gamma), g.inverse(h))
+               for h in g.elements if g.source(h) == g.source(gamma)}
+        seen |= cls
+        classes.append([g.index(el) for el in cls])
+    basis = np.zeros((len(g), len(classes)), dtype=np.complex128)
+    for j, rows in enumerate(classes):
+        basis[rows, j] = 1.0 / np.sqrt(len(rows))
+    return basis
 
 
 def commutator_center(g, eps=1e-9):

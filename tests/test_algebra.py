@@ -13,6 +13,7 @@ from glab.groups import cyclic_group, symmetric_group
 from glab.ideals import collapse_kernel
 
 from _oracles import (
+    class_sum_basis,
     commutator_center,
     composition_arrays,
     convolve_literal,
@@ -342,11 +343,14 @@ class TestWedderburn:
 
 class TestCenter:
     """``_center_basis`` (isotropy class sums) against the commutator
-    kernel in ``_oracles.commutator_center``."""
+    kernel in ``_oracles.commutator_center``, and column for column against
+    the class sums taken with ``compose`` in ``_oracles.class_sum_basis``
+    (the seeded central element, and so the block order, reads the columns)."""
 
     @staticmethod
     def assert_center(g):
         basis = al._center_basis(g)
+        assert np.array_equal(basis, class_sum_basis(g))
         assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12)
         reference = commutator_center(g)
         assert np.max(np.abs(basis @ basis.conj().T - reference @ reference.conj().T),

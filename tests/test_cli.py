@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import random
@@ -7,10 +8,10 @@ import pytest
 
 from glab import groupoids as gp
 from glab import reports
-from glab.algebra import wedderburn
+from glab.algebra import DEFAULT_SEED, wedderburn
 from glab.cli import _ROWS_STANDIN, _emit, main
 from glab.formats import Instance, dump_instance, load_instance
-from glab.generators import group_payload, random_groupoid
+from glab.generators import group_payload, random_groupoid, random_instance
 from glab.groups import cyclic_group
 
 from _oracles import (block_set, set_dimension, set_is_dynamical,
@@ -135,6 +136,16 @@ class TestAnalyze:
         assert by_point["c"]["effective"] is False
         assert all(r["agree"] for r in rows)
 
+    def test_freeness_reuses_the_analyzed_groupoid(self, capsys, tmp_path, monkeypatch):
+        built = []
+        real = gp.FiniteGroupoid.validate
+        monkeypatch.setattr(gp.FiniteGroupoid, "validate",
+                            lambda self, *a, **k: built.append(self) or real(self, *a, **k))
+        path = Path(__file__).parent / "data" / "action8.json"
+        code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
+        assert code == 0 and json.loads(out)["freeness"]
+        assert len(built) == 1
+
     def test_graph_instance_rejected(self, capsys, tmp_path):
         path = tmp_path / "g.json"
         path.write_text(dump_instance({
@@ -240,6 +251,20 @@ class TestVerify:
         assert err == f"{pair_file}: error: internal error: RuntimeError: boom\n"
         assert json.loads(out)["all_passed"] is True
         assert "swap.json" in out
+
+    def test_in_process_calls_keep_their_own_options(self, capsys, swap_file):
+        # the parser is built once per process; each call parses afresh
+        import glab.cli as cli_mod
+
+        code, out, _ = run(capsys, "verify", str(swap_file), "--format", "json",
+                           "--seed", "7")
+        assert code == 0 and json.loads(out)["parameters"]["seed"] == 7
+        code, text, _ = run(capsys, "verify", str(swap_file))
+        assert code == 0 and not text.startswith("{")
+        assert f"\n  seed          {DEFAULT_SEED}\n" in text
+        code, out, _ = run(capsys, "verify", str(swap_file), "--format", "json")
+        assert json.loads(out)["parameters"]["seed"] == DEFAULT_SEED
+        assert cli_mod._parser() is cli_mod._parser()
 
     def test_missing_path(self, capsys):
         with pytest.raises(SystemExit):
@@ -575,3 +600,90 @@ class TestGraphAndDr:
         for command in ("analyze", "verify", "graph", "dr"):
             code, _, err = run(capsys, command, str(path))
             assert code == 2
+
+
+class TestMalformedInstances:
+    """Every malformed instance maps to exit 2 (or 0, 1, 3), never to 4."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p["maps"].update(r1=None), "field 'r1' in action.maps has type NoneType"),
+        (lambda p: p["maps"].update(r1=[1, 2]), "field 'r1' in action.maps has type list"),
+    ])
+    def test_map_values_type_checked(self, capsys, tmp_path, edit, message):
+        payload = json.loads((GOLDEN / "action8.json").read_text())
+        edit(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2 and message in err
+
+    def test_fiber_values_type_checked(self, capsys, tmp_path):
+        payload = json.loads((GOLDEN / "z2_bundle.json").read_text())
+        payload["fibers"]["u"] = 5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "analyze", str(path))
+        assert code == 2 and "field 'u' in fibers has type int" in err
+
+    @staticmethod
+    def mutated(payload, rng):
+        """``payload`` with one or two nodes replaced by a value of another
+        shape, a dict key deleted or renamed, or a list item repeated."""
+        payload = copy.deepcopy(payload)
+        values = [None, 5, -1, True, 1.5, "x", "", [], [1, 2], {}, {"a": 1}, [[1]], [None]]
+        for _ in range(rng.randint(1, 2)):
+            paths, stack = [], [((), payload)]
+            while stack:
+                path, node = stack.pop()
+                if path:
+                    paths.append(path)
+                items = (node.items() if isinstance(node, dict)
+                         else enumerate(node) if isinstance(node, list) else ())
+                stack.extend((path + (k,), v) for k, v in items)
+            path = rng.choice(paths)
+            parent = payload
+            for key in path[:-1]:
+                parent = parent[key]
+            op = rng.random()
+            if op < 0.15 and isinstance(parent, dict):
+                del parent[path[-1]]
+            elif op < 0.25 and isinstance(parent, dict):
+                parent[rng.choice(["k", "5"])] = parent.pop(path[-1])
+            elif op < 0.35 and isinstance(parent, list):
+                parent.append(copy.deepcopy(parent[path[-1]]))
+            else:
+                parent[path[-1]] = copy.deepcopy(rng.choice(values))
+        return payload
+
+    def test_seeded_mutations_never_exit_4(self, capsys, tmp_path):
+        rng = random.Random(2024)
+        payloads = [json.loads((GOLDEN / f"{name}.json").read_text())
+                    for name in ("action8", "swap_and_fix", "z2_bundle", "graph16", "map40")]
+        for kind, size in (("action", 4), ("partial-action", 4), ("graph", 6), ("dynsys", 8)):
+            options = {"group_order": 4} if "action" in kind else {}
+            payloads.append(random_instance(rng, kind, size, **options))
+        payloads.append({"version": 1, "kind": "pair", "points": ["a", "b", "c"]})
+        payloads.append({"version": 1, "kind": "group-bundle", "units": ["u", "v"],
+                         "fibers": {"u": group_payload(cyclic_group(3)),
+                                    "v": group_payload(cyclic_group(2))}})
+        pair = gp.pair_groupoid("ab")
+        payloads.append({
+            "version": 1, "kind": "groupoid-tables",
+            "elements": ["".join(el) for el in pair.elements],
+            "units": ["".join(u) for u in pair.unit_list],
+            **{key: {"".join(el): "".join(f(el)) for el in pair.elements}
+               for key, f in (("source", pair.source), ("range", pair.range),
+                              ("inverse", pair.inverse))},
+            "compose": [["".join(a), "".join(b), "".join(pair.compose(a, b))]
+                        for a, b in pair.composable_pairs()],
+        })
+        path = tmp_path / "mutant.json"
+        codes = set()
+        for _ in range(500):
+            path.write_text(json.dumps(self.mutated(rng.choice(payloads), rng)))
+            for argv in (["verify", str(path)], ["analyze", str(path), "--format", "json"],
+                         ["graph", str(path)], ["dr", str(path)]):
+                code, _, err = run(capsys, *argv)
+                assert code in (0, 1, 2, 3), (argv[0], path.read_text(), err)
+                codes.add(code)
+        assert {0, 2} <= codes

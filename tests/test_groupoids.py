@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 from glab import groupoids as gp
 from glab.errors import CapExceededError
 from glab.generators import random_groupoid, random_partial_action, random_group
-from glab.groups import cyclic_group, global_action
+from glab.groups import (PartialAction, cyclic_group, dihedral_group, global_action,
+                         symmetric_group)
 
-from _oracles import (bfs_orbits, composition_arrays, first_nonassociative,
-                      joint_effectiveness_search)
+from _oracles import (bfs_orbits, composition_arrays, first_law_failure,
+                      first_nonassociative, joint_effectiveness_search)
 
 
 class TestValidation:
@@ -267,6 +268,108 @@ class TestVectorisedValidation:
                               lambda a, b: "nowhere")
         with pytest.raises(gp.GroupoidError, match="is not an element"):
             g.composition_table()
+
+
+def s4_coset_action():
+    """S4 acting on its 12 left cosets of an order-2 subgroup."""
+    s4 = symmetric_group(4)
+    subgroup = (s4.identity, "p1023")
+    cosets = []
+    for a in s4.elements:
+        coset = frozenset(s4.mul(a, h) for h in subgroup)
+        if coset not in cosets:
+            cosets.append(coset)
+    coset_of = {a: i for i, c in enumerate(cosets) for a in c}
+    maps = {g: {i: coset_of[s4.mul(g, next(iter(c)))] for i, c in enumerate(cosets)}
+            for g in s4.elements}
+    return PartialAction(s4, range(len(cosets)), maps)
+
+
+class TestIndexCore:
+    """Constructors hand ``validate`` their product as index arithmetic;
+    the tables must equal ``_oracles.composition_arrays`` and the verdicts
+    the literal reference loops."""
+
+    @staticmethod
+    def check(g):
+        for got, want in zip(g.composition_table(), composition_arrays(g)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert g.validate().ok
+        assert first_law_failure(g) is None
+
+    def test_every_constructor(self, pair2, z2_bundle, swap_and_fix):
+        s4 = symmetric_group(4)
+        partial = random_partial_action(random.Random(3), dihedral_group(3), 5)
+        for g in (gp.pair_groupoid(range(5)), gp.pair_groupoid(()),
+                  gp.group_bundle({"a": s4, "b": cyclic_group(3), "c": s4}),
+                  gp.group_bundle({}), gp.from_partial_action(partial),
+                  gp.from_partial_action(s4_coset_action()), swap_and_fix,
+                  gp.disjoint_union([pair2, z2_bundle, swap_and_fix]),
+                  gp.disjoint_union([]), gp.unit_space_groupoid("xyz"),
+                  gp.empty_groupoid()):
+            self.check(g)
+            if len(g) <= 60:
+                assert first_nonassociative(g) is None
+
+    def test_random_groupoids(self):
+        for seed in range(400):
+            self.check(random_groupoid(random.Random(seed), 48))
+
+    def test_constructors_validate_without_compose(self, monkeypatch):
+        calls = []
+        compose = gp.FiniteGroupoid.compose
+
+        def counted(self, a, b):
+            calls.append((a, b))
+            return compose(self, a, b)
+
+        monkeypatch.setattr(gp.FiniteGroupoid, "compose", counted)
+        for g in (gp.pair_groupoid(range(18)), gp.from_partial_action(s4_coset_action())):
+            assert g.validate().ok
+        assert calls == []
+
+    def test_unit_and_inverse_laws_match_reference(self):
+        # move one product of each law to another arrow with the same
+        # source and range, so that only the law itself breaks
+        named = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = random_groupoid(rng, 24)
+            table = {(a, b): g.compose(a, b) for a, b in g.composable_pairs()}
+            el = rng.choice(g.elements)
+            key = rng.choice([(el, g.source(el)), (g.range(el), el),
+                              (el, g.inverse(el)), (g.inverse(el), el)])
+            others = [x for x in g.elements if x != table[key]
+                      and g.source(x) == g.source(table[key])
+                      and g.range(x) == g.range(table[key])]
+            if not others:
+                continue
+            table[key] = rng.choice(others)
+            h = with_table(g, table)
+            expected = first_law_failure(h)
+            assert h.validate().failure == expected
+            named.add(4 if expected.startswith("inverse(") else
+                      2 if expected.startswith("range(") else
+                      3 if "*inverse(" in expected else 1)
+        assert named == {1, 2, 3, 4}
+
+    def test_index_product_failure_is_named(self, pair2):
+        # a wrong index product is caught by the array comparisons and
+        # named through compose, as the per-pair pass names it
+        g = with_table(pair2, {(a, b): pair2.compose(a, b)
+                               for a, b in pair2.composable_pairs()})
+        g._mul_table[((1, 2), (2, 1))] = (1, 2)
+        g._compose_indices = lambda ia, ib: np.array(
+            [g.index(g.compose(g.elements[a], g.elements[b]))
+             for a, b in zip(ia, ib)], dtype=np.intp)
+        assert g.validate().failure == "source((1, 2)*(2, 1)) != source((2, 1))"
+
+    def test_union_of_an_unchecked_part_uses_the_pass(self, pair2):
+        table = {(a, b): pair2.compose(a, b) for a, b in pair2.composable_pairs()}
+        table[((1, 2), (2, 1))] = (1, 2)
+        with pytest.raises(gp.ConstructionError, match=re.escape(
+                "source((0, (1, 2))*(0, (2, 1))) != source((0, (2, 1)))")):
+            gp.disjoint_union([with_table(pair2, table)])
 
 
 class TestConstructors:

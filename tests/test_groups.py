@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from glab import groups as groups_module
 from glab.groups import (
     CayleyGroup,
     GroupError,
@@ -11,6 +14,8 @@ from glab.groups import (
     symmetric_group,
     trivial_group,
 )
+
+from _oracles import first_group_failure
 
 
 class TestCayleyGroup:
@@ -44,6 +49,49 @@ class TestCayleyGroup:
         rows = [["a", "b"], ["b", "b"]]
         with pytest.raises(GroupError):
             CayleyGroup.from_rows(["a", "b"], rows)
+
+
+class TestIndexTableCheck:
+    """``CayleyGroup`` checks its axioms on a k x k index table; the
+    literal loops of ``_oracles.first_group_failure`` are the reference."""
+
+    @staticmethod
+    def rows_of(group):
+        return [[group.mul(a, b) for b in group.elements] for a in group.elements]
+
+    @pytest.mark.parametrize("block", [None, 60])
+    def test_first_failure_matches_reference(self, monkeypatch, block):
+        # a block of 60 triples splits every table past order 5 into
+        # blocks of one or two rows
+        if block is not None:
+            monkeypatch.setattr(groups_module, "_TRIPLE_BLOCK", block)
+        groups = (cyclic_group(5), dihedral_group(3), symmetric_group(3),
+                  dihedral_group(4), trivial_group())
+        failures = set()
+        for seed in range(300):
+            rng = random.Random(seed)
+            group = rng.choice(groups)
+            els = list(group.elements)
+            rows = self.rows_of(group)
+            for _ in range(rng.randint(1, 3)):
+                i, j = rng.randrange(len(els)), rng.randrange(len(els))
+                rows[i][j] = rng.choice(els + ["zz"] if rng.random() < 0.1 else els)
+            expected = first_group_failure(els, rows)
+            if expected is None:
+                built = CayleyGroup.from_rows(els, rows)
+                assert all(built.mul(built.inverse(g), g) == built.identity for g in els)
+                continue
+            with pytest.raises(GroupError) as err:
+                CayleyGroup.from_rows(els, rows)
+            assert str(err.value) == expected
+            failures.add(expected.split(" ")[0])
+        assert failures == {"associativity", "table", "element", "product"}
+
+    def test_index_table(self):
+        d4 = dihedral_group(4)
+        for i, a in enumerate(d4.elements):
+            for j, b in enumerate(d4.elements):
+                assert d4.elements[d4._mul_index[i, j]] == d4.mul(a, b)
 
 
 def swap_fix_action():

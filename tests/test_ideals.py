@@ -252,6 +252,15 @@ def as_sets(data, lower, upper, q):
     return d.orbit_set(lower), d.orbit_set(upper), frozenset(il._sub_indices(over, q))
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (1, 3), (1, 1), (7, 2), (500, 3), (200, 1)])
+@pytest.mark.parametrize("high", [2, 9, 1 << 40])
+def test_unique_rows_matches_numpy(shape, high):
+    rows = np.random.default_rng(shape[0] * 7 + high % 97).integers(0, high, size=shape)
+    got, want = il._unique_rows(rows), np.unique(rows, axis=0)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 class TestMaskLayer:
     """The bitmask tables that verify and analyze read, and the public
     wrappers over them, against the set-based reference."""
