@@ -145,9 +145,9 @@ class AlgebraElement:
     def coefficient(self, el) -> complex:
         return complex(self.coeffs[self.groupoid.index(el)])
 
-    def norm(self, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> float:
+    def norm(self) -> float:
         """The reduced C*-norm: operator norm in the regular representation."""
-        return linalg.operator_norm(full_representation(self.groupoid).matrix(self), tol)
+        return linalg.operator_norm(full_representation(self.groupoid).matrix(self))
 
     def support(self, eps: float = DEFAULT_TOLERANCE.zero_eps) -> frozenset:
         return frozenset(
@@ -248,11 +248,7 @@ class Representation:
 
 
 def full_representation(groupoid: FiniteGroupoid) -> Representation:
-    rep = groupoid._caches.get("representation")
-    if rep is None:
-        rep = Representation(groupoid)
-        groupoid._caches["representation"] = rep
-    return rep
+    return Representation(groupoid)
 
 
 # -- Wedderburn decomposition --------------------------------------------------

@@ -462,89 +462,18 @@ class FiniteGroupoid:
     def is_effective(self) -> bool:
         return self.effective_units() == self.units
 
-    def is_jointly_effective_at(self, x, search_limit: int = 12) -> bool:
+    def is_jointly_effective_at(self, x) -> bool:
         """Joint effectiveness at x.
 
-        Every singleton bisection {gamma} with gamma nontrivial isotropy
-        at x has source set {x} and fixes x, so joint effectiveness at x
-        reduces to trivial isotropy.  For instances with at most
-        ``search_limit`` non-unit arrows the reduction is cross-checked
-        by an exhaustive search over bisection families.
+        It asks that every family of bisections, each through a nontrivial
+        isotropy arrow at x, move some unit of their common source set.
+        With trivial isotropy there is no such arrow, and the condition
+        holds.  Otherwise a nontrivial isotropy arrow gamma gives the
+        singleton bisection {gamma}, whose source set is {x} and which
+        fixes x, so the condition fails.  Joint effectiveness at x is
+        therefore trivial isotropy.
         """
-        result = self.is_effective_at(x)
-        searched = self._joint_effectiveness_search(x, search_limit)
-        if searched is not None and searched != result:
-            raise GroupoidError(
-                f"internal error: bisection search disagrees at {x!r}"
-            )
-        return result
-
-    def _bisections(self) -> list:
-        """Every nonempty bisection of non-unit arrows, by size, each size
-        in ``itertools.combinations`` order of the non-units; built once
-        per groupoid."""
-        out = self._caches.get("bisections")
-        if out is None:
-            nonunits = [el for el in self.elements if el not in self.units]
-
-            def is_bisection(subset):
-                return (
-                    len({self._source[el] for el in subset}) == len(subset)
-                    and len({self._range[el] for el in subset}) == len(subset)
-                )
-
-            out = self._caches["bisections"] = [
-                frozenset(candidate)
-                for k in range(1, len(nonunits) + 1)
-                for candidate in itertools.combinations(nonunits, k)
-                if is_bisection(candidate)
-            ]
-        return out
-
-    def _joint_effectiveness_search(self, x, max_nonunits: int = 12,
-                                    budget: int = 200_000):
-        """Exhaustive bisection-family search; None when out of budget."""
-        nonunits = [el for el in self.elements if el not in self.units]
-        if len(nonunits) > max_nonunits:
-            return None
-        isotropy = [
-            el for el in nonunits
-            if self._source[el] == x and self._range[el] == x
-        ]
-        if not isotropy:
-            return True
-        bisections = self._bisections()
-        containing = {
-            gamma: [b for b in bisections if gamma in b] for gamma in isotropy
-        }
-
-        def family_has_witness(family):
-            common = frozenset.intersection(
-                *[frozenset(self._source[el] for el in b) for b in family]
-            )
-            for y in common:
-                moved = True
-                for b in family:
-                    arrow = next(el for el in b if self._source[el] == y)
-                    if self._range[arrow] == y:
-                        moved = False
-                        break
-                if moved:
-                    return True
-            return False
-
-        spent = 0
-        for size in (1, 2):
-            for gammas in itertools.combinations(isotropy, min(size, len(isotropy))):
-                for family in itertools.product(*(containing[g] for g in gammas)):
-                    spent += 1
-                    if spent > budget:
-                        return None
-                    if not family_has_witness(family):
-                        return False
-            if len(isotropy) < 2:
-                break
-        return True
+        return self.is_effective_at(x)
 
     def __repr__(self):
         return f"FiniteGroupoid({self.name}: {len(self.elements)} elements, {len(self.units)} units)"

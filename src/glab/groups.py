@@ -168,21 +168,20 @@ class PartialAction:
 
     ``maps[g]`` is a dict sending each point of dom(g) to its image.
     A globally defined action is the special case where every domain is
-    the whole space.  Validation checks the axioms: the identity acts
+    the whole space.  Construction validates the axioms: the identity acts
     as the identity everywhere, each map is injective with
     ``maps[g^-1]`` as its inverse, and composing ``maps[g]`` after
     ``maps[h]`` always agrees with (and stays inside) ``maps[g*h]``.
     """
 
-    def __init__(self, group: CayleyGroup, space, maps, validate: bool = True):
+    def __init__(self, group: CayleyGroup, space, maps):
         self.group = group
         self.space = tuple(space)
         self._space_set = frozenset(self.space)
         if len(self._space_set) != len(self.space):
             raise PartialActionError("duplicate points in space")
         self.maps = {g: dict(maps.get(g, {})) for g in group.elements}
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self):
         group, space = self.group, self._space_set

@@ -352,7 +352,8 @@ def exel_witness(g: FiniteGroupoid, x, bisection, f: AlgebraElement,
     supported on a bisection avoiding the isotropy at x.
 
     In the discrete case the indicator of {x} always works: the unique
-    arrow of the bisection out of x (if any) moves x.
+    arrow of the bisection out of x (if any) moves x.  ``tol.zero_eps``
+    decides the support of f and whether h f h vanishes.
     """
     tol = tol or linalg.DEFAULT_TOLERANCE
     if x not in g.units:
@@ -370,7 +371,7 @@ def exel_witness(g: FiniteGroupoid, x, bisection, f: AlgebraElement,
         raise GroupoidError(f"function does not vanish off the bisection: {off[0]!r}")
     h = delta(g, x)
     squeezed = h * f * h
-    if squeezed.norm(tol) > tol.zero_eps:
+    if squeezed.norm() > tol.zero_eps:
         raise DecompositionError("perturbation witness failed to vanish")
     return h
 

@@ -49,7 +49,7 @@ def as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def operator_norm(m, tol: TolerancePolicy = DEFAULT_TOLERANCE) -> float:
+def operator_norm(m) -> float:
     """Largest singular value of ``m`` (the C*-norm of a matrix)."""
     a = as_complex_matrix(m)
     if a.size == 0:

@@ -72,9 +72,6 @@ def freeness_table(action: PartialAction, g: FiniteGroupoid) -> list:
             "jointly_effective": jointly,
             "agree": free == effective and strong == jointly,
         })
-    # the search's list of bisections is only needed here; ``g`` outlives
-    # the report until a full collection (its decomposition points back)
-    g._caches.pop("bisections", None)
     return rows
 
 

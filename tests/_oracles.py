@@ -381,9 +381,10 @@ def first_group_failure(elements, rows):
 
 
 def joint_effectiveness_search(g, x, max_nonunits=12, budget=200_000):
-    """The exhaustive bisection-family search for joint effectiveness at
-    ``x``, rebuilding the list of every bisection for each call; None when
-    out of budget or past ``max_nonunits`` non-unit arrows."""
+    """Joint effectiveness at ``x`` by the literal definition: every
+    family of one or two bisections, through distinct nontrivial isotropy
+    arrows at ``x``, moves some unit of their common source set.  None
+    when out of budget or past ``max_nonunits`` non-unit arrows."""
     nonunits = [el for el in g.elements if el not in g.units]
     if len(nonunits) > max_nonunits:
         return None

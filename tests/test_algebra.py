@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +211,25 @@ class TestRepresentation:
             assert np.max(np.abs(lhs - rhs)) <= 1e-8
         f = al.random_element(g, rng)
         assert np.max(np.abs(rep.matrix(f.adjoint()) - rep.matrix(f).conj().T)) <= 1e-8
+
+    @pytest.mark.parametrize("build", [
+        lambda: gp.pair_groupoid((1, 2, 3)),
+        lambda: gp.group_bundle({"u": cyclic_group(3), "v": cyclic_group(2)}),
+    ], ids=["pair", "bundle"])
+    def test_freed_by_reference_counting(self, build):
+        """A groupoid whose representation matrix and norm were taken is
+        freed as soon as the last reference goes, with the collector off."""
+        gc.disable()
+        try:
+            g = build()
+            f = al.delta(g, g.elements[-1])
+            assert al.full_representation(g).matrix(f).shape == (len(g), len(g))
+            assert f.norm() == pytest.approx(1.0)
+            ref = weakref.ref(g)
+            del g, f
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_faithful(self, swap_and_fix):
         rep = al.full_representation(swap_and_fix)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from glab import groupoids as gp
 from glab.errors import CapExceededError
-from glab.generators import random_groupoid, random_partial_action, random_group
+from glab.formats import instance_from_dict
+from glab.generators import random_groupoid, random_instance, random_partial_action, random_group
 from glab.groups import (PartialAction, cyclic_group, dihedral_group, global_action,
                          symmetric_group)
 
@@ -511,10 +512,11 @@ class TestEffectiveness:
             for x in g.unit_list:
                 assert g.is_jointly_effective_at(x) == g.is_effective_at(x)
 
-    def test_bisection_search_matches_reference(self):
-        """The search over the once-built bisection list against the search
-        that rebuilds it per point, on draws with at most 12 non-units,
-        at the default budget and at a budget that runs out."""
+    def test_jointly_effective_matches_bisection_search(self):
+        """``is_jointly_effective_at`` against the literal definition, a
+        search over bisection families: at every unit of 30 non-effective
+        draws with at most 12 non-units, and of a 24-arrow action with
+        8 orbits (the smallest ``lattice`` benchmark shape)."""
         rng = random.Random(419)
         searched = 0
         while searched < 30:
@@ -523,10 +525,18 @@ class TestEffectiveness:
                 continue
             searched += 1
             for x in g.unit_list:
-                for budget in (200_000, 0):
-                    assert (g._joint_effectiveness_search(x, budget=budget)
-                            == joint_effectiveness_search(g, x, budget=budget))
-            assert g._bisections() is g._caches["bisections"]
+                assert joint_effectiveness_search(g, x) == g.is_jointly_effective_at(x)
+        rng = random.Random(12)
+        while True:
+            g = instance_from_dict(random_instance(rng, "action", 12, group_order=6)).groupoid()
+            if len(g.elements) == 24 and len(g.orbits()) == 8:
+                break
+        assert not g.is_effective()
+        for x in g.unit_list:
+            assert joint_effectiveness_search(g, x) == g.is_jointly_effective_at(x)
+        # the search gives up when out of budget
+        x = next(x for x in g.unit_list if not g.is_effective_at(x))
+        assert joint_effectiveness_search(g, x, budget=0) is None
 
     def test_isotropy_group(self, swap_and_fix):
         fixed = next(u for u in swap_and_fix.unit_list if u[0] == "c")
