@@ -1,9 +1,9 @@
 """The reduced C*-algebra of a finite groupoid, realized concretely.
 
 For a finite groupoid the convolution algebra of all complex functions
-on the groupoid IS the reduced C*-algebra: the direct sum of the
-regular representations over all units is faithful, so the algebra is
-a block-diagonal matrix *-algebra of total dimension |G|.  This module
+on the groupoid IS the reduced C*-algebra: the regular representations
+lambda_x on l2(G_x) are jointly faithful and equivalent along an orbit,
+so norms and matrix units are read one orbit's fiber at a time.  This module
 computes its decomposition into simple matrix blocks (minimal central
 idempotents, block dimensions, matrix units) and the lattice of
 two-sided ideals, which are exactly the sums of blocks.
@@ -38,6 +38,7 @@ MAX_BLOCKS = 20
 _RETRIES = 8
 _CHECK_EPS = 1e-7
 _GAP_EPS = 1e-6     # relative eigenvalue gap that separates two clusters
+_PROJECTION_CUT = 0.5   # a projection's singular values are 0 or 1
 
 
 class AlgebraError(ValueError):
@@ -64,11 +65,61 @@ class _Plan:
 
 
 def _plan(g: FiniteGroupoid) -> _Plan:
-    plan = g._caches.get("algebra_plan")
-    if plan is None:
-        plan = _Plan(g)
-        g._caches["algebra_plan"] = plan
-    return plan
+    if "algebra_plan" not in g._caches:
+        g._caches["algebra_plan"] = _Plan(g)
+    return g._caches["algebra_plan"]
+
+
+def _scatter(size: int, rows, cols, els, coeffs) -> np.ndarray:
+    """The size x size matrix summing ``coeffs[els]`` at ``(rows, cols)``."""
+    m = np.zeros((size, size), dtype=np.complex128)
+    np.add.at(m, (rows, cols), coeffs[els])
+    return m
+
+
+class _Fiber:
+    """The scatters of the orbit O of the unit of index x.  ``collapse`` is
+    the orbit-space matrix on l2(O), in unit order: delta_y goes through
+    every arrow out of y.  ``scatter``, built on first use, is lambda_x on
+    l2(G_x) in source-fiber order: delta_a sends delta_b to delta_ab, over
+    the plan's pairs whose b has source x.  It is faithful on the blocks
+    over O, and ``coefficients`` reads their functions back through a
+    transversal: a(gamma) = <lambda_x(a) delta_eta, delta_(gamma eta)>, where
+    eta, the first b that gamma acts on, is the first arrow of G_x with
+    range source(gamma).  No reference to the groupoid is held."""
+
+    def __init__(self, g: FiniteGroupoid, x: int):
+        self.plan, self.slots, self.x = _plan(g), g._pair_slots(), x
+        src, rng = self.slots.src, self.slots.rng
+        orbit = np.zeros(len(src), dtype=bool)
+        orbit[rng[src == x]] = True
+        gamma, place = np.flatnonzero(orbit[src]), np.cumsum(orbit) - 1
+        self.collapse = (int(orbit.sum()), place[rng[gamma]], place[src[gamma]], gamma)
+
+    @functools.cached_property
+    def scatter(self) -> tuple:
+        plan, slots = self.plan, self.slots
+        members = np.flatnonzero(slots.src == self.x)
+        # b's pairs fill the |G_r(b)| = |G_x| slots from start[b]
+        pairs = (slots.start[members][:, None] + np.arange(len(members))).ravel()
+        return len(members), slots.pos[plan.iab[pairs]], slots.pos[plan.ib[pairs]], plan.ia[pairs]
+
+    def matrix(self, coeffs) -> np.ndarray:
+        return _scatter(*self.scatter, coeffs)
+
+    def coefficients(self, matrix) -> np.ndarray:
+        _, rows, cols, els = self.scatter
+        gamma, first = np.unique(els, return_index=True)
+        out = np.zeros(self.plan.n, dtype=np.complex128)
+        out[gamma] = matrix[rows[first], cols[first]]
+        return out
+
+
+def _orbit_fibers(g: FiniteGroupoid) -> tuple:
+    """One ``_Fiber`` per orbit, in ``orbits()`` order, at its first unit."""
+    if "orbit_fibers" not in g._caches:
+        g._caches["orbit_fibers"] = tuple(_Fiber(g, min(map(g.index, o))) for o in g.orbits())
+    return g._caches["orbit_fibers"]
 
 
 # -- algebra elements ---------------------------------------------------------
@@ -146,8 +197,9 @@ class AlgebraElement:
         return complex(self.coeffs[self.groupoid.index(el)])
 
     def norm(self) -> float:
-        """The reduced C*-norm: operator norm in the regular representation."""
-        return linalg.operator_norm(full_representation(self.groupoid).matrix(self))
+        """The reduced C*-norm: the largest ||lambda_x(f)||, one x per orbit."""
+        return max((linalg.operator_norm(fiber.matrix(self.coeffs))
+                    for fiber in _orbit_fibers(self.groupoid)), default=0.0)
 
     def support(self, eps: float = DEFAULT_TOLERANCE.zero_eps) -> frozenset:
         return frozenset(
@@ -230,21 +282,19 @@ class Representation:
         self._plan = _plan(groupoid)
 
     def matrix(self, f) -> np.ndarray:
-        coeffs = f.coeffs if isinstance(f, AlgebraElement) else np.asarray(f, dtype=np.complex128)
-        plan = self._plan
-        m = np.zeros((plan.n, plan.n), dtype=np.complex128)
-        m[plan.iab, plan.ib] = coeffs[plan.ia]
-        return m
+        coeffs, plan = np.asarray(getattr(f, "coeffs", f), dtype=np.complex128), self._plan
+        return _scatter(plan.n, plan.iab, plan.ib, plan.ia, coeffs)
 
     def coefficients(self, matrix) -> np.ndarray:
         """Inverse of ``matrix`` on the image algebra, via the entry read-back."""
-        plan = self._plan
-        return np.asarray(matrix)[np.arange(plan.n), plan.source_idx].copy()
+        return np.asarray(matrix)[np.arange(self._plan.n), self._plan.source_idx]
 
     def fiber_matrix(self, f, x) -> np.ndarray:
-        """The block of the representation acting on l2(G_x)."""
-        idx = [self.groupoid.index(el) for el in self.groupoid.source_fiber(x)]
-        return self.matrix(f)[np.ix_(idx, idx)]
+        """The block of the representation acting on l2(G_x), built alone."""
+        if x not in self.groupoid.units:
+            raise AlgebraError(f"{x!r} is not a unit")
+        coeffs = np.asarray(getattr(f, "coeffs", f), dtype=np.complex128)
+        return _Fiber(self.groupoid, self.groupoid.index(x)).matrix(coeffs)
 
 
 def full_representation(groupoid: FiniteGroupoid) -> Representation:
@@ -430,53 +480,42 @@ class BlockDecomposition:
     # -- matrix units ------------------------------------------------------
 
     def _matrix_units_for(self, block: Block):
-        g = self.groupoid
-        rep = full_representation(g)
-        rng = np.random.default_rng((self.seed, block.index, 0xB10C))
-        d = block.dimension
-        e_mat = rep.matrix(block.idempotent)
+        """The d x d matrix units of a block, found in lambda_x at the first
+        unit x of its orbit, where the block has multiplicity d / |orbit|."""
+        g, d = self.groupoid, block.dimension
         if d == 1:
             return [[AlgebraElement(g, block.idempotent.coeffs.copy())]]
-        u, s, _ = np.linalg.svd(e_mat)
-        r = int(np.sum(s > 0.5))
-        v = u[:, :r]
-        mult = r // d
-        projections = None
+        fiber = _orbit_fibers(g)[g.orbits().index(block.orbit)]
+        rng = np.random.default_rng((self.seed, block.index, 0xB10C))
+        u, s, _ = np.linalg.svd(fiber.matrix(block.idempotent.coeffs))
+        v = u[:, :int(np.sum(s > _PROJECTION_CUT))]
+        mult = v.shape[1] // d
         for _ in range(_RETRIES):
-            a = random_element(g, rng, selfadjoint=True)
-            y = block.idempotent * a * block.idempotent
-            y_r = v.conj().T @ rep.matrix(y) @ v
-            eigenvalues, vectors = linalg.hermitian_eigen(y_r, self.tol)
+            y = block.idempotent * random_element(g, rng, selfadjoint=True) * block.idempotent
+            eigenvalues, vectors = linalg.hermitian_eigen(
+                v.conj().T @ fiber.matrix(y.coeffs) @ v, self.tol)
             clusters = _cluster(eigenvalues, d)
-            if clusters is None or any(hi - lo != mult for lo, hi in clusters):
-                continue
-            projections = [
-                v @ vectors[:, lo:hi] @ vectors[:, lo:hi].conj().T @ v.conj().T
-                for lo, hi in clusters
-            ]
-            break
-        if projections is None:
+            if clusters is not None and all(hi - lo == mult for lo, hi in clusters):
+                break
+        else:
             raise DecompositionError("matrix-unit eigenvalue clustering failed")
+        projections = [v @ vectors[:, lo:hi] @ vectors[:, lo:hi].conj().T @ v.conj().T
+                       for lo, hi in clusters]
         row = [projections[0]]
         for j in range(1, d):
-            ok = False
             for _ in range(_RETRIES):
-                a = random_element(g, rng)
-                vj = projections[0] @ rep.matrix(block.idempotent * a) @ projections[j]
+                a = block.idempotent * random_element(g, rng)
+                vj = projections[0] @ fiber.matrix(a.coeffs) @ projections[j]
                 c = float(np.real(np.trace(vj.conj().T @ vj))) / mult
                 if c > 1e-9:
                     row.append(vj / np.sqrt(c))
-                    ok = True
                     break
-            if not ok:
+            else:
                 raise DecompositionError("failed to link minimal projections")
-        units = [[None] * d for _ in range(d)]
-        for j in range(d):
-            for k in range(d):
-                m = row[j].conj().T @ row[k]
-                units[j][k] = AlgebraElement(g, rep.coefficients(m))
-        ident = sum((units[j][j].coeffs for j in range(d)), np.zeros(len(g), np.complex128))
-        if np.max(np.abs(ident - block.idempotent.coeffs)) > _CHECK_EPS:
+        units = [[AlgebraElement(g, fiber.coefficients(rj.conj().T @ rk)) for rk in row]
+                 for rj in row]
+        if np.max(np.abs(sum(units[j][j].coeffs for j in range(d))
+                         - block.idempotent.coeffs)) > _CHECK_EPS:
             raise DecompositionError("matrix units do not sum to the block idempotent")
         return units
 

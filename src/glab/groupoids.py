@@ -554,11 +554,8 @@ def from_partial_action(action: PartialAction, name: str | None = None) -> Finit
 
     Elements are triples (x, g, y) with the map for g sending y to x;
     (x, g, y)(y, h, z) = (x, g*h, z) and (x, g, y)^-1 = (y, g^-1, x).
+    The action validated itself when it was built.
     """
-    try:
-        action.validate()
-    except Exception as exc:
-        raise ConstructionError(str(exc)) from exc
     group = action.group
     e = group.identity
     point = {y: i for i, y in enumerate(action.space)}

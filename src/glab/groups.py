@@ -249,36 +249,26 @@ class PartialAction:
         return [g for g in self.group.elements if g != e and self.fixes(g, x)]
 
     def is_topologically_free_at(self, x) -> bool:
-        """No single nontrivial group element fixes x.
+        """No nontrivial group element fixes x.
 
-        On a finite (hence discrete) space the minimal neighbourhood of
-        x is {x} itself, so an element fixing x can never be perturbed
-        away; freeness reduces to the stabilizer being trivial.
+        Freeness asks that each stabilizing element move some point of
+        every neighbourhood of x.  On a finite (hence discrete) space the
+        minimal neighbourhood of x is {x}, which every stabilizing element
+        fixes, so freeness at x is a trivial stabilizer.
         """
         if x not in self._space_set:
             raise PartialActionError(f"point {x!r} is not in the space")
-        for g in self.stabilizer_elements(x):
-            neighbourhood = (x,)
-            if not any(self.maps[g].get(y, None) != y for y in neighbourhood):
-                return False
-        return True
+        return not self.stabilizer_elements(x)
 
     def is_strongly_topologically_free_at(self, x) -> bool:
         """Every finite family of stabilizing elements can be jointly perturbed.
 
-        Checked literally against the minimal neighbourhood {x}: a
-        nonempty stabilizer family can never be perturbed there, and an
-        empty family holds vacuously.
+        A family must move one point of every neighbourhood of x all at
+        once.  The minimal neighbourhood {x} is fixed by every stabilizing
+        element, so a nonempty family never can, and the empty family
+        holds vacuously: strong freeness at x is a trivial stabilizer too.
         """
-        if x not in self._space_set:
-            raise PartialActionError(f"point {x!r} is not in the space")
-        fixing = self.stabilizer_elements(x)
-        if not fixing:
-            return True
-        neighbourhood = (x,)
-        return any(
-            all(self.maps[g].get(y, None) != y for g in fixing) for y in neighbourhood
-        )
+        return self.is_topologically_free_at(x)
 
     def is_relatively_strongly_free(self) -> bool:
         return all(

@@ -39,6 +39,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import (
+    _PROJECTION_CUT,
     MAX_BLOCKS,
     AlgebraElement,
     BlockDecomposition,
@@ -46,7 +47,9 @@ from .algebra import (
     Ideal,
     _bits,
     _block_mask,
+    _orbit_fibers,
     _plan,
+    _scatter,
     delta,
     wedderburn,
 )
@@ -264,39 +267,10 @@ def obstruction_ideal(decomp_or_groupoid, tol=None, seed=None) -> Ideal:
     return j_ob
 
 
-def _collapse_plan(g: FiniteGroupoid):
-    plan = g._caches.get("collapse_plan")
-    if plan is not None:
-        return plan
-    orbits = g.orbits()
-    order = {u: i for i, u in enumerate(g.unit_list)}
-    data = []
-    for orbit in orbits:
-        members = sorted(orbit, key=lambda u: order[u])
-        pos = {u: i for i, u in enumerate(members)}
-        rows, cols, els = [], [], []
-        for el in g.elements:
-            if g.source(el) in pos:
-                rows.append(pos[g.range(el)])
-                cols.append(pos[g.source(el)])
-                els.append(g.index(el))
-        data.append((len(members),
-                     np.asarray(rows, dtype=np.intp),
-                     np.asarray(cols, dtype=np.intp),
-                     np.asarray(els, dtype=np.intp)))
-    g._caches["collapse_plan"] = data
-    return data
-
-
 def collapse_matrices(g: FiniteGroupoid, a: AlgebraElement) -> list:
     """The action of ``a`` on the orbit spaces, one matrix per orbit:
     a basis vector at a unit is sent through every arrow out of it."""
-    out = []
-    for size, rows, cols, els in _collapse_plan(g):
-        m = np.zeros((size, size), dtype=np.complex128)
-        np.add.at(m, (rows, cols), a.coeffs[els])
-        out.append(m)
-    return out
+    return [_scatter(*fiber.collapse, a.coeffs) for fiber in _orbit_fibers(g)]
 
 
 def collapse_kernel(decomp_or_groupoid, tol=None, seed=None) -> Ideal:
@@ -320,10 +294,11 @@ def _obstruction(decomp: BlockDecomposition) -> tuple:
     g = decomp.groupoid
     noneffective = g.units - g.effective_units()
     j_ob = decomp.dynamical_ideal_of(noneffective)
+    # on its own orbit a block's idempotent maps to a projection: norm 0 or 1
     killed = 0
     for blk in decomp.blocks:
-        norms = [linalg.operator_norm(m) for m in collapse_matrices(g, blk.idempotent)]
-        if max(norms, default=0.0) < 0.5:
+        on_orbit = collapse_matrices(g, blk.idempotent)[g.orbits().index(blk.orbit)]
+        if linalg.operator_norm(on_orbit) < _PROJECTION_CUT:
             killed |= 1 << blk.index
     kernel = Ideal(decomp, killed)
     failures = []
@@ -359,14 +334,13 @@ def exel_witness(g: FiniteGroupoid, x, bisection, f: AlgebraElement,
     if x not in g.units:
         raise GroupoidError(f"{x!r} is not a unit")
     members = frozenset(bisection)
-    sources = [g.source(el) for el in members]
-    ranges = [g.range(el) for el in members]
-    if len(set(sources)) != len(members) or len(set(ranges)) != len(members):
+    ends = ({g.source(el) for el in members}, {g.range(el) for el in members})
+    if any(len(e) != len(members) for e in ends):
         raise GroupoidError("the given set is not a bisection")
     for el in members:
         if g.source(el) == x and g.range(el) == x:
             raise GroupoidError(f"bisection meets the isotropy at {x!r} (arrow {el!r})")
-    off = [el for el in f.support(tol.zero_eps) if el not in members]
+    off = [el for el, c in zip(g.elements, f.coeffs) if abs(c) > tol.zero_eps and el not in members]
     if off:
         raise GroupoidError(f"function does not vanish off the bisection: {off[0]!r}")
     h = delta(g, x)

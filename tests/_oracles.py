@@ -6,7 +6,9 @@ first search, convolution by the literal double sum, block dimensions
 by counting conjugacy classes of the isotropy group and solving the
 sum-of-squares constraint, ideal/triple counts by per-orbit
 combinatorics, the minimal central idempotents by splitting a dense
-regular representation, periodic loci by iterating the map p times,
+regular representation, the reduced norm, the fibers lambda_x and the
+collapse kernel (over every orbit) from that dense representation and
+literal orbit-space matrices, periodic loci by iterating the map p times,
 simple cycles by a search from every vertex that identifies rotations
 in a set, and exits by comparing each cycle vertex's out-edges with the
 cycle's next edge.  The sandwich sets, the triple bijection and the
@@ -504,6 +506,57 @@ def dense_central_idempotents(g, seed=0, gap=1e-6):
             return [(vectors[:, lo:hi] @ vectors[:, lo:hi].conj().T)[range(n), source]
                     for lo, hi in zip(cuts, cuts[1:])]
     raise ValueError("central element eigenvalues kept colliding")
+
+
+def dense_regular_representation(g, coeffs):
+    """The |G| x |G| direct sum over the units x of the regular
+    representations on l2(G_x), from ``composable_pairs`` and ``compose``:
+    delta_a sends delta_b to delta_ab."""
+    index = {el: i for i, el in enumerate(g.elements)}
+    m = np.zeros((len(g), len(g)), dtype=np.complex128)
+    for a, b in g.composable_pairs():
+        m[index[g.compose(a, b)], index[b]] += coeffs[index[a]]
+    return m
+
+
+def dense_norm(g, coeffs) -> float:
+    """The reduced norm: the largest singular value of the dense regular
+    representation over all units at once."""
+    m = dense_regular_representation(g, coeffs)
+    return float(np.linalg.svd(m, compute_uv=False)[0]) if m.size else 0.0
+
+
+def dense_fibers(g, coeffs) -> dict:
+    """lambda_x(f) at every unit x: the dense representation sliced to the
+    arrows with source x, in element order."""
+    m = dense_regular_representation(g, coeffs)
+    out = {}
+    for x in g.unit_list:
+        idx = [i for i, el in enumerate(g.elements) if g.source(el) == x]
+        out[x] = m[np.ix_(idx, idx)]
+    return out
+
+
+def dense_collapse_kernel(decomp, cut=0.5) -> list:
+    """The blocks that the orbit-space representation kills: those whose
+    idempotent has operator norm below ``cut`` on every orbit.  Each
+    orbit's matrix sends the basis vector at source(gamma) to the one at
+    range(gamma) with weight e(gamma), for every arrow of the groupoid."""
+    g = decomp.groupoid
+    killed = []
+    for blk in decomp.blocks:
+        largest = 0.0
+        for orbit in bfs_orbits(g):
+            members = [u for u in g.unit_list if u in orbit]
+            m = np.zeros((len(members), len(members)), dtype=np.complex128)
+            for el in g.elements:
+                if g.source(el) in orbit:
+                    m[members.index(g.range(el)), members.index(g.source(el))] += (
+                        blk.idempotent.coefficient(el))
+            largest = max(largest, float(np.linalg.svd(m, compute_uv=False)[0]))
+        if largest < cut:
+            killed.append(blk.index)
+    return killed
 
 
 def orthonormal_basis(vectors, eps=1e-9):

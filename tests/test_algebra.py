@@ -8,6 +8,8 @@ import pytest
 
 from glab import algebra as al
 from glab import groupoids as gp
+from glab import ideals as il
+from glab.cli import main
 from glab.errors import CapExceededError
 from glab.formats import load_instance
 from glab.generators import random_groupoid
@@ -20,10 +22,15 @@ from _oracles import (
     composition_arrays,
     convolve_literal,
     dense_central_idempotents,
+    dense_collapse_kernel,
+    dense_fibers,
+    dense_norm,
     expected_block_dimensions,
     expected_counts,
     numeric_diagonal_units,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def constructions(swap_and_fix):
@@ -231,6 +238,11 @@ class TestRepresentation:
         finally:
             gc.enable()
 
+    def test_fiber_matrix_refuses_a_non_unit(self, z2_bundle):
+        rep = al.full_representation(z2_bundle)
+        with pytest.raises(al.AlgebraError, match="is not a unit"):
+            rep.fiber_matrix(al.unit_element(z2_bundle), z2_bundle.elements[1])
+
     def test_faithful(self, swap_and_fix):
         rep = al.full_representation(swap_and_fix)
         rng = np.random.default_rng(12)
@@ -324,7 +336,16 @@ class TestWedderburn:
         with pytest.raises(al.DecompositionError, match="^central idempotents are not"):
             al.wedderburn(gp.group_bundle({"u": symmetric_group(3)}))
 
-    def test_eigensolves_only_in_the_center(self, monkeypatch):
+    @pytest.fixture()
+    def no_dense_representation(self, monkeypatch):
+        """Refuse the |G| x |G| regular representation and its read-back."""
+        def refuse(self, f):
+            raise AssertionError("the dense regular representation was used")
+
+        monkeypatch.setattr(al.Representation, "matrix", refuse)
+        monkeypatch.setattr(al.Representation, "coefficients", refuse)
+
+    def test_eigensolves_only_in_the_center(self, monkeypatch, no_dense_representation):
         shapes = []
         real = al.linalg.hermitian_eigen
 
@@ -332,13 +353,28 @@ class TestWedderburn:
             shapes.append(np.shape(m))
             return real(m, *args, **kwargs)
 
-        def refuse(self, f):
-            raise AssertionError("the dense regular representation was built")
-
         monkeypatch.setattr(al.linalg, "hermitian_eigen", recording)
-        monkeypatch.setattr(al.Representation, "matrix", refuse)
         d = al.wedderburn(gp.group_bundle({f"u{i}": symmetric_group(4) for i in range(8)}))
         assert shapes and set(shapes) == {(d.block_count, d.block_count)}
+
+    def test_no_path_builds_the_dense_representation(self, no_dense_representation, capsys):
+        """The norm, every block's matrix units, the collapse kernel, the
+        perturbation witness, ``verify`` and ``glab analyze`` work one
+        orbit's fiber at a time, on freshly built groupoids."""
+        swap = load_instance(DATA / "swap_and_fix.json").groupoid()
+        rng = np.random.default_rng(23)
+        for g in (gp.group_bundle({f"u{i}": symmetric_group(4) for i in range(8)}), swap):
+            d = al.wedderburn(g)
+            assert al.random_element(g, rng).norm() > 0
+            for blk in d.blocks:
+                assert len(blk.matrix_units()) == blk.dimension
+            assert not collapse_kernel(d).is_zero
+        assert il.verify(swap).all_passed
+        arrow = next(el for el in swap.elements if el[0] == "b" and el[2] == "a")
+        x = next(u for u in swap.unit_list if u[0] == "a")
+        il.exel_witness(swap, x, [arrow], al.delta(swap, arrow))
+        assert main(["analyze", str(DATA / "action8.json"), "--format", "json"]) == 0
+        assert capsys.readouterr().out
 
     @pytest.mark.parametrize("name, kernel", [
         ("z2_bundle", [1]),
@@ -394,9 +430,16 @@ class TestCenter:
 
 
 class TestMatrixUnits:
-    @pytest.mark.parametrize("fixture", ["pair2", "swap_and_fix"])
+    # in lambda_x of the S4 bundle its 2- and 3-dimensional blocks have
+    # multiplicity 2 and 3; pair(4) is one orbit of four units
+    BUILT = {
+        "s4_bundle4": lambda: gp.group_bundle({f"u{i}": symmetric_group(4) for i in range(4)}),
+        "pair4": lambda: gp.pair_groupoid(range(4)),
+    }
+
+    @pytest.mark.parametrize("fixture", ["pair2", "swap_and_fix", "s4_bundle4", "pair4"])
     def test_relations(self, fixture, request):
-        g = request.getfixturevalue(fixture)
+        g = self.BUILT[fixture]() if fixture in self.BUILT else request.getfixturevalue(fixture)
         d = al.wedderburn(g)
         for blk in d.blocks:
             units = blk.matrix_units()
@@ -416,6 +459,43 @@ class TestMatrixUnits:
             for j in range(n):
                 total = total + units[j][j]
             assert total.allclose(blk.idempotent, eps=1e-7)
+
+
+class TestOrbitFibers:
+    """The norm, each fiber lambda_x and the collapse kernel, read one orbit
+    at a time, against the dense references in ``_oracles``: the norm and
+    the fibers of the |G| x |G| representation, and the kernel taken over
+    every orbit."""
+
+    @staticmethod
+    def assert_matches_dense(g, rng):
+        f = al.random_element(g, rng)
+        want = dense_norm(g, f.coeffs)
+        assert abs(f.norm() - want) <= 1e-12 * want
+        rep = al.full_representation(g)
+        for x, fiber in dense_fibers(g, f.coeffs).items():
+            assert np.array_equal(rep.fiber_matrix(f, x), fiber)
+        d = al.wedderburn(g)
+        assert sorted(collapse_kernel(d).blocks) == dense_collapse_kernel(d)
+
+    def test_random_draws(self):
+        rng, draws = np.random.default_rng(29), random.Random(31)
+        for _ in range(300):
+            self.assert_matches_dense(random_groupoid(draws, 32), rng)
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_s4_bundles(self, k):
+        g = gp.group_bundle({f"u{i}": symmetric_group(4) for i in range(k)})
+        self.assert_matches_dense(g, np.random.default_rng(k))
+
+    def test_pair22(self):
+        self.assert_matches_dense(gp.pair_groupoid(range(22)), np.random.default_rng(22))
+
+    def test_worked_instances(self, z2_bundle, swap_and_fix, pair2, pair3):
+        rng = np.random.default_rng(37)
+        for g in (z2_bundle, swap_and_fix, pair2, pair3, gp.empty_groupoid()):
+            f = al.random_element(g, rng)
+            assert f.norm() == pytest.approx(dense_norm(g, f.coeffs), rel=1e-12, abs=0.0)
 
 
 class TestIdeals:

@@ -12,7 +12,7 @@ from glab.algebra import DEFAULT_SEED, wedderburn
 from glab.cli import _ROWS_STANDIN, _emit, main
 from glab.formats import Instance, dump_instance, load_instance
 from glab.generators import group_payload, random_groupoid, random_instance
-from glab.groups import cyclic_group
+from glab.groups import PartialAction, cyclic_group
 
 from _oracles import (block_set, set_dimension, set_is_dynamical,
                       set_is_purely_nondynamical, set_sandwich, set_theta_inverse)
@@ -145,6 +145,16 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", str(path), "--format", "json")
         assert code == 0 and json.loads(out)["freeness"]
         assert len(built) == 1
+
+    def test_partial_action_validated_once(self, capsys, monkeypatch):
+        calls = []
+        real = PartialAction.validate
+        monkeypatch.setattr(PartialAction, "validate",
+                            lambda self: calls.append(self) or real(self))
+        path = Path(__file__).parent / "data" / "action8.json"
+        code, _, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert len(calls) == 1
 
     def test_graph_instance_rejected(self, capsys, tmp_path):
         path = tmp_path / "g.json"

@@ -395,7 +395,7 @@ class TestConstructors:
 
     def test_partial_action_error_names_pair(self):
         z4 = cyclic_group(4)
-        from glab.groups import PartialAction
+        from glab.groups import PartialAction, PartialActionError
 
         maps = {
             "r0": {x: x for x in "abcd"},
@@ -403,13 +403,9 @@ class TestConstructors:
             "r2": {"a": "c", "c": "a"},
             "r3": {"b": "a", "c": "b", "d": "c", "a": "d"},
         }
-        with pytest.raises(gp.ConstructionError, match=r"\(g="):
-            bad = PartialAction.__new__(PartialAction)
-            bad.group = z4
-            bad.space = tuple("abcd")
-            bad._space_set = frozenset("abcd")
-            bad.maps = maps
-            gp.from_partial_action(bad)
+        # construction validates, so from_partial_action never sees it
+        with pytest.raises(PartialActionError, match=r"\(g="):
+            PartialAction(z4, "abcd", maps)
 
     def test_disjoint_union(self, pair2, z2_bundle):
         u = gp.disjoint_union([pair2, z2_bundle])

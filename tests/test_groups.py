@@ -159,3 +159,5 @@ class TestPartialAction:
     def test_unknown_point_rejected(self):
         with pytest.raises(PartialActionError):
             swap_fix_action().is_topologically_free_at("z")
+        with pytest.raises(PartialActionError):
+            swap_fix_action().is_strongly_topologically_free_at("z")

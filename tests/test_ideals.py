@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,6 +442,33 @@ class TestExelWitness:
         f = al.delta(pair2, (1, 2)) + al.delta(pair2, (2, 1))
         with pytest.raises(gp.GroupoidError, match="vanish"):
             il.exel_witness(pair2, (1, 1), [(2, 1)], f)
+
+    def test_names_the_first_arrow_off_the_bisection_under_any_hash_seed(self):
+        """f = 1 on every arrow of swap-and-fix, against one arrow out of the
+        first unit: the arrow named is the first off the bisection in
+        element order, whatever the string hashes are."""
+        script = textwrap.dedent("""
+            import numpy as np
+            from glab import algebra as al, groupoids as gp, ideals as il
+            from glab.groups import cyclic_group, global_action
+            action = global_action(cyclic_group(2), ("a", "b", "c"), {
+                "r0": {"a": "a", "b": "b", "c": "c"}, "r1": {"a": "b", "b": "a", "c": "c"}})
+            g = gp.from_group_action(action)
+            x = g.unit_list[0]
+            arrow = next(el for el in g.source_fiber(x) if el != x)
+            try:
+                il.exel_witness(g, x, [arrow], al.AlgebraElement(g, np.ones(len(g))))
+            except gp.GroupoidError as exc:
+                print(exc)
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        messages = {
+            subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           timeout=60, check=True,
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2", "3")
+        }
+        assert messages == {"function does not vanish off the bisection: ('a', 'r0', 'a')\n"}
 
 
 class TestVerify:
