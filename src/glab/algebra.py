@@ -17,12 +17,15 @@ eigenvector u_k gives e_k = C u_k <u_k, C^H 1>, of rank
 tr lambda(e_k) = sum over units x of |G^x| e_k(x).
 
 Ideals are canonically represented by their block subsets, held as
-bitmasks, so ideal identity is exact and free of tolerance drift.
+bitmasks, so ideal identity is exact and free of tolerance drift.  The
+decomposition holds the one block incidence: each block's orbit index and a
+|G| x b boolean support matrix, turned into frozensets only at the public API.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 from dataclasses import dataclass, field
 
@@ -39,6 +42,9 @@ _RETRIES = 8
 _CHECK_EPS = 1e-7
 _GAP_EPS = 1e-6     # relative eigenvalue gap that separates two clusters
 _PROJECTION_CUT = 0.5   # a projection's singular values are 0 or 1
+_NORM_GUARD = 1e-12     # a central draw this small has no spectrum to split
+_LINK_CUT = 1e-9        # a matrix-unit link this small is zero: draw again
+_TIE_RESOLUTION = 2.0 ** -20   # tie grid ~1e-6; binary, so no d/|H| (|H| < 2^20) sits halfway
 
 
 class AlgebraError(ValueError):
@@ -68,6 +74,17 @@ def _plan(g: FiniteGroupoid) -> _Plan:
     if "algebra_plan" not in g._caches:
         g._caches["algebra_plan"] = _Plan(g)
     return g._caches["algebra_plan"]
+
+
+def _convolve(plan: _Plan, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """f * g on coefficient vectors, or column by column on |G| x k matrices
+    (a vector f convolves every column of g)."""
+    if g.ndim == 2:
+        return np.column_stack([_convolve(plan, f if f.ndim == 1 else f[:, j], g[:, j])
+                                for j in range(g.shape[1])])
+    out = np.zeros(plan.n, dtype=np.complex128)
+    np.add.at(out, plan.iab, f[plan.ia] * g[plan.ib])
+    return out
 
 
 def _scatter(size: int, rows, cols, els, coeffs) -> np.ndarray:
@@ -175,9 +192,7 @@ class AlgebraElement:
             return AlgebraElement(self.groupoid, other * self.coeffs)
         self._check_same(other)
         plan = _plan(self.groupoid)
-        out = np.zeros(plan.n, dtype=np.complex128)
-        np.add.at(out, plan.iab, self.coeffs[plan.ia] * other.coeffs[plan.ib])
-        return AlgebraElement(self.groupoid, out)
+        return AlgebraElement(self.groupoid, _convolve(plan, self.coeffs, other.coeffs))
 
     def adjoint(self):
         """Involution: f*(gamma) = conj(f(gamma^-1))."""
@@ -311,10 +326,17 @@ class Block:
     index: int
     dimension: int
     idempotent: AlgebraElement
-    orbit: frozenset
-    support: frozenset
     _decomposition: "BlockDecomposition" = field(repr=False, default=None)
     _matrix_units: list = field(repr=False, default=None)
+
+    @property
+    def orbit(self) -> frozenset:
+        return self._decomposition.groupoid.orbits()[self._decomposition._orbit_index[self.index]]
+
+    @property
+    def support(self) -> frozenset:
+        d = self._decomposition
+        return frozenset(itertools.compress(d.groupoid.elements, d._support[:, self.index]))
 
     def matrix_units(self):
         """A d x d family of matrix units spanning the block (lazy)."""
@@ -326,12 +348,13 @@ class Block:
 class BlockDecomposition:
     """Minimal central idempotents and simple-block data for C*_r(G)."""
 
-    def __init__(self, groupoid, tol, seed, blocks, numerics):
+    def __init__(self, groupoid, tol, seed, blocks, numerics, orbit_index, support):
         self.groupoid = groupoid
         self.tol = tol
         self.seed = seed
         self.blocks = tuple(blocks)
         self.numerics = numerics
+        self._orbit_index, self._support = orbit_index, support
         for blk in self.blocks:
             blk._decomposition = self
         self._subquotients: dict = {}
@@ -348,11 +371,8 @@ class BlockDecomposition:
     def orbit_masks(self) -> tuple:
         """Per orbit, in ``groupoid.orbits()`` order, the mask of the
         blocks over it (bit i is block i)."""
-        index = {orbit: o for o, orbit in enumerate(self.groupoid.orbits())}
-        masks = [0] * len(index)
-        for blk in self.blocks:
-            masks[index[blk.orbit]] |= 1 << blk.index
-        return tuple(masks)
+        return tuple(_block_mask(np.flatnonzero(self._orbit_index == o).tolist())
+                     for o in range(len(self.groupoid.orbits())))
 
     def orbit_blocks(self) -> dict:
         """Map each orbit to the tuple of indices of blocks sitting over it."""
@@ -385,6 +405,10 @@ class BlockDecomposition:
         """The units of the orbits in ``w``."""
         orbits = self.groupoid.orbits()
         return frozenset().union(*(orbits[o] for o in _bits(w)))
+
+    def _held(self, m: int) -> np.ndarray:
+        """Per arrow, whether it lies in the support of ideal ``m``."""
+        return self._support[:, _bits(m)].any(axis=1)
 
     # -- ideals ---------------------------------------------------------
 
@@ -441,40 +465,32 @@ class BlockDecomposition:
         and registered as the reduction's cached decomposition.
         """
         members = frozenset(members)
-        key = members
-        cached = self._subquotients.get(key)
+        cached = self._subquotients.get(members)
         if cached is not None:
             return cached
         if not self.groupoid.is_invariant_unit_set(members):
             raise GroupoidError("reduction set must be invariant for the subquotient")
         if members == self.groupoid.units:
             result = (self, {i: i for i in range(self.block_count)})
-            self._subquotients[key] = result
+            self._subquotients[members] = result
             return result
         sub_groupoid = self.groupoid.restrict(members, validate=False)
         keep = np.asarray(
             [self.groupoid.index(el) for el in sub_groupoid.elements], dtype=np.intp
         )
-        mapping = {}
-        blocks = []
-        for parent in self.blocks:
-            if not parent.orbit <= members:
-                continue
-            index = len(blocks)
-            mapping[index] = parent.index
-            blocks.append(Block(
-                index=index,
-                dimension=parent.dimension,
-                idempotent=AlgebraElement(sub_groupoid, parent.idempotent.coeffs[keep]),
-                orbit=parent.orbit,
-                support=parent.support,
-            ))
-        sub = BlockDecomposition(
-            sub_groupoid, self.tol, self.seed, blocks, dict(self.numerics)
-        )
+        w = self.orbit_mask(members)
+        parents = _bits(self.over(w))
+        mapping = dict(enumerate(parents))
+        blocks = [Block(i, self.blocks[p].dimension,
+                        AlgebraElement(sub_groupoid, self.blocks[p].idempotent.coeffs[keep]))
+                  for i, p in mapping.items()]
+        # the reduction keeps the orbits of ``w``, in their order
+        orbit_index = np.searchsorted(_bits(w), self._orbit_index[parents])
+        sub = BlockDecomposition(sub_groupoid, self.tol, self.seed, blocks, dict(self.numerics),
+                                 orbit_index, self._support[np.ix_(keep, parents)])
         sub_groupoid._caches[_wedderburn_key(self.tol, self.seed)] = sub
         result = (sub, mapping)
-        self._subquotients[key] = result
+        self._subquotients[members] = result
         return result
 
     # -- matrix units ------------------------------------------------------
@@ -485,7 +501,7 @@ class BlockDecomposition:
         g, d = self.groupoid, block.dimension
         if d == 1:
             return [[AlgebraElement(g, block.idempotent.coeffs.copy())]]
-        fiber = _orbit_fibers(g)[g.orbits().index(block.orbit)]
+        fiber = _orbit_fibers(g)[self._orbit_index[block.index]]
         rng = np.random.default_rng((self.seed, block.index, 0xB10C))
         u, s, _ = np.linalg.svd(fiber.matrix(block.idempotent.coeffs))
         v = u[:, :int(np.sum(s > _PROJECTION_CUT))]
@@ -507,7 +523,7 @@ class BlockDecomposition:
                 a = block.idempotent * random_element(g, rng)
                 vj = projections[0] @ fiber.matrix(a.coeffs) @ projections[j]
                 c = float(np.real(np.trace(vj.conj().T @ vj))) / mult
-                if c > 1e-9:
+                if c > _LINK_CUT:
                     row.append(vj / np.sqrt(c))
                     break
             else:
@@ -545,6 +561,14 @@ def _wedderburn_key(tol: TolerancePolicy, seed: int) -> tuple:
     return ("wedderburn", tol.zero_eps, tol.eig_residual, seed)
 
 
+def _source_orbits(g: FiniteGroupoid) -> np.ndarray:
+    """Per element, the index in ``orbits()`` of the orbit of its source."""
+    orbit_of = np.zeros(len(g), dtype=np.intp)
+    for o, orbit in enumerate(g.orbits()):
+        orbit_of[[g.index(u) for u in orbit]] = o
+    return orbit_of[_plan(g).source_idx]
+
+
 def _center_basis(g: FiniteGroupoid) -> np.ndarray:
     """Orthonormal basis (columns) of the center: the normalised indicators
     of the isotropy conjugacy classes {h gamma h^-1}, one per block, in the
@@ -565,19 +589,6 @@ def _center_basis(g: FiniteGroupoid) -> np.ndarray:
     return basis
 
 
-def _block_order(a, b) -> int:
-    """Blocks by (first unit of the orbit, dimension).  A tie goes to the
-    idempotent with the larger real part at the first arrow, in element
-    order, where the real parts differ by more than 1e-6; blocks of
-    conjugate characters, equal in real part, by imaginary parts alike."""
-    if a[:2] != b[:2]:
-        return -1 if a[:2] < b[:2] else 1
-    diff = b[2].coeffs - a[2].coeffs
-    diff = np.concatenate([diff.real, diff.imag])
-    decisive = np.flatnonzero(np.abs(diff) > 1e-6)
-    return int(np.sign(diff[decisive[0]])) if decisive.size else 0
-
-
 def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
                seed: int | None = None) -> BlockDecomposition:
     """Decompose C*_r(G) into simple matrix blocks.
@@ -586,8 +597,8 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
     C from a seeded stream (retrying on eigenvalue collisions), solves the
     b x b Hermitian M = C^H (w * C), and reads each minimal central
     idempotent, its rank and its support (every arrow whose range fiber
-    meets it) off one eigenvector of M.  Blocks are numbered by
-    ``_block_order``.  The result is cached per groupoid and (tol, seed).
+    meets it) off one eigenvector of M.  Blocks are numbered by orbit,
+    dimension and coefficients.  The result is cached per groupoid and (tol, seed).
     """
     tol = tol or DEFAULT_TOLERANCE
     seed = DEFAULT_SEED if seed is None else seed
@@ -599,7 +610,7 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
     n = len(g)
     numerics = {"eig_residual": 0.0, "dim_rounding": 0.0, "retries": 0}
     if n == 0:
-        decomp = BlockDecomposition(g, tol, seed, (), numerics)
+        decomp = BlockDecomposition(g, tol, seed, (), numerics, np.arange(0), np.zeros((0, 0), bool))
         g._caches[key] = decomp
         return decomp
 
@@ -611,12 +622,10 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
     for _ in range(_RETRIES):
         w = center @ (rng.standard_normal(b) + 1j * rng.standard_normal(b))
         w = (w + np.conj(w[plan.inv])) / 2.0
-        if np.linalg.norm(w) < 1e-12:
+        if np.linalg.norm(w) < _NORM_GUARD:
             numerics["retries"] += 1
             continue
-        w_el = AlgebraElement(g, w)
-        m = center.conj().T @ np.column_stack(
-            [(w_el * AlgebraElement(g, c)).coeffs for c in center.T])
+        m = center.conj().T @ _convolve(plan, w, center)
         eigenvalues, vectors = linalg.hermitian_eigen(m, tol)
         numerics["eig_residual"] = max(
             numerics["eig_residual"], linalg.eigen_residual(m, eigenvalues, vectors)
@@ -630,9 +639,8 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
         )
 
     idempotents = center @ (vectors * (vectors.conj().T @ (center.conj().T @ plan.unit_mask)))
-    elements = [AlgebraElement(g, e) for e in idempotents.T.copy()]
-    if not all((e * e).allclose(e, _CHECK_EPS) and e.adjoint().allclose(e, _CHECK_EPS)
-               for e in elements):
+    if not (np.max(np.abs(_convolve(plan, idempotents, idempotents) - idempotents)) <= _CHECK_EPS
+            and np.max(np.abs(np.conj(idempotents[plan.inv]) - idempotents)) <= _CHECK_EPS):
         raise DecompositionError("central idempotents are not self-adjoint idempotents")
     if np.max(np.abs(idempotents.sum(axis=1) - plan.unit_mask)) > _CHECK_EPS:
         raise DecompositionError("central idempotents do not sum to the unit")
@@ -652,24 +660,24 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
     fiber_peak = np.zeros((n, b))
     np.maximum.at(fiber_peak, plan.range_idx, magnitude)
     supports = fiber_peak[plan.range_idx] > tol.zero_eps
-    units = [(i, g.elements[i]) for i in np.flatnonzero(plan.unit_mask)]
-    order = {u: i for i, u in enumerate(g.unit_list)}
-    orbits = g.orbits()
-    raw_blocks = []
-    for k, e in enumerate(elements):
-        orbit = frozenset(u for i, u in units if magnitude[i, k] > tol.zero_eps)
-        if orbit not in orbits:
-            raise DecompositionError(
-                f"block diagonal footprint {sorted(map(repr, orbit))} is not an orbit")
-        support = frozenset(g.elements[i] for i in np.flatnonzero(supports[:, k]))
-        raw_blocks.append((min(order[u] for u in orbit), int(dims[k]), e, orbit, support))
+    # a block's footprint on the units must be the whole of one orbit
+    units = np.flatnonzero(plan.unit_mask)
+    footprint = magnitude[units] > tol.zero_eps
+    unit_orbit = _source_orbits(g)[units]
+    orbit = unit_orbit[footprint.argmax(axis=0)]
+    stray = np.flatnonzero((footprint != (unit_orbit[:, None] == orbit)).any(axis=0))
+    if stray.size:
+        members = sorted(repr(g.elements[i]) for i in units[footprint[:, stray[0]]])
+        raise DecompositionError(f"block diagonal footprint {members} is not an orbit")
 
-    raw_blocks.sort(key=functools.cmp_to_key(_block_order))
-    blocks = [
-        Block(index=i, dimension=dim, idempotent=e, orbit=orbit, support=support)
-        for i, (_, dim, e, orbit, support) in enumerate(raw_blocks)
-    ]
-    decomp = BlockDecomposition(g, tol, seed, blocks, numerics)
+    # by (orbit, dimension), then the larger coefficient on the tie grid, real
+    # parts and then imaginary parts in element order; equal rows never decide
+    ties = -np.rint(np.concatenate([idempotents.real, idempotents.imag]) / _TIE_RESOLUTION)
+    ties = ties[(ties != ties[:, :1]).any(axis=1)]
+    order = np.lexsort(np.vstack([ties[::-1], dims, orbit]))
+    blocks = [Block(index=i, dimension=int(dims[k]), idempotent=AlgebraElement(g, e))
+              for i, (k, e) in enumerate(zip(order, idempotents.T[order]))]
+    decomp = BlockDecomposition(g, tol, seed, blocks, numerics, orbit[order], supports[:, order])
     g._caches[key] = decomp
     return decomp
 
@@ -702,8 +710,8 @@ class Ideal:
 
     def support(self) -> frozenset:
         """All arrows where some element of the ideal is nonzero."""
-        return frozenset().union(*(blk.support for blk in self.decomposition.blocks
-                                   if self.mask >> blk.index & 1))
+        d = self.decomposition
+        return frozenset(itertools.compress(d.groupoid.elements, d._held(self.mask)))
 
     def diagonal_units(self) -> frozenset:
         """Units x with delta_x in the ideal: those of the orbits it fills."""

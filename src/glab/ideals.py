@@ -50,6 +50,7 @@ from .algebra import (
     _orbit_fibers,
     _plan,
     _scatter,
+    _source_orbits,
     delta,
     wedderburn,
 )
@@ -221,9 +222,7 @@ def _triple_table(decomp: BlockDecomposition) -> tuple:
     product of per-orbit choices and V minus U is a union of orbits
     with at least two blocks.
     """
-    g = decomp.groupoid
-    position = {u: i for i, u in enumerate(g.unit_list)}
-    units = [sorted(position[u] for u in orbit) for orbit in g.orbits()]
+    unit_orbit = _source_orbits(decomp.groupoid)[_plan(decomp.groupoid).unit_mask]
     obm = decomp.orbit_masks
     unit_masks = np.arange(1 << len(obm), dtype=np.int64)
     split = [o for o, bm in enumerate(obm) if bm.bit_count() > 1]
@@ -236,7 +235,7 @@ def _triple_table(decomp: BlockDecomposition) -> tuple:
     }
 
     def unit_order(between):
-        members = sorted(u for o in _bits(between) for u in units[o])
+        members = np.flatnonzero(between >> unit_orbit & 1).tolist()
         return len(members), members
 
     betweens = sorted((_block_mask(split[i] for i in _bits(s))
@@ -291,29 +290,27 @@ def _obstruction(decomp: BlockDecomposition) -> tuple:
     that fails): the kernel misses the diagonal, J^ob's support is the
     non-effective reduction, and the kernel is zero when J^ob is and has
     J^ob's support when it is not."""
-    g = decomp.groupoid
+    g, plan = decomp.groupoid, _plan(decomp.groupoid)
     noneffective = g.units - g.effective_units()
     j_ob = decomp.dynamical_ideal_of(noneffective)
     # on its own orbit a block's idempotent maps to a projection: norm 0 or 1
     killed = 0
-    for blk in decomp.blocks:
-        on_orbit = collapse_matrices(g, blk.idempotent)[g.orbits().index(blk.orbit)]
-        if linalg.operator_norm(on_orbit) < _PROJECTION_CUT:
+    for blk, o in zip(decomp.blocks, decomp._orbit_index.tolist()):
+        if linalg.operator_norm(collapse_matrices(g, blk.idempotent)[o]) < _PROJECTION_CUT:
             killed |= 1 << blk.index
     kernel = Ideal(decomp, killed)
     failures = []
     if kernel.diagonal_units():
         failures.append("collapse kernel meets the diagonal")
-    expected = frozenset(
-        el for el in g.elements
-        if g.source(el) in noneffective and g.range(el) in noneffective
-    )
-    if j_ob.support() != expected:
+    inside = np.zeros(len(g), dtype=bool)
+    inside[[g.index(u) for u in noneffective]] = True
+    held = decomp._held(j_ob.mask)
+    if (held != (inside[plan.source_idx] & inside[plan.range_idx])).any():
         failures.append(_OBSTRUCTION_SUPPORT)
     if j_ob.is_zero:
         if not kernel.is_zero:
             failures.append("collapse kernel is nonzero on an effective groupoid")
-    elif kernel.support() != j_ob.support():
+    elif (decomp._held(kernel.mask) != held).any():
         failures.append("collapse kernel support differs from the obstruction ideal support")
     return j_ob, kernel, failures
 
@@ -439,13 +436,9 @@ class _LatticeData:
         self.dynamical_of = decomp.over(self.unit_masks)
         self.dynamical = self.dynamical_of[self.inside] == self.ideal_masks
         self.pnd = (self.ideal_masks != 0) & (self.inside == 0)
-        g = decomp.groupoid
-        orbit_of = {u: o for o, orbit in enumerate(g.orbits()) for u in orbit}
-        self.arrows = np.array(
-            [(_block_mask(blk.index for blk in decomp.blocks if el in blk.support),
-              orbit_of[g.source(el)], orbit_of[g.range(el)]) for el in g.elements],
-            dtype=np.int64,
-        ).reshape(-1, 3)
+        orbit_of = _source_orbits(decomp.groupoid)
+        self.arrows = np.stack([decomp._support @ (1 << np.arange(self.b, dtype=np.int64)),
+                                orbit_of, orbit_of[_plan(decomp.groupoid).inv]], axis=1)
 
     def theta_inverse(self) -> tuple:
         """theta^-1 of every ideal mask m, as (U, V, q) arrays indexed by m."""

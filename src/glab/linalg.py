@@ -75,13 +75,11 @@ def hermitian_eigen(m, tol: TolerancePolicy = DEFAULT_TOLERANCE):
         raise LinalgInputError("matrix is not Hermitian within zero_eps")
     ah = (a + a.conj().T) / 2.0
     eigenvalues, eigenvectors = np.linalg.eigh(ah)
-    scale = max(float(np.abs(eigenvalues).max()), np.finfo(float).tiny)
-    residual = np.linalg.norm(a @ eigenvectors - eigenvectors * eigenvalues, axis=0)
-    worst = float(residual.max())
-    if worst > tol.eig_residual * scale:
-        raise LinalgInputError(
-            f"eigenpair residual {worst:.3e} exceeds {tol.eig_residual:.1e} * ||M||"
-        )
+    relative = eigen_residual(a, eigenvalues, eigenvectors)
+    if relative > tol.eig_residual:
+        worst = relative * max(float(np.abs(eigenvalues).max()), np.finfo(float).tiny)
+        raise LinalgInputError(f"eigenpair residual {worst:.3e} exceeds "
+                               f"{tol.eig_residual:.1e} * ||M||")
     return eigenvalues, eigenvectors
 
 

@@ -21,7 +21,7 @@ from .errors import CapExceededError
 from .formats import Instance
 from .groups import PartialAction
 from .groupoids import FiniteGroupoid
-from .ideals import CONVENTIONS, VerificationReport, _LatticeData, _sub_indices
+from .ideals import CONVENTIONS, VerificationReport, _distinct, _LatticeData, _sub_indices
 
 # ``graph``: the cycles listed, the lattice sets listed, and the lattice
 # sets whose pairwise meets and joins are checked
@@ -123,7 +123,7 @@ class _IdealTable:
         self.dimension = np.zeros(len(masks), dtype=np.int64)
         for blk in decomp.blocks:
             self.dimension += (masks >> blk.index & 1) * blk.dimension ** 2
-        self.dynamical, self.pnd = data.dynamical, data.pnd
+        self.dynamical, self.pnd, self.n_orbits = data.dynamical, data.pnd, data.n_orbits
         self.units = sorted((fmt_element(u), o)
                             for o, orbit in enumerate(decomp.groupoid.orbits())
                             for u in orbit)
@@ -140,7 +140,7 @@ class _IdealTable:
         """Per distinct sandwich set (an orbit mask), its sorted units,
         each passed through ``encode`` once."""
         legend = [(encode(name), o) for name, o in self.units]
-        distinct = np.unique(np.concatenate([self.lower, self.upper])).tolist()
+        distinct = _distinct(np.concatenate([self.lower, self.upper]), self.n_orbits).tolist()
         return {w: [text for text, o in legend if w >> o & 1] for w in distinct}
 
     def __iter__(self):

@@ -21,6 +21,7 @@ library's bitmask layers replaced.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import prod
 
@@ -557,6 +558,65 @@ def dense_collapse_kernel(decomp, cut=0.5) -> list:
         if largest < cut:
             killed.append(blk.index)
     return killed
+
+
+# -- the block table ------------------------------------------------------------------
+#
+# The blocks' orbits, supports and numbering as the per-block frozenset code
+# derived them: from each idempotent's coefficient magnitudes, and in the
+# order of a pairwise comparator.
+
+
+def idempotent_orbits_and_supports(decomp):
+    """Per block, (orbit, support) from its idempotent e: the orbit is the
+    units where |e| / ||e|| exceeds ``zero_eps`` and the support every arrow
+    whose range fiber has such a coefficient."""
+    g = decomp.groupoid
+    out = []
+    for blk in decomp.blocks:
+        magnitude = np.abs(blk.idempotent.coeffs)
+        scale = max(float(np.sqrt(np.sum(magnitude ** 2))), 1e-300)
+        heavy = {g.elements[i] for i in np.flatnonzero(magnitude / scale > decomp.tol.zero_eps)}
+        met = {g.range(el) for el in heavy}
+        out.append((frozenset(u for u in g.units if u in heavy),
+                    frozenset(el for el in g.elements if g.range(el) in met)))
+    return out
+
+
+def _reference_compare(a, b) -> int:
+    """Blocks by (first unit of the orbit, dimension); a tie goes to the
+    idempotent with the larger real part at the first arrow, in element
+    order, where the real parts differ by more than 1e-6, and then to the
+    imaginary parts alike."""
+    if a[:2] != b[:2]:
+        return -1 if a[:2] < b[:2] else 1
+    diff = b[2] - a[2]
+    diff = np.concatenate([diff.real, diff.imag])
+    decisive = np.flatnonzero(np.abs(diff) > 1e-6)
+    return int(np.sign(diff[decisive[0]])) if decisive.size else 0
+
+
+def reference_block_order(decomp, derived) -> list:
+    """The block indices in the order of the pairwise comparator, sorted
+    from the reversed numbering, with each block's orbit taken from
+    ``derived``, the output of ``idempotent_orbits_and_supports``."""
+    g = decomp.groupoid
+    position = {el: i for i, el in enumerate(g.elements)}
+    rows = [(min(position[u] for u in orbit), blk.dimension, blk.idempotent.coeffs, blk.index)
+            for blk, (orbit, _) in zip(decomp.blocks, derived)]
+    return [row[3] for row in sorted(reversed(rows), key=functools.cmp_to_key(_reference_compare))]
+
+
+def reference_arrow_rows(decomp, derived) -> list:
+    """Per arrow, in element order, (the mask of the blocks whose support
+    holds it, the index of its source's orbit, the index of its range's
+    orbit), with supports from ``derived`` (as in ``reference_block_order``)
+    and orbits numbered as ``bfs_orbits`` finds them."""
+    g = decomp.groupoid
+    orbit_of = {u: o for o, orbit in enumerate(bfs_orbits(g)) for u in orbit}
+    supports = [support for _, support in derived]
+    return [[sum(1 << i for i, support in enumerate(supports) if el in support),
+             orbit_of[g.source(el)], orbit_of[g.range(el)]] for el in g.elements]
 
 
 def orthonormal_basis(vectors, eps=1e-9):

@@ -13,10 +13,11 @@ from glab.cli import main
 from glab.errors import CapExceededError
 from glab.formats import load_instance
 from glab.generators import random_groupoid
-from glab.groups import cyclic_group, symmetric_group
+from glab.groups import cyclic_group, dihedral_group, symmetric_group
 from glab.ideals import collapse_kernel
 
 from _oracles import (
+    bfs_orbits,
     class_sum_basis,
     commutator_center,
     composition_arrays,
@@ -27,7 +28,11 @@ from _oracles import (
     dense_norm,
     expected_block_dimensions,
     expected_counts,
+    idempotent_orbits_and_supports,
     numeric_diagonal_units,
+    reference_arrow_rows,
+    reference_block_order,
+    set_orbit_blocks,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -336,6 +341,17 @@ class TestWedderburn:
         with pytest.raises(al.DecompositionError, match="^central idempotents are not"):
             al.wedderburn(gp.group_bundle({"u": symmetric_group(3)}))
 
+    def test_footprint_outside_an_orbit_is_refused(self, monkeypatch):
+        """A block whose footprint on the units is not one whole orbit is
+        refused, naming its footprint: here every unit is labelled orbit 0,
+        so the blocks over the second unit cover only part of it."""
+        monkeypatch.setattr(al, "_source_orbits", lambda g: np.zeros(len(g), dtype=np.intp))
+        g = gp.group_bundle({"u": cyclic_group(2), "v": cyclic_group(3)})
+        with pytest.raises(al.DecompositionError) as caught:
+            al.wedderburn(g)
+        assert str(caught.value) in {f"block diagonal footprint {[repr(u)]} is not an orbit"
+                                     for u in g.unit_list}
+
     @pytest.fixture()
     def no_dense_representation(self, monkeypatch):
         """Refuse the |G| x |G| regular representation and its read-back."""
@@ -396,6 +412,95 @@ class TestWedderburn:
             g = random_groupoid(rng, 24)
             d = al.wedderburn(g)
             assert sum(n * n for n in d.dimensions) == len(g)
+
+
+class TestBlockTable:
+    """``wedderburn``'s array passes and the block incidence against the
+    per-block frozenset derivations in ``_oracles``: the pairwise block
+    comparator, each block's orbit and support from its idempotent's
+    magnitudes, and the per-arrow rows of the verifier's ``arrows`` table,
+    at the default seed and seeds 0 to 7."""
+
+    SEEDS = (al.DEFAULT_SEED, *range(8))
+
+    def assert_matches_reference(self, g):
+        orbits = set(bfs_orbits(g))
+        for seed in self.SEEDS:
+            d = al.wedderburn(g, seed=seed)
+            derived = idempotent_orbits_and_supports(d)
+            assert reference_block_order(d, derived) == list(range(d.block_count))
+            assert [(blk.orbit, blk.support) for blk in d.blocks] == derived
+            assert {orbit for orbit, _ in derived} <= orbits
+            assert d.orbit_blocks() == set_orbit_blocks(d)
+            if d.block_count <= 16:
+                assert il._LatticeData(d).arrows.tolist() == reference_arrow_rows(d, derived)
+
+    def test_random_draws(self):
+        draws = random.Random(41)
+        for _ in range(300):
+            self.assert_matches_reference(random_groupoid(draws, 32))
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_s4_bundles(self, k):
+        self.assert_matches_reference(
+            gp.group_bundle({f"u{i}": symmetric_group(4) for i in range(k)}))
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_cyclic_bundles(self, n):
+        """Complex-conjugate characters tie on orbit and dimension and on
+        every real part; the imaginary parts number them."""
+        self.assert_matches_reference(gp.group_bundle({"u": cyclic_group(n), "v": cyclic_group(n)}))
+
+    @pytest.mark.parametrize("group", [cyclic_group(128), dihedral_group(64)],
+                             ids=["C128", "D64"])
+    def test_dyadic_coefficients(self, group):
+        """Order-128 idempotents have coefficients such as 1/128 = 0.0078125,
+        halfway between two points of a decimal 1e-6 grid, where rounding
+        would split equal coefficients by their last bits; the binary tie
+        grid numbers these blocks as the comparator does."""
+        self.assert_matches_reference(gp.group_bundle({"u": group}))
+
+    @pytest.mark.parametrize("name", ["z2_bundle", "swap_and_fix", "action8"])
+    def test_golden_files(self, name):
+        self.assert_matches_reference(load_instance(DATA / f"{name}.json").groupoid())
+
+    def test_no_element_products_during_wedderburn(self, monkeypatch):
+        """w * C and the idempotent checks are array passes: ``wedderburn``
+        multiplies and compares no ``AlgebraElement``."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("an AlgebraElement product or comparison was used")
+
+        monkeypatch.setattr(al.AlgebraElement, "__mul__", refuse)
+        monkeypatch.setattr(al.AlgebraElement, "allclose", refuse)
+        draws = random.Random(43)
+        for g in (gp.group_bundle({f"u{i}": symmetric_group(4) for i in range(3)}),
+                  gp.group_bundle({"u": cyclic_group(5)}),
+                  *(load_instance(DATA / f"{name}.json").groupoid()
+                    for name in ("z2_bundle", "swap_and_fix", "action8")),
+                  *(random_groupoid(draws, 32) for _ in range(20))):
+            assert sum(n * n for n in al.wedderburn(g).dimensions) == len(g)
+
+    def test_reports_read_only_the_incidence(self, monkeypatch, capsys):
+        """``verify`` and ``analyze`` give the same bytes when ``Block.orbit``
+        and ``Block.support`` refuse to be read."""
+        runs = [[command, str(DATA / f"{name}.json"), "--format", fmt]
+                for command in ("verify", "analyze") for fmt in ("json", "text")
+                for name in ("z2_bundle", "swap_and_fix", "action8")]
+        expected = []
+        for argv in runs:
+            assert main(argv) == 0
+            expected.append(capsys.readouterr())
+
+        def refuse(self):
+            raise AssertionError("a block's orbit or support frozenset was read")
+
+        monkeypatch.setattr(al.Block, "orbit", property(refuse))
+        monkeypatch.setattr(al.Block, "support", property(refuse))
+        with pytest.raises(AssertionError, match="frozenset was read"):
+            al.wedderburn(gp.group_bundle({"u": cyclic_group(3)})).blocks[0].orbit
+        for argv, want in zip(runs, expected):
+            assert main(argv) == 0
+            assert capsys.readouterr() == want
 
 
 class TestCenter:

@@ -1,7 +1,11 @@
 import copy
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -697,3 +701,30 @@ class TestMalformedInstances:
                 assert code in (0, 1, 2, 3), (argv[0], path.read_text(), err)
                 codes.add(code)
         assert {0, 2} <= codes
+
+
+def test_reports_leave_numpy_ma_unimported():
+    """In-process ``verify``, ``graph``, ``dr`` and ``analyze`` on the golden
+    inputs never import ``numpy.ma``, which a plain ``np.unique`` pulls in
+    (numpy 2.4) and nothing in the package needs."""
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from glab.cli import main
+        data = sys.argv[1]
+        runs = [("verify", name) for name in ("z2_bundle", "swap_and_fix", "action8")]
+        runs += [("graph", "graph16"), ("dr", "map40")]
+        runs += [("analyze", name) for name in ("z2_bundle", "swap_and_fix", "action8")]
+        for command, name in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, f"{data}/{name}.json", "--format", "json"])
+            print(command, name, code, "numpy.ma" in sys.modules)
+    """)
+    root = Path(__file__).resolve().parent
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(root / "data")], capture_output=True, text=True,
+        timeout=120, check=True, env={**os.environ, "PYTHONPATH": str(root.parent / "src")})
+    assert result.stdout.splitlines() == [
+        f"{command} {name} 0 False" for command, name in (
+            ("verify", "z2_bundle"), ("verify", "swap_and_fix"), ("verify", "action8"),
+            ("graph", "graph16"), ("dr", "map40"), ("analyze", "z2_bundle"),
+            ("analyze", "swap_and_fix"), ("analyze", "action8"))]

@@ -7,6 +7,7 @@ from glab.linalg import (
     DEFAULT_TOLERANCE,
     LinalgInputError,
     TolerancePolicy,
+    eigen_residual,
     hermitian_eigen,
     operator_norm,
 )
@@ -68,6 +69,17 @@ class TestHermitianEigen:
     def test_rejects_nonhermitian(self):
         with pytest.raises(LinalgInputError):
             hermitian_eigen([[0, 1], [0, 0]])
+
+    def test_residual_contract_is_eigen_residual(self, monkeypatch):
+        """The contract is ``eigen_residual`` against ``eig_residual``, and a
+        breach names the absolute residual: here the eigenvectors of diag(2, 1)
+        come back swapped, so each column is off by 1."""
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 2.0]), np.eye(2)))
+        m = np.diag([2.0, 1.0])
+        assert eigen_residual(m, *np.linalg.eigh(m)) == 0.5
+        with pytest.raises(LinalgInputError,
+                           match=r"^eigenpair residual 1\.000e\+00 exceeds 1\.0e-10 \* \|\|M\|\|$"):
+            hermitian_eigen(m)
 
 
 class TestOperatorNorm:
