@@ -20,6 +20,7 @@ Ideals are canonically represented by their block subsets, held as
 bitmasks, so ideal identity is exact and free of tolerance drift.  The
 decomposition holds the one block incidence: each block's orbit index and a
 |G| x b boolean support matrix, turned into frozensets only at the public API.
+A groupoid caches it as arrays that never point back at the groupoid.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,35 +57,18 @@ class DecompositionError(AlgebraError):
     """Numerically degenerate decomposition (never seen on valid input)."""
 
 
-# -- convolution plan ---------------------------------------------------------
+# -- convolution ----------------------------------------------------------------
 
 
-class _Plan:
-    """Cached index arrays for convolution and the regular representation."""
-
-    def __init__(self, g: FiniteGroupoid):
-        self.n = n = len(g)
-        self.ia, self.ib, self.iab = g.composition_table()
-        self.inv = np.asarray([g.index(g.inverse(el)) for el in g.elements], dtype=np.intp)
-        self.source_idx = g._pair_slots().src
-        self.range_idx = self.source_idx[self.inv]
-        self.unit_mask = self.source_idx == np.arange(n)
-
-
-def _plan(g: FiniteGroupoid) -> _Plan:
-    if "algebra_plan" not in g._caches:
-        g._caches["algebra_plan"] = _Plan(g)
-    return g._caches["algebra_plan"]
-
-
-def _convolve(plan: _Plan, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _convolve(table: tuple, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """f * g on coefficient vectors, or column by column on |G| x k matrices
-    (a vector f convolves every column of g)."""
+    (a vector f convolves every column of g), over ``composition_table()``."""
     if g.ndim == 2:
-        return np.column_stack([_convolve(plan, f if f.ndim == 1 else f[:, j], g[:, j])
+        return np.column_stack([_convolve(table, f if f.ndim == 1 else f[:, j], g[:, j])
                                 for j in range(g.shape[1])])
-    out = np.zeros(plan.n, dtype=np.complex128)
-    np.add.at(out, plan.iab, f[plan.ia] * g[plan.ib])
+    ia, ib, iab = table
+    out = np.zeros(len(g), dtype=np.complex128)
+    np.add.at(out, iab, f[ia] * g[ib])
     return out
 
 
@@ -99,14 +84,14 @@ class _Fiber:
     the orbit-space matrix on l2(O), in unit order: delta_y goes through
     every arrow out of y.  ``scatter``, built on first use, is lambda_x on
     l2(G_x) in source-fiber order: delta_a sends delta_b to delta_ab, over
-    the plan's pairs whose b has source x.  It is faithful on the blocks
+    the composable pairs whose b has source x.  It is faithful on the blocks
     over O, and ``coefficients`` reads their functions back through a
     transversal: a(gamma) = <lambda_x(a) delta_eta, delta_(gamma eta)>, where
     eta, the first b that gamma acts on, is the first arrow of G_x with
     range source(gamma).  No reference to the groupoid is held."""
 
     def __init__(self, g: FiniteGroupoid, x: int):
-        self.plan, self.slots, self.x = _plan(g), g._pair_slots(), x
+        self.slots, self.iab, self.x = g._pair_slots(), g.composition_table()[2], x
         src, rng = self.slots.src, self.slots.rng
         orbit = np.zeros(len(src), dtype=bool)
         orbit[rng[src == x]] = True
@@ -115,11 +100,11 @@ class _Fiber:
 
     @functools.cached_property
     def scatter(self) -> tuple:
-        plan, slots = self.plan, self.slots
+        slots, iab = self.slots, self.iab
         members = np.flatnonzero(slots.src == self.x)
         # b's pairs fill the |G_r(b)| = |G_x| slots from start[b]
         pairs = (slots.start[members][:, None] + np.arange(len(members))).ravel()
-        return len(members), slots.pos[plan.iab[pairs]], slots.pos[plan.ib[pairs]], plan.ia[pairs]
+        return len(members), slots.pos[iab[pairs]], slots.pos[slots.ib[pairs]], slots.ia[pairs]
 
     def matrix(self, coeffs) -> np.ndarray:
         return _scatter(*self.scatter, coeffs)
@@ -127,7 +112,7 @@ class _Fiber:
     def coefficients(self, matrix) -> np.ndarray:
         _, rows, cols, els = self.scatter
         gamma, first = np.unique(els, return_index=True)
-        out = np.zeros(self.plan.n, dtype=np.complex128)
+        out = np.zeros(len(self.slots.src), dtype=np.complex128)
         out[gamma] = matrix[rows[first], cols[first]]
         return out
 
@@ -170,39 +155,43 @@ class AlgebraElement:
         if self.groupoid is not other.groupoid:
             raise AlgebraError("elements live over different groupoids")
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """``op`` on the coefficients of two elements over one groupoid;
+        ``NotImplemented`` for any other operand, so that Python raises
+        ``TypeError``."""
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         self._check_same(other)
-        return AlgebraElement(self.groupoid, self.coeffs + other.coeffs)
+        return AlgebraElement(self.groupoid, op(self.coeffs, other.coeffs))
+
+    def __add__(self, other):
+        return self._combine(other, np.add)
 
     def __sub__(self, other):
-        self._check_same(other)
-        return AlgebraElement(self.groupoid, self.coeffs - other.coeffs)
+        return self._combine(other, np.subtract)
 
     def __neg__(self):
         return AlgebraElement(self.groupoid, -self.coeffs)
 
     def __rmul__(self, scalar):
-        if isinstance(scalar, (int, float, complex)):
+        if isinstance(scalar, numbers.Number):
             return AlgebraElement(self.groupoid, scalar * self.coeffs)
         return NotImplemented
 
     def __mul__(self, other):
         """Convolution: (f*g)(gamma) = sum over factorizations gamma = a b."""
-        if isinstance(other, (int, float, complex)):
-            return AlgebraElement(self.groupoid, other * self.coeffs)
-        self._check_same(other)
-        plan = _plan(self.groupoid)
-        return AlgebraElement(self.groupoid, _convolve(plan, self.coeffs, other.coeffs))
+        if isinstance(other, numbers.Number):
+            return self.__rmul__(other)
+        return self._combine(other, lambda f, g: _convolve(
+            self.groupoid.composition_table(), f, g))
 
     def adjoint(self):
         """Involution: f*(gamma) = conj(f(gamma^-1))."""
-        plan = _plan(self.groupoid)
-        return AlgebraElement(self.groupoid, np.conj(self.coeffs[plan.inv]))
+        return AlgebraElement(self.groupoid, np.conj(self.coeffs[self.groupoid._pair_slots().inv]))
 
     def expectation(self):
         """Conditional expectation onto the diagonal: zero all non-unit terms."""
-        plan = _plan(self.groupoid)
-        return AlgebraElement(self.groupoid, self.coeffs * plan.unit_mask)
+        return AlgebraElement(self.groupoid, self.coeffs * self.groupoid._pair_slots().unit)
 
     def jmap(self) -> dict:
         """The element read as a function on the groupoid (all coefficients)."""
@@ -243,8 +232,7 @@ def delta(groupoid, el) -> AlgebraElement:
 
 def unit_element(groupoid) -> AlgebraElement:
     """The multiplicative unit: the indicator of the unit space."""
-    plan = _plan(groupoid)
-    return AlgebraElement(groupoid, plan.unit_mask.astype(np.complex128))
+    return AlgebraElement(groupoid, groupoid._pair_slots().unit.astype(np.complex128))
 
 
 def diagonal_element(groupoid, values: dict) -> AlgebraElement:
@@ -294,15 +282,16 @@ class Representation:
 
     def __init__(self, groupoid: FiniteGroupoid):
         self.groupoid = groupoid
-        self._plan = _plan(groupoid)
 
     def matrix(self, f) -> np.ndarray:
-        coeffs, plan = np.asarray(getattr(f, "coeffs", f), dtype=np.complex128), self._plan
-        return _scatter(plan.n, plan.iab, plan.ib, plan.ia, coeffs)
+        ia, ib, iab = self.groupoid.composition_table()
+        coeffs = np.asarray(getattr(f, "coeffs", f), dtype=np.complex128)
+        return _scatter(len(self.groupoid), iab, ib, ia, coeffs)
 
     def coefficients(self, matrix) -> np.ndarray:
         """Inverse of ``matrix`` on the image algebra, via the entry read-back."""
-        return np.asarray(matrix)[np.arange(self._plan.n), self._plan.source_idx]
+        src = self.groupoid._pair_slots().src
+        return np.asarray(matrix)[np.arange(len(src)), src]
 
     def fiber_matrix(self, f, x) -> np.ndarray:
         """The block of the representation acting on l2(G_x), built alone."""
@@ -326,38 +315,57 @@ class Block:
     index: int
     dimension: int
     idempotent: AlgebraElement
-    _decomposition: "BlockDecomposition" = field(repr=False, default=None)
+    _record: "_Record" = field(repr=False, default=None)
     _matrix_units: list = field(repr=False, default=None)
 
     @property
     def orbit(self) -> frozenset:
-        return self._decomposition.groupoid.orbits()[self._decomposition._orbit_index[self.index]]
+        return self.idempotent.groupoid.orbits()[self._record.orbit_index[self.index]]
 
     @property
     def support(self) -> frozenset:
-        d = self._decomposition
-        return frozenset(itertools.compress(d.groupoid.elements, d._support[:, self.index]))
+        g = self.idempotent.groupoid
+        return frozenset(itertools.compress(g.elements, self._record.support[:, self.index]))
 
     def matrix_units(self):
         """A d x d family of matrix units spanning the block (lazy)."""
         if self._matrix_units is None:
-            self._matrix_units = self._decomposition._matrix_units_for(self)
+            self._matrix_units = _matrix_units_for(self)
         return self._matrix_units
 
 
-class BlockDecomposition:
-    """Minimal central idempotents and simple-block data for C*_r(G)."""
+class _Record:
+    """A decomposition as its groupoid caches it under ``(tol, seed)``: the
+    block dimensions, the |G| x b idempotent matrix (one column per block),
+    the numerics, the block incidence and, per reduced unit set, the
+    ``(sub-groupoid, record, block mapping)`` of the subquotient.  It never
+    refers to its groupoid or to a ``BlockDecomposition`` except weakly, to
+    the one live view that ``view`` builds again when none is alive."""
 
-    def __init__(self, groupoid, tol, seed, blocks, numerics, orbit_index, support):
-        self.groupoid = groupoid
-        self.tol = tol
-        self.seed = seed
-        self.blocks = tuple(blocks)
-        self.numerics = numerics
-        self._orbit_index, self._support = orbit_index, support
-        for blk in self.blocks:
-            blk._decomposition = self
-        self._subquotients: dict = {}
+    def __init__(self, tol, seed, dims, idempotents, numerics, orbit_index, support):
+        self.tol, self.seed, self.dims, self.idempotents = tol, seed, dims, idempotents
+        self.numerics, self.orbit_index, self.support = numerics, orbit_index, support
+        self.subquotients: dict = {}
+        self._live = lambda: None
+
+    def view(self, g: FiniteGroupoid) -> "BlockDecomposition":
+        decomp = self._live()
+        if decomp is None:
+            decomp = BlockDecomposition(g, self)
+            self._live = weakref.ref(decomp)
+        return decomp
+
+
+class BlockDecomposition:
+    """Minimal central idempotents and simple-block data for C*_r(G): the
+    live view of the ``_Record`` its groupoid caches."""
+
+    def __init__(self, groupoid, record: _Record):
+        self.groupoid, self._record = groupoid, record
+        self.tol, self.seed, self.numerics = record.tol, record.seed, record.numerics
+        self._orbit_index, self._support = record.orbit_index, record.support
+        self.blocks = tuple(Block(i, d, AlgebraElement(groupoid, e), record) for i, (d, e)
+                            in enumerate(zip(record.dims.tolist(), record.idempotents.T)))
 
     @property
     def block_count(self) -> int:
@@ -461,83 +469,74 @@ class BlockDecomposition:
         per-orbit algebras it contains, so its minimal central
         idempotents are exactly the parent ones restricted to the
         reduction (minimal central idempotents are unique); the
-        decomposition is assembled accordingly rather than recomputed,
-        and registered as the reduction's cached decomposition.
+        decomposition is assembled accordingly rather than recomputed.  Its
+        record is kept in this decomposition's record and cached on the
+        reduction; the live view over it is returned.
         """
-        members = frozenset(members)
-        cached = self._subquotients.get(members)
-        if cached is not None:
-            return cached
-        if not self.groupoid.is_invariant_unit_set(members):
-            raise GroupoidError("reduction set must be invariant for the subquotient")
-        if members == self.groupoid.units:
-            result = (self, {i: i for i in range(self.block_count)})
-            self._subquotients[members] = result
-            return result
-        sub_groupoid = self.groupoid.restrict(members, validate=False)
-        keep = np.asarray(
-            [self.groupoid.index(el) for el in sub_groupoid.elements], dtype=np.intp
-        )
-        w = self.orbit_mask(members)
-        parents = _bits(self.over(w))
-        mapping = dict(enumerate(parents))
-        blocks = [Block(i, self.blocks[p].dimension,
-                        AlgebraElement(sub_groupoid, self.blocks[p].idempotent.coeffs[keep]))
-                  for i, p in mapping.items()]
-        # the reduction keeps the orbits of ``w``, in their order
-        orbit_index = np.searchsorted(_bits(w), self._orbit_index[parents])
-        sub = BlockDecomposition(sub_groupoid, self.tol, self.seed, blocks, dict(self.numerics),
-                                 orbit_index, self._support[np.ix_(keep, parents)])
-        sub_groupoid._caches[_wedderburn_key(self.tol, self.seed)] = sub
-        result = (sub, mapping)
-        self._subquotients[members] = result
-        return result
-
-    # -- matrix units ------------------------------------------------------
-
-    def _matrix_units_for(self, block: Block):
-        """The d x d matrix units of a block, found in lambda_x at the first
-        unit x of its orbit, where the block has multiplicity d / |orbit|."""
-        g, d = self.groupoid, block.dimension
-        if d == 1:
-            return [[AlgebraElement(g, block.idempotent.coeffs.copy())]]
-        fiber = _orbit_fibers(g)[self._orbit_index[block.index]]
-        rng = np.random.default_rng((self.seed, block.index, 0xB10C))
-        u, s, _ = np.linalg.svd(fiber.matrix(block.idempotent.coeffs))
-        v = u[:, :int(np.sum(s > _PROJECTION_CUT))]
-        mult = v.shape[1] // d
-        for _ in range(_RETRIES):
-            y = block.idempotent * random_element(g, rng, selfadjoint=True) * block.idempotent
-            eigenvalues, vectors = linalg.hermitian_eigen(
-                v.conj().T @ fiber.matrix(y.coeffs) @ v, self.tol)
-            clusters = _cluster(eigenvalues, d)
-            if clusters is not None and all(hi - lo == mult for lo, hi in clusters):
-                break
-        else:
-            raise DecompositionError("matrix-unit eigenvalue clustering failed")
-        projections = [v @ vectors[:, lo:hi] @ vectors[:, lo:hi].conj().T @ v.conj().T
-                       for lo, hi in clusters]
-        row = [projections[0]]
-        for j in range(1, d):
-            for _ in range(_RETRIES):
-                a = block.idempotent * random_element(g, rng)
-                vj = projections[0] @ fiber.matrix(a.coeffs) @ projections[j]
-                c = float(np.real(np.trace(vj.conj().T @ vj))) / mult
-                if c > _LINK_CUT:
-                    row.append(vj / np.sqrt(c))
-                    break
-            else:
-                raise DecompositionError("failed to link minimal projections")
-        units = [[AlgebraElement(g, fiber.coefficients(rj.conj().T @ rk)) for rk in row]
-                 for rj in row]
-        if np.max(np.abs(sum(units[j][j].coeffs for j in range(d))
-                         - block.idempotent.coeffs)) > _CHECK_EPS:
-            raise DecompositionError("matrix units do not sum to the block idempotent")
-        return units
+        members, g, record = frozenset(members), self.groupoid, self._record
+        if members == g.units:
+            return self, {i: i for i in range(self.block_count)}
+        if members not in record.subquotients:
+            if not g.is_invariant_unit_set(members):
+                raise GroupoidError("reduction set must be invariant for the subquotient")
+            sub_groupoid = g.restrict(members, validate=False)
+            keep = np.asarray([g.index(el) for el in sub_groupoid.elements], dtype=np.intp)
+            w = self.orbit_mask(members)
+            parents = _bits(self.over(w))
+            # the reduction keeps the orbits of ``w``, in their order
+            sub = _Record(record.tol, record.seed, record.dims[parents],
+                          record.idempotents.T[np.ix_(parents, keep)].T, dict(record.numerics),
+                          np.searchsorted(_bits(w), record.orbit_index[parents]),
+                          record.support[np.ix_(keep, parents)])
+            sub_groupoid._caches[record.tol, record.seed] = sub
+            record.subquotients[members] = (sub_groupoid, sub, dict(enumerate(parents)))
+        sub_groupoid, sub, mapping = record.subquotients[members]
+        return sub.view(sub_groupoid), mapping
 
     def __repr__(self):
         dims = "x".join(str(d) for d in self.dimensions) or "0"
         return f"BlockDecomposition({self.groupoid.name}: blocks {dims})"
+
+
+def _matrix_units_for(block: Block):
+    """The d x d matrix units of a block, found in lambda_x at the first
+    unit x of its orbit, where the block has multiplicity d / |orbit|."""
+    g, d, record = block.idempotent.groupoid, block.dimension, block._record
+    if d == 1:
+        return [[AlgebraElement(g, block.idempotent.coeffs.copy())]]
+    fiber = _orbit_fibers(g)[record.orbit_index[block.index]]
+    rng = np.random.default_rng((record.seed, block.index, 0xB10C))
+    u, s, _ = np.linalg.svd(fiber.matrix(block.idempotent.coeffs))
+    v = u[:, :int(np.sum(s > _PROJECTION_CUT))]
+    mult = v.shape[1] // d
+    for _ in range(_RETRIES):
+        y = block.idempotent * random_element(g, rng, selfadjoint=True) * block.idempotent
+        eigenvalues, vectors = linalg.hermitian_eigen(
+            v.conj().T @ fiber.matrix(y.coeffs) @ v, record.tol)
+        clusters = _cluster(eigenvalues, d)
+        if clusters is not None and all(hi - lo == mult for lo, hi in clusters):
+            break
+    else:
+        raise DecompositionError("matrix-unit eigenvalue clustering failed")
+    projections = [v @ vectors[:, lo:hi] @ vectors[:, lo:hi].conj().T @ v.conj().T
+                   for lo, hi in clusters]
+    row = [projections[0]]
+    for j in range(1, d):
+        for _ in range(_RETRIES):
+            a = block.idempotent * random_element(g, rng)
+            vj = projections[0] @ fiber.matrix(a.coeffs) @ projections[j]
+            c = float(np.real(np.trace(vj.conj().T @ vj))) / mult
+            if c > _LINK_CUT:
+                row.append(vj / np.sqrt(c))
+                break
+        else:
+            raise DecompositionError("failed to link minimal projections")
+    units = [[AlgebraElement(g, fiber.coefficients(rj.conj().T @ rk)) for rk in row]
+             for rj in row]
+    if np.max(np.abs(sum(units[j][j].coeffs for j in range(d))
+                     - block.idempotent.coeffs)) > _CHECK_EPS:
+        raise DecompositionError("matrix units do not sum to the block idempotent")
+    return units
 
 
 def _cluster(eigenvalues, expected: int):
@@ -555,33 +554,27 @@ def _cluster(eigenvalues, expected: int):
     return list(zip(bounds, bounds[1:]))
 
 
-def _wedderburn_key(tol: TolerancePolicy, seed: int) -> tuple:
-    """The groupoid cache key of a decomposition, shared by ``wedderburn``
-    and the subquotients ``restriction_decomposition`` registers."""
-    return ("wedderburn", tol.zero_eps, tol.eig_residual, seed)
-
-
 def _source_orbits(g: FiniteGroupoid) -> np.ndarray:
     """Per element, the index in ``orbits()`` of the orbit of its source."""
     orbit_of = np.zeros(len(g), dtype=np.intp)
     for o, orbit in enumerate(g.orbits()):
         orbit_of[[g.index(u) for u in orbit]] = o
-    return orbit_of[_plan(g).source_idx]
+    return orbit_of[g._pair_slots().src]
 
 
 def _center_basis(g: FiniteGroupoid) -> np.ndarray:
     """Orthonormal basis (columns) of the center: the normalised indicators
     of the isotropy conjugacy classes {h gamma h^-1}, one per block, in the
     element order of their first arrow."""
-    plan = _plan(g)
+    slots, (ia, ib, iab) = g._pair_slots(), g.composition_table()
     # the composable pairs (h, gamma) with gamma isotropy: h runs over the
     # arrows from gamma's unit, those that conjugate it
-    isotropy = plan.source_idx == plan.range_idx
-    conj = isotropy[plan.ib]
-    h, gamma = plan.ia[conj], plan.ib[conj]
+    isotropy = slots.src == slots.rng
+    conj = isotropy[ib]
+    h, gamma = ia[conj], ib[conj]
     # each class is named by its first arrow, the least index in it
     first = np.full(len(g), len(g))
-    np.minimum.at(first, gamma, g._products(plan.iab[conj], plan.inv[h]))
+    np.minimum.at(first, gamma, g._products(iab[conj], slots.inv[h]))
     members = np.flatnonzero(isotropy)
     names, column, sizes = np.unique(first[members], return_inverse=True, return_counts=True)
     basis = np.zeros((len(g), len(names)), dtype=np.complex128)
@@ -598,38 +591,37 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
     b x b Hermitian M = C^H (w * C), and reads each minimal central
     idempotent, its rank and its support (every arrow whose range fiber
     meets it) off one eigenvector of M.  Blocks are numbered by orbit,
-    dimension and coefficients.  The result is cached per groupoid and (tol, seed).
+    dimension and coefficients.  The groupoid caches the result's arrays
+    per (tol, seed), and this returns the one live view over them.
     """
     tol = tol or DEFAULT_TOLERANCE
     seed = DEFAULT_SEED if seed is None else seed
-    key = _wedderburn_key(tol, seed)
-    cached = g._caches.get(key)
-    if cached is not None:
-        return cached
+    if (tol, seed) not in g._caches:
+        g._caches[tol, seed] = _decompose(g, tol, seed)
+    return g._caches[tol, seed].view(g)
 
+
+def _decompose(g: FiniteGroupoid, tol: TolerancePolicy, seed: int) -> _Record:
     n = len(g)
     numerics = {"eig_residual": 0.0, "dim_rounding": 0.0, "retries": 0}
     if n == 0:
-        decomp = BlockDecomposition(g, tol, seed, (), numerics, np.arange(0), np.zeros((0, 0), bool))
-        g._caches[key] = decomp
-        return decomp
+        return _Record(tol, seed, np.arange(0), np.zeros((0, 0), np.complex128), numerics,
+                       np.arange(0), np.zeros((0, 0), bool))
 
-    plan = _plan(g)
+    slots, table = g._pair_slots(), g.composition_table()
     center = _center_basis(g)
     b = center.shape[1]
 
     rng = np.random.default_rng(seed)
     for _ in range(_RETRIES):
         w = center @ (rng.standard_normal(b) + 1j * rng.standard_normal(b))
-        w = (w + np.conj(w[plan.inv])) / 2.0
+        w = (w + np.conj(w[slots.inv])) / 2.0
         if np.linalg.norm(w) < _NORM_GUARD:
             numerics["retries"] += 1
             continue
-        m = center.conj().T @ _convolve(plan, w, center)
-        eigenvalues, vectors = linalg.hermitian_eigen(m, tol)
-        numerics["eig_residual"] = max(
-            numerics["eig_residual"], linalg.eigen_residual(m, eigenvalues, vectors)
-        )
+        m = center.conj().T @ _convolve(table, w, center)
+        eigenvalues, vectors, residual = linalg._checked_eigen(m, tol)
+        numerics["eig_residual"] = max(numerics["eig_residual"], residual)
         if _cluster(eigenvalues, expected=b) is not None:
             break
         numerics["retries"] += 1
@@ -638,15 +630,15 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
             f"central element eigenvalues kept colliding after {_RETRIES} draws"
         )
 
-    idempotents = center @ (vectors * (vectors.conj().T @ (center.conj().T @ plan.unit_mask)))
-    if not (np.max(np.abs(_convolve(plan, idempotents, idempotents) - idempotents)) <= _CHECK_EPS
-            and np.max(np.abs(np.conj(idempotents[plan.inv]) - idempotents)) <= _CHECK_EPS):
+    idempotents = center @ (vectors * (vectors.conj().T @ (center.conj().T @ slots.unit)))
+    if not (np.max(np.abs(_convolve(table, idempotents, idempotents) - idempotents)) <= _CHECK_EPS
+            and np.max(np.abs(np.conj(idempotents[slots.inv]) - idempotents)) <= _CHECK_EPS):
         raise DecompositionError("central idempotents are not self-adjoint idempotents")
-    if np.max(np.abs(idempotents.sum(axis=1) - plan.unit_mask)) > _CHECK_EPS:
+    if np.max(np.abs(idempotents.sum(axis=1) - slots.unit)) > _CHECK_EPS:
         raise DecompositionError("central idempotents do not sum to the unit")
     if np.max(np.abs(vectors.conj().T @ vectors - np.eye(b))) > _CHECK_EPS:
         raise DecompositionError("central idempotents are not orthogonal")
-    ranks = idempotents[plan.range_idx].sum(axis=0).real
+    ranks = idempotents[slots.rng].sum(axis=0).real
     dims = np.rint(np.sqrt(np.maximum(ranks, 0.0)))
     rounding = np.abs(ranks - dims * dims)
     numerics["dim_rounding"] = float(rounding.max())
@@ -658,10 +650,10 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
 
     magnitude = np.abs(idempotents) / np.maximum(np.linalg.norm(idempotents, axis=0), 1e-300)
     fiber_peak = np.zeros((n, b))
-    np.maximum.at(fiber_peak, plan.range_idx, magnitude)
-    supports = fiber_peak[plan.range_idx] > tol.zero_eps
+    np.maximum.at(fiber_peak, slots.rng, magnitude)
+    supports = fiber_peak[slots.rng] > tol.zero_eps
     # a block's footprint on the units must be the whole of one orbit
-    units = np.flatnonzero(plan.unit_mask)
+    units = np.flatnonzero(slots.unit)
     footprint = magnitude[units] > tol.zero_eps
     unit_orbit = _source_orbits(g)[units]
     orbit = unit_orbit[footprint.argmax(axis=0)]
@@ -675,11 +667,9 @@ def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
     ties = -np.rint(np.concatenate([idempotents.real, idempotents.imag]) / _TIE_RESOLUTION)
     ties = ties[(ties != ties[:, :1]).any(axis=1)]
     order = np.lexsort(np.vstack([ties[::-1], dims, orbit]))
-    blocks = [Block(index=i, dimension=int(dims[k]), idempotent=AlgebraElement(g, e))
-              for i, (k, e) in enumerate(zip(order, idempotents.T[order]))]
-    decomp = BlockDecomposition(g, tol, seed, blocks, numerics, orbit[order], supports[:, order])
-    g._caches[key] = decomp
-    return decomp
+    # each block's column is contiguous: the transpose of one row per block
+    return _Record(tol, seed, dims[order].astype(np.intp), idempotents.T[order].T, numerics,
+                   orbit[order], supports[:, order])
 
 
 # -- ideals --------------------------------------------------------------------

@@ -67,9 +67,11 @@ class IsotropyGroup:
 
 @dataclass(frozen=True)
 class _PairSlots:
-    """Element-index arrays of a groupoid and of its composable pairs.
+    """The one index table of a groupoid: element-index arrays of it and of
+    its composable pairs.
 
-    ``src`` and ``rng`` give each element's source and range; ``ia`` and
+    ``src``, ``rng`` and ``inv`` give each element's source, range and
+    inverse, and ``unit`` marks the units; ``ia`` and
     ``ib`` list the pairs in ``composable_pairs`` order.  That order groups
     the pairs by b, and within b takes a in ``source_fiber`` order, so the
     pair (a, b) sits at ``start[b] + pos[a]``: ``start`` is the running sum
@@ -79,6 +81,8 @@ class _PairSlots:
 
     src: np.ndarray
     rng: np.ndarray
+    inv: np.ndarray
+    unit: np.ndarray
     ia: np.ndarray
     ib: np.ndarray
     start: np.ndarray
@@ -188,6 +192,7 @@ class FiniteGroupoid:
             n, index = len(self.elements), self._index
             src = np.fromiter((index[self._source[el]] for el in self.elements), np.intp, n)
             rng = np.fromiter((index[self._range[el]] for el in self.elements), np.intp, n)
+            inv = np.fromiter((index[self._inverse[el]] for el in self.elements), np.intp, n)
             by_source = np.argsort(src, kind="stable")
             size = np.bincount(src, minlength=n)
             first = np.cumsum(size) - size
@@ -197,7 +202,8 @@ class FiniteGroupoid:
             start = np.cumsum(run) - run
             ib = np.repeat(np.arange(n), run)
             ia = by_source[first[rng[ib]] + np.arange(len(ib)) - start[ib]]
-            slots = self._caches["pair_slots"] = _PairSlots(src, rng, ia, ib, start, pos)
+            slots = self._caches["pair_slots"] = _PairSlots(
+                src, rng, inv, src == np.arange(n), ia, ib, start, pos)
         return slots
 
     def _products(self, a, b):
@@ -320,10 +326,8 @@ class FiniteGroupoid:
             self._composition()
         except GroupoidError as exc:
             return fail(str(exc))
-        slots, index = self._pair_slots(), self._index
-        src, rng, every = slots.src, slots.rng, np.arange(len(self.elements))
-        inv = np.fromiter((index[self._inverse[el]] for el in self.elements), np.intp,
-                          len(self.elements))
+        slots = self._pair_slots()
+        src, rng, inv, every = slots.src, slots.rng, slots.inv, np.arange(len(self.elements))
         laws = (
             (self._products(every, src) != every, "{0!r}*source({0!r}) != {0!r}"),
             (self._products(rng, every) != every, "range({0!r})*{0!r} != {0!r}"),

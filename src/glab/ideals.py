@@ -48,7 +48,6 @@ from .algebra import (
     _bits,
     _block_mask,
     _orbit_fibers,
-    _plan,
     _scatter,
     _source_orbits,
     delta,
@@ -222,7 +221,7 @@ def _triple_table(decomp: BlockDecomposition) -> tuple:
     product of per-orbit choices and V minus U is a union of orbits
     with at least two blocks.
     """
-    unit_orbit = _source_orbits(decomp.groupoid)[_plan(decomp.groupoid).unit_mask]
+    unit_orbit = _source_orbits(decomp.groupoid)[decomp.groupoid._pair_slots().unit]
     obm = decomp.orbit_masks
     unit_masks = np.arange(1 << len(obm), dtype=np.int64)
     split = [o for o, bm in enumerate(obm) if bm.bit_count() > 1]
@@ -290,7 +289,7 @@ def _obstruction(decomp: BlockDecomposition) -> tuple:
     that fails): the kernel misses the diagonal, J^ob's support is the
     non-effective reduction, and the kernel is zero when J^ob is and has
     J^ob's support when it is not."""
-    g, plan = decomp.groupoid, _plan(decomp.groupoid)
+    g, slots = decomp.groupoid, decomp.groupoid._pair_slots()
     noneffective = g.units - g.effective_units()
     j_ob = decomp.dynamical_ideal_of(noneffective)
     # on its own orbit a block's idempotent maps to a projection: norm 0 or 1
@@ -305,7 +304,7 @@ def _obstruction(decomp: BlockDecomposition) -> tuple:
     inside = np.zeros(len(g), dtype=bool)
     inside[[g.index(u) for u in noneffective]] = True
     held = decomp._held(j_ob.mask)
-    if (held != (inside[plan.source_idx] & inside[plan.range_idx])).any():
+    if (held != (inside[slots.src] & inside[slots.rng])).any():
         failures.append(_OBSTRUCTION_SUPPORT)
     if j_ob.is_zero:
         if not kernel.is_zero:
@@ -438,7 +437,7 @@ class _LatticeData:
         self.pnd = (self.ideal_masks != 0) & (self.inside == 0)
         orbit_of = _source_orbits(decomp.groupoid)
         self.arrows = np.stack([decomp._support @ (1 << np.arange(self.b, dtype=np.int64)),
-                                orbit_of, orbit_of[_plan(decomp.groupoid).inv]], axis=1)
+                                orbit_of, orbit_of[decomp.groupoid._pair_slots().inv]], axis=1)
 
     def theta_inverse(self) -> tuple:
         """theta^-1 of every ideal mask m, as (U, V, q) arrays indexed by m."""
@@ -609,19 +608,19 @@ def _check_lattice_iso(data: _LatticeData) -> CheckResult:
 
 
 def _check_support_invariance(data: _LatticeData) -> CheckResult:
-    plan = _plan(data.decomp.groupoid)
-    blocks = data.arrows[:, 0]
+    g, blocks = data.decomp.groupoid, data.arrows[:, 0]
+    (ia, ib, iab), inv = g.composition_table(), g._pair_slots().inv
     # ideals with the same touched-orbit set share their support, that of
     # the dynamical ideal over those orbits; an arrow is in a support when
     # one of its blocks is, so distinct block-mask rows cover every arrow
     touched = _distinct(data.touched, data.n_orbits)
     supports = data.dynamical_of[touched]
     not_inverse = np.zeros(len(touched), dtype=bool)
-    for a, a_inv in _unique_rows(np.stack([blocks, blocks[plan.inv]], axis=1)).tolist():
+    for a, a_inv in _unique_rows(np.stack([blocks, blocks[inv]], axis=1)).tolist():
         not_inverse |= ((supports & a) != 0) != ((supports & a_inv) != 0)
     not_composed = np.zeros(len(touched), dtype=bool)
     for a, b, ab in _unique_rows(
-            np.stack([blocks[plan.ia], blocks[plan.ib], blocks[plan.iab]], axis=1)).tolist():
+            np.stack([blocks[ia], blocks[ib], blocks[iab]], axis=1)).tolist():
         not_composed |= ((supports & a) != 0) & ((supports & b) != 0) & ((supports & ab) == 0)
     witnesses = []
     for i in np.flatnonzero(not_inverse | not_composed)[:5]:

@@ -65,12 +65,17 @@ def hermitian_eigen(m, tol: TolerancePolicy = DEFAULT_TOLERANCE):
     contract ``||M v - lambda v|| <= eig_residual * ||M||`` is verified
     before returning.
     """
+    return _checked_eigen(m, tol)[:2]
+
+
+def _checked_eigen(m, tol: TolerancePolicy):
+    """``hermitian_eigen`` together with the relative residual it checked."""
     a = as_complex_matrix(m)
     n, k = a.shape
     if n != k:
         raise LinalgInputError(f"matrix is not square: shape {a.shape}")
     if n == 0:
-        return np.zeros(0), np.zeros((0, 0), dtype=np.complex128)
+        return np.zeros(0), np.zeros((0, 0), dtype=np.complex128), 0.0
     if np.max(np.abs(a - a.conj().T)) > tol.zero_eps:
         raise LinalgInputError("matrix is not Hermitian within zero_eps")
     ah = (a + a.conj().T) / 2.0
@@ -80,7 +85,7 @@ def hermitian_eigen(m, tol: TolerancePolicy = DEFAULT_TOLERANCE):
         worst = relative * max(float(np.abs(eigenvalues).max()), np.finfo(float).tiny)
         raise LinalgInputError(f"eigenpair residual {worst:.3e} exceeds "
                                f"{tol.eig_residual:.1e} * ||M||")
-    return eigenvalues, eigenvectors
+    return eigenvalues, eigenvectors, relative
 
 
 def eigen_residual(m, eigenvalues, eigenvectors) -> float:

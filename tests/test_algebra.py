@@ -1,3 +1,4 @@
+import collections
 import gc
 import random
 import weakref
@@ -75,13 +76,23 @@ def elements_close(f, mapping, eps=1e-9):
 
 
 class TestPlan:
-    """``_Plan`` reads its pair arrays from the groupoid's composition
-    table and multiplies nothing itself."""
+    """The pair slots are the one index table: ``inv``, ``unit`` and ``rng``
+    agree with the groupoid's inverse, unit and range dicts, the algebra
+    reads them and ``composition_table()``, and nothing is multiplied once
+    the groupoid is validated."""
 
     @staticmethod
-    def assert_matches(plan, expected):
-        for got, want in zip((plan.ia, plan.ib, plan.iab), expected):
+    def assert_matches(g, expected):
+        for got, want in zip(g.composition_table(), expected):
             assert np.array_equal(got, want)
+        slots = g._pair_slots()
+        assert np.array_equal(slots.inv, [g.index(g.inverse(el)) for el in g.elements])
+        assert np.array_equal(slots.rng, [g.index(g.range(el)) for el in g.elements])
+        assert slots.unit.tolist() == [el in g.units for el in g.elements]
+        assert g.composition_table()[0] is slots.ia and g.composition_table()[1] is slots.ib
+        one = al.unit_element(g)
+        assert np.array_equal((one * one).coeffs, one.coeffs)
+        assert al._center_basis(g).shape[0] == len(g)
 
     def test_validated_groupoids(self, monkeypatch):
         for seed in range(10):
@@ -90,10 +101,10 @@ class TestPlan:
             assert "composition" in g._caches
 
             def no_compose(a, b):
-                raise AssertionError("the plan multiplied")
+                raise AssertionError("the algebra multiplied")
 
             monkeypatch.setattr(g, "compose", no_compose)
-            self.assert_matches(al._Plan(g), expected)
+            self.assert_matches(g, expected)
             monkeypatch.undo()
 
     def test_unvalidated_groupoids(self, monkeypatch, swap_and_fix):
@@ -106,8 +117,8 @@ class TestPlan:
         monkeypatch.setattr(gp.FiniteGroupoid, "validate", no_validate)
         for g, want in zip((units, sub), expected):
             assert "composition" not in g._caches
-            self.assert_matches(al._plan(g), want)
-            assert g._caches["composition"][0] is al._plan(g).ia
+            self.assert_matches(g, want)
+            assert g._caches["composition"][0] is g._pair_slots().ia
 
 
 class TestConvolution:
@@ -132,6 +143,24 @@ class TestConvolution:
     def test_mismatched_groupoids_rejected(self, pair2, z2_bundle):
         with pytest.raises(al.AlgebraError):
             al.delta(pair2, (1, 2)) * al.delta(z2_bundle, z2_bundle.elements[0])
+
+    @pytest.mark.parametrize("scalar", [2, 2.0, 2j, True, np.int64(2), np.float32(2),
+                                        np.complex64(1j)],
+                             ids=["int", "float", "complex", "bool", "int64", "float32",
+                                  "complex64"])
+    def test_scalar_multiples(self, z2_bundle, scalar):
+        a = al.delta(z2_bundle, z2_bundle.elements[1]) + al.unit_element(z2_bundle)
+        for product in (a * scalar, scalar * a):
+            assert isinstance(product, al.AlgebraElement)
+            assert np.array_equal(product.coeffs, complex(scalar) * a.coeffs)
+
+    @pytest.mark.parametrize("operation", [
+        lambda a: a + 1, lambda a: a - 1, lambda a: 1 + a, lambda a: a * "x",
+        lambda a: "x" * a, lambda a: a * None, lambda a: a + np.ones(len(a.coeffs)),
+    ], ids=["add-int", "sub-int", "radd-int", "mul-str", "rmul-str", "mul-none", "add-array"])
+    def test_non_elements_raise_type_error(self, z2_bundle, operation):
+        with pytest.raises(TypeError):
+            operation(al.delta(z2_bundle, z2_bundle.elements[1]))
 
     def test_against_literal_formula(self, swap_and_fix):
         rng = np.random.default_rng(3)
@@ -362,14 +391,15 @@ class TestWedderburn:
         monkeypatch.setattr(al.Representation, "coefficients", refuse)
 
     def test_eigensolves_only_in_the_center(self, monkeypatch, no_dense_representation):
+        """Every eigensolve, through whichever ``linalg`` entry point, is b x b."""
         shapes = []
-        real = al.linalg.hermitian_eigen
+        real = np.linalg.eigh
 
         def recording(m, *args, **kwargs):
             shapes.append(np.shape(m))
             return real(m, *args, **kwargs)
 
-        monkeypatch.setattr(al.linalg, "hermitian_eigen", recording)
+        monkeypatch.setattr(np.linalg, "eigh", recording)
         d = al.wedderburn(gp.group_bundle({f"u{i}": symmetric_group(4) for i in range(8)}))
         assert shapes and set(shapes) == {(d.block_count, d.block_count)}
 
@@ -723,3 +753,93 @@ class TestSubquotients:
         sub, mapping = d.restriction_decomposition(swap_and_fix.units)
         assert sub is d
         assert mapping == {i: i for i in range(d.block_count)}
+
+
+def swap_and_fix_file():
+    return load_instance(DATA / "swap_and_fix.json").groupoid()
+
+
+class TestOwnership:
+    """What a groupoid caches never refers back to it: the groupoid and its
+    decomposition are freed by reference counting alone, and the cached
+    arrays outlive a dropped decomposition."""
+
+    @pytest.mark.parametrize("build", [
+        swap_and_fix_file,
+        lambda: load_instance(DATA / "action8.json").groupoid(),
+        lambda: gp.disjoint_union([gp.pair_groupoid((1, 2)),
+                                   gp.group_bundle({"u": symmetric_group(3)})]),
+    ], ids=["swap_and_fix", "action8", "pair+S3"])
+    def test_freed_by_reference_counting(self, build):
+        gc.disable()
+        try:
+            g = build()
+            d = al.wedderburn(g)
+            assert il.verify(g).all_passed
+            for triple in il.enumerate_triples(g):
+                assert il.theta(g, triple).mask >= 0
+            for blk in d.blocks:
+                assert len(blk.matrix_units()) == blk.dimension
+                assert blk.orbit and blk.support
+            collapse_kernel(d)
+            proper = d.orbit_set(1)
+            sub, _ = d.restriction_decomposition(proper)
+            assert sub is not d and sub.groupoid.units == proper
+            refs = [weakref.ref(x) for x in (g, d, sub, sub.groupoid)]
+            del g, d, sub, blk, triple
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            gc.enable()
+
+    def test_cli_calls_leave_no_groupoid(self, capsys):
+        def alive():
+            return sum(isinstance(o, gp.FiniteGroupoid) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = alive()
+            for _ in range(10):
+                for command in ("verify", "analyze"):
+                    assert main([command, str(DATA / "action8.json")]) == 0
+            assert alive() == before
+        finally:
+            gc.enable()
+        assert capsys.readouterr().out
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        """Counts of ``_center_basis``, eigensolve and eigenpair-residual calls."""
+        calls = collections.Counter()
+
+        def count(owner, name, key):
+            real = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        count(al, "_center_basis", "center")
+        count(np.linalg, "eigh", "eigh")
+        count(al.linalg, "eigen_residual", "residual")
+        return calls
+
+    def test_cache_survives_a_dropped_decomposition(self, counted):
+        g = swap_and_fix_file()
+        first = weakref.ref(al.wedderburn(g))
+        once = dict(counted)
+        assert first() is None and once["center"] == 1 and once["eigh"] >= 1
+        assert il.verify(g).all_passed
+        assert dict(counted) == once
+
+    def test_one_residual_per_draw(self, counted):
+        """``wedderburn`` takes each central draw's residual from the
+        eigensolve's own check, not from a second ``eigen_residual``."""
+        rng = random.Random(7)
+        for g in [swap_and_fix_file(), gp.pair_groupoid((1, 2, 3))] + [
+                random_groupoid(rng, 32) for _ in range(5)]:
+            counted.clear()
+            d = al.wedderburn(g)
+            assert counted["residual"] == counted["eigh"] == d.numerics["retries"] + 1

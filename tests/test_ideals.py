@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -223,6 +224,24 @@ class TestTriples:
     def test_make_triple(self, z2_bundle):
         triple = il.make_triple(z2_bundle, frozenset(), z2_bundle.units, [0])
         assert il.theta(al.wedderburn(z2_bundle), triple).blocks == frozenset({0})
+
+    def test_triple_outlives_its_parent_decomposition(self):
+        """Only the groupoid and a triple over a proper subquotient are kept:
+        the parent's decomposition is dropped and built again from the cache,
+        and the triple's quotient ideal still lives over the canonical
+        subquotient."""
+        swap, fix = {"a": "b", "b": "a", "c": "c"}, {"a": "a", "b": "b", "c": "c"}
+        g = gp.from_group_action(global_action(
+            cyclic_group(2), ("a", "b", "c"), {"r0": fix, "r1": swap}))
+        fixed = units_by_point(g, "c")
+        assert fixed != g.units
+        first = weakref.ref(al.wedderburn(g))
+        triple = il.make_triple(g, frozenset(), fixed, [0])
+        assert first() is None
+        _, mapping = al.wedderburn(g).restriction_decomposition(fixed)
+        assert il.theta(g, triple).blocks == frozenset({mapping[0]})
+        assert il.theta(al.wedderburn(g), triple).blocks == frozenset({mapping[0]})
+        assert al.wedderburn(g) is al.wedderburn(g)
 
     @pytest.mark.parametrize("quotient_blocks", [[0.0], [True]])
     def test_make_triple_rejects_non_integer_blocks(self, z2_bundle, quotient_blocks):
