@@ -44,11 +44,9 @@ from .algebra import (
     all_ideals,
     convolve,
     delta,
-    diagonal_element,
     dynamical_ideal_of,
     expectation_E,
     full_representation,
-    involute,
     jmap,
     random_element,
     unit_element,
@@ -79,11 +77,11 @@ __all__ = [
     "DirectedGraph", "Edge", "FiniteDynSystem", "FiniteGroupoid", "GlabError",
     "Ideal", "IsotropyGroup", "PartialAction", "SandwichTriple",
     "TolerancePolicy", "ValidationReport", "VerificationReport", "all_ideals",
-    "collapse_kernel", "convolve", "cyclic_group", "delta", "diagonal_element",
+    "collapse_kernel", "convolve", "cyclic_group", "delta",
     "dihedral_group", "disjoint_union", "dynamical_ideal_of", "empty_groupoid",
     "enumerate_triples", "exel_witness", "expectation_E", "from_group_action",
     "from_partial_action", "from_tables", "full_representation",
-    "global_action", "group_bundle", "hermitian_eigen", "involute", "jmap",
+    "global_action", "group_bundle", "hermitian_eigen", "jmap",
     "make_triple", "obstruction_ideal", "operator_norm", "pair_groupoid",
     "random_element", "sandwich", "symmetric_group",
     "theta", "theta_inverse", "trivial_group", "unit_element",

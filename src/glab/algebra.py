@@ -235,22 +235,8 @@ def unit_element(groupoid) -> AlgebraElement:
     return AlgebraElement(groupoid, groupoid._pair_slots().unit.astype(np.complex128))
 
 
-def diagonal_element(groupoid, values: dict) -> AlgebraElement:
-    """A diagonal function from a unit -> value mapping."""
-    c = np.zeros(len(groupoid), dtype=np.complex128)
-    for u, v in values.items():
-        if u not in groupoid.units:
-            raise AlgebraError(f"{u!r} is not a unit")
-        c[groupoid.index(u)] = v
-    return AlgebraElement(groupoid, c)
-
-
 def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
     return f * g
-
-
-def involute(f: AlgebraElement) -> AlgebraElement:
-    return f.adjoint()
 
 
 def expectation_E(f: AlgebraElement) -> AlgebraElement:

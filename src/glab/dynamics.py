@@ -19,11 +19,20 @@ exit-less cycles of a graph are found by one shared walk (``_cycles``).
 
 Inside ``DirectedGraph`` a vertex set is an ``int`` bitmask (bit i is
 ``vertices[i]``); the public methods take and return frozensets.  The
-hereditary closure of a set is the union of its vertices' forward-reach
-masks, and saturating a hereditary mask (adding every vertex whose
-out-neighbours all lie in it) keeps it hereditary, so each saturated
-hereditary closure is one table lookup per member and one saturation
-loop.
+saturated hereditary sets are read off the cyclic strongly connected
+components (those holding a cycle), found by one pass of Tarjan's
+algorithm (SIAM J. Comput. 1, 1972).  Let ``creach[v]`` be the set of
+cyclic components that v reaches.  In a sink-free graph, a hereditary
+saturated H contains v exactly when it contains every cyclic component
+that v reaches.  Heredity gives one direction; for the other, if v is
+outside H, saturation gives v an out-neighbour outside H, and repeating
+gives an infinite path outside H, which ends in a cyclic component
+outside H that v reaches.  So the sets are the H_S = {v : creach[v] is
+inside S} for the reach-closed families S of cyclic components, which
+are the unions of ``creach`` values, and the closure of a set X is H_S
+for S the union of ``creach`` over X.  (Bates, Hong, Raeburn and
+Szymanski, Illinois J. Math. 46, 2002, identify these sets with the
+gauge-invariant ideals of the graph algebra.)
 """
 
 from __future__ import annotations
@@ -234,12 +243,16 @@ class DirectedGraph:
             out.append(edge)
         self.edges = tuple(out)
         self._index = {v: i for i, v in enumerate(self.vertices)}
-        adjacency = {v: [] for v in self.vertices}
-        self._succ = [0] * len(self.vertices)     # out-neighbour mask per vertex
-        for e in self.edges:
-            adjacency[e.src].append(e)
-            self._succ[self._index[e.src]] |= 1 << self._index[e.dst]
-        self._out = {v: tuple(es) for v, es in adjacency.items()}
+        self._dst = []                                    # head of each edge
+        self._leaving = [[] for _ in self.vertices]       # out-edge indices per vertex
+        self._succ = [0] * len(self.vertices)             # out-neighbour mask per vertex
+        for k, e in enumerate(self.edges):
+            i, j = self._index[e.src], self._index[e.dst]
+            self._dst.append(j)
+            self._leaving[i].append(k)
+            self._succ[i] |= 1 << j
+        self._out = {v: tuple(self.edges[k] for k in ks)
+                     for v, ks in zip(self.vertices, self._leaving)}
         self._sinks = tuple(v for v in self.vertices if not self._out[v])
 
     def out_edges(self, v) -> tuple:
@@ -260,42 +273,67 @@ class DirectedGraph:
 
     # -- cycles ------------------------------------------------------------
 
-    def simple_cycles(self, cap: int = CYCLE_CAP) -> list:
-        """All cycles through pairwise-distinct vertices, as edge tuples.
+    def _cycle_indices(self, cap: int = CYCLE_CAP) -> list:
+        """All cycles through pairwise-distinct vertices, as tuples of edge
+        indices.
 
         Each cycle is found once, by the search from its first vertex in
-        vertex order, which only steps to later vertices.  The search
-        keeps an explicit stack of out-edge iterators, so cycle length is
-        not bounded by the recursion limit.  Each cycle is rooted at its
-        smallest edge (edge order as given), and the list is sorted by
-        edge order.
+        vertex order.  That search steps only to the later vertices that
+        reach the start back through later vertices, found by a backward
+        mask search inside the start's component (``_components``), so it
+        stays inside the start's strongly connected component among the
+        vertices from it on, and a long ring costs linear time.  The
+        search keeps an explicit stack of out-edge iterators, so cycle
+        length is not bounded by the recursion limit.  Each cycle is
+        rooted at its smallest edge index, and the list is sorted.
         """
-        dst = [self._index[e.dst] for e in self.edges]
-        out = [[] for _ in self.vertices]
-        for k, e in enumerate(self.edges):
-            out[self._index[e.src]].append(k)
+        dst, leaving = self._dst, self._leaving
+        comp = self._components
+        component = [0] * (max(comp, default=-1) + 1)     # vertex mask per component
+        pred = [0] * len(leaving)                         # in-neighbour mask per vertex
+        for i, ks in enumerate(leaving):
+            component[comp[i]] |= 1 << i
+            for k in ks:
+                pred[dst[k]] |= 1 << i
         cycles = []
-        for start in range(len(out)):
+        for start in range(len(leaving)):
+            later = component[comp[start]] >> (start + 1) << (start + 1)
+            free = 0                      # later vertices that reach start, off the path
+            frontier = pred[start] & later
+            while frontier:
+                free |= frontier
+                step = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    step |= pred[low.bit_length() - 1]
+                frontier = step & later & ~free
             path = []                         # edge indices from start
-            on_path = 1 << start
-            stack = [iter(out[start])]        # one iterator per path vertex
+            stack = [iter(leaving[start])]    # one iterator per path vertex
             while stack:
                 k = next(stack[-1], None)
                 if k is None:
                     stack.pop()
                     if path:
-                        on_path ^= 1 << dst[path.pop()]
+                        free |= 1 << dst[path.pop()]
                 elif dst[k] == start:
                     if len(cycles) >= cap:
                         raise CapExceededError(f"more than {cap} simple cycles")
                     cycle = path + [k]
                     first = cycle.index(min(cycle))
                     cycles.append(tuple(cycle[first:] + cycle[:first]))
-                elif dst[k] > start and not on_path >> dst[k] & 1:
+                elif free >> dst[k] & 1:
                     path.append(k)
-                    on_path |= 1 << dst[k]
-                    stack.append(iter(out[dst[k]]))
-        return [tuple(self.edges[k] for k in c) for c in sorted(cycles)]
+                    free ^= 1 << dst[k]
+                    stack.append(iter(leaving[dst[k]]))
+        cycles.sort()
+        return cycles
+
+    def simple_cycles(self, cap: int = CYCLE_CAP) -> list:
+        """All cycles through pairwise-distinct vertices, as edge tuples,
+        each rooted at its smallest edge (edge order as given) and sorted
+        by edge order."""
+        return [tuple(self.edges[k] for k in c) for c in self._cycle_indices(cap)]
 
     def cycle_has_exit(self, cycle) -> bool:
         """Some vertex on the cycle has an outgoing edge other than the
@@ -319,86 +357,144 @@ class DirectedGraph:
 
     # -- hereditary and saturated vertex sets -----------------------------------
 
-    def is_hereditary(self, members) -> bool:
-        members = frozenset(members)
-        return all(e.dst in members for v in members for e in self._out[v])
-
-    def is_saturated(self, members) -> bool:
-        members = frozenset(members)
-        for v in self.vertices:
-            if v in members or not self._out[v]:
-                continue
-            if all(e.dst in members for e in self._out[v]):
-                return False
-        return True
-
-    @cached_property
-    def _reach(self) -> list:
-        """The forward-reach mask of each vertex, itself included, by a mask
-        BFS per vertex in reverse vertex order; a BFS that meets a vertex
-        whose mask is already built takes that mask instead of expanding it."""
-        reach = [0] * len(self.vertices)
-        for i in reversed(range(len(reach))):
-            seen = frontier = 1 << i
-            while frontier:
-                step = 0
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    j = low.bit_length() - 1
-                    if reach[j]:
-                        seen |= reach[j]
-                    else:
-                        step |= self._succ[j]
-                frontier = step & ~seen
-                seen |= frontier
-            reach[i] = seen
-        return reach
-
-    def _saturate(self, mask: int) -> int:
-        """Least saturated superset of a hereditary mask: add each outside
-        vertex whose out-neighbours all lie inside, until a pass adds none.
-        An added vertex has no out-neighbour outside, so the result is
-        hereditary too."""
-        outside = [i for i in range(len(self.vertices)) if not mask >> i & 1]
-        while True:
-            stay = []
-            for i in outside:
-                if self._succ[i] & ~mask:
-                    stay.append(i)
-                else:
-                    mask |= 1 << i
-            if len(stay) == len(outside):
-                return mask
-            outside = stay
-
-    def saturated_hereditary_closure(self, members) -> frozenset:
-        """Least saturated hereditary superset: the saturation of the union
-        of the members' forward-reach masks."""
-        self._reject_sinks("saturated hereditary closure")
+    def _mask(self, members) -> int:
         mask = 0
         for v in members:
-            mask |= self._reach[self._index[v]]
-        return self._members(self._saturate(mask))
+            mask |= 1 << self._index[v]
+        return mask
 
-    def hereditary_saturated_sets(self, cap: int = LATTICE_CAP) -> list:
-        """The full lattice of saturated hereditary vertex sets.
+    def _is_hereditary(self, mask: int) -> bool:
+        """No vertex inside has an out-neighbour outside."""
+        return all(not succ & ~mask
+                   for i, succ in enumerate(self._succ) if mask >> i & 1)
 
-        Generated output-sensitively: from the empty set, join each found
-        set with the closure of each single vertex outside it (the
-        saturation of the set's mask or'd with the vertex's reach mask),
-        until no new sets appear.  Meet is intersection; join is the
-        closure of the union.  Sorted by size, then by vertex positions.
-        """
+    def _is_saturated(self, mask: int) -> bool:
+        """No vertex outside with out-edges has all its out-neighbours inside."""
+        return all(mask >> i & 1 or not succ or succ & ~mask
+                   for i, succ in enumerate(self._succ))
+
+    def is_hereditary(self, members) -> bool:
+        return self._is_hereditary(self._mask(members))
+
+    def is_saturated(self, members) -> bool:
+        return self._is_saturated(self._mask(members))
+
+    @cached_property
+    def _components(self) -> list:
+        """The strongly connected component of each vertex, numbered in
+        the order Tarjan's algorithm (SIAM J. Comput. 1, 1972) completes
+        them, so every edge runs to a component with the same or a lower
+        number.  The search keeps an explicit stack of out-edge iterators."""
+        dst, leaving = self._dst, self._leaving
+        comp = [-1] * len(leaving)
+        number = [-1] * len(leaving)      # discovery order
+        low = [0] * len(leaving)
+        waiting = []                      # visited vertices not yet in a component
+        found = done = 0
+        for root in range(len(leaving)):
+            if number[root] >= 0:
+                continue
+            number[root] = low[root] = found
+            found += 1
+            waiting.append(root)
+            work = [(root, iter(leaving[root]))]
+            while work:
+                v, edges = work[-1]
+                for k in edges:
+                    w = dst[k]
+                    if number[w] < 0:
+                        number[w] = low[w] = found
+                        found += 1
+                        waiting.append(w)
+                        work.append((w, iter(leaving[w])))
+                        break
+                    if comp[w] < 0 and number[w] < low[v]:
+                        low[v] = number[w]
+                else:
+                    work.pop()
+                    if work and low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
+                    if low[v] == number[v]:
+                        w = None
+                        while w != v:
+                            w = waiting.pop()
+                            comp[w] = done
+                        done += 1
+        return comp
+
+    @cached_property
+    def _creach(self) -> list:
+        """The mask of the cyclic components each vertex reaches (bit c is
+        the c-th cyclic component in ``_components`` order).  A component is
+        cyclic when an edge stays inside it.  Successor components come
+        first, so one sweep in component order fills every mask."""
+        comp = self._components
+        members = [[] for _ in range(max(comp, default=-1) + 1)]
+        for i, c in enumerate(comp):
+            members[c].append(i)
+        reach = [0] * len(members)
+        cyclic = 0
+        for c, vs in enumerate(members):
+            inner = False
+            for i in vs:
+                for k in self._leaving[i]:
+                    d = comp[self._dst[k]]
+                    if d == c:
+                        inner = True
+                    else:
+                        reach[c] |= reach[d]
+            if inner:
+                reach[c] |= 1 << cyclic
+                cyclic += 1
+        return [reach[c] for c in comp]
+
+    @cached_property
+    def _reached_by(self) -> list:
+        """The mask of the vertices that reach each cyclic component."""
+        out = [0] * max(self._creach, default=0).bit_length()
+        for i, cyclic in enumerate(self._creach):
+            while cyclic:
+                low = cyclic & -cyclic
+                cyclic ^= low
+                out[low.bit_length() - 1] |= 1 << i
+        return out
+
+    def _creach_of(self, mask: int) -> int:
+        """The cyclic components reached from a vertex mask."""
+        cyclic = 0
+        for i, reach in enumerate(self._creach):
+            if mask >> i & 1:
+                cyclic |= reach
+        return cyclic
+
+    def _hereditary_saturated(self, cyclic: int) -> int:
+        """H_S for a mask S of cyclic components: the vertices that reach
+        no cyclic component outside S."""
+        out = 0
+        for c, reached in enumerate(self._reached_by):
+            if not cyclic >> c & 1:
+                out |= reached
+        return ~out & ((1 << len(self.vertices)) - 1)
+
+    def saturated_hereditary_closure(self, members) -> frozenset:
+        """Least saturated hereditary superset: H_S, where S is the union
+        of the members' ``_creach`` masks.  A union of reach-closed
+        families is reach-closed, so S is the least family whose H_S holds
+        every member."""
+        self._reject_sinks("saturated hereditary closure")
+        return self._members(self._hereditary_saturated(self._creach_of(self._mask(members))))
+
+    def _lattice_masks(self, cap: int = LATTICE_CAP) -> list:
+        """The lattice as vertex masks, sorted by size, then by vertex
+        positions; see ``hereditary_saturated_sets``."""
         self._reject_sinks("the gauge-invariant ideal lattice")
+        values = set(self._creach)
         found = {0}
         frontier = [0]
         while frontier:
             base = frontier.pop()
-            for i, reach in enumerate(self._reach):
-                if base >> i & 1:
-                    continue
-                new = self._saturate(base | reach)
+            for reach in values:
+                new = base | reach
                 if new not in found:
                     if len(found) >= cap:
                         raise CapExceededError(
@@ -406,19 +502,30 @@ class DirectedGraph:
                         )
                     found.add(new)
                     frontier.append(new)
-        n = len(self.vertices)
-        ordered = sorted(found, key=lambda m: (m.bit_count(),
-                                               [i for i in range(n) if m >> i & 1]))
-        return [self._members(m) for m in ordered]
+        # two sets of one size compare by their lowest differing vertex,
+        # which is the highest differing bit of the bit-reversed masks
+        width = f"0{len(self.vertices)}b"
+        masks = [self._hereditary_saturated(cyclic) for cyclic in found]
+        return sorted(masks, key=lambda m: (m.bit_count(), -int(format(m, width)[::-1], 2)))
+
+    def hereditary_saturated_sets(self, cap: int = LATTICE_CAP) -> list:
+        """The full lattice of saturated hereditary vertex sets.
+
+        The sets are the H_S for the reach-closed families S of cyclic
+        components (see the module docstring).  Each ``_creach`` mask is
+        reach-closed, and a reach-closed S is the union of the masks at
+        its components' vertices, so the families are the unions of the
+        distinct masks, generated from the empty family by or-ing in one
+        mask at a time.  Meet is intersection; join is the closure of the
+        union.  Sorted by size, then by vertex positions.
+        """
+        return [self._members(m) for m in self._lattice_masks(cap)]
 
     def obstruction_vertex_set(self) -> frozenset:
         """Least saturated hereditary set containing all exit-less-cycle
         vertices; empty exactly when every cycle has an exit."""
         self._reject_sinks("the obstruction vertex set")
-        core = self.exitless_cycle_vertices()
-        if not core:
-            return frozenset()
-        return self.saturated_hereditary_closure(core)
+        return self.saturated_hereditary_closure(self.exitless_cycle_vertices())
 
     def __repr__(self):
         return f"DirectedGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"

@@ -249,18 +249,30 @@ def verify_report(instance: Instance, source, result: VerificationReport,
 
 def graph_report(instance: Instance, source) -> dict:
     graph = instance.obj
-    cycles = graph.simple_cycles()
+    cycles = graph._cycle_indices()
+    # a simple cycle has an exit when one of its edges leaves a vertex of
+    # out-degree > 1
+    branching = [len(graph.out_edges(e.src)) > 1 for e in graph.edges]
     exitless = graph.exitless_cycle_vertices()
-    lattice = graph.hereditary_saturated_sets()
+    lattice = graph._lattice_masks()
     as_set = set(lattice)
     checked = lattice[:_GRAPH_LISTING_CAP]
+    shown = [fmt_set(graph._members(m)) for m in checked]
+    # the lattice and the joins both come from the cyclic-component reach
+    # masks, so each checked set is also tested against the definitions
     law_failures = []
-    for a in checked:
-        for b in checked:
+    for a, name in zip(checked, shown):
+        if not graph._is_hereditary(a):
+            law_failures.append(f"{name} is not hereditary")
+        if not graph._is_saturated(a):
+            law_failures.append(f"{name} is not saturated")
+    reached = [graph._creach_of(m) for m in checked]
+    for a, ra, name_a in zip(checked, reached, shown):
+        for b, rb, name_b in zip(checked, reached, shown):
             if a & b not in as_set:
-                law_failures.append(f"meet of {fmt_set(a)} and {fmt_set(b)} escapes")
-            if graph.saturated_hereditary_closure(a | b) not in as_set:
-                law_failures.append(f"join of {fmt_set(a)} and {fmt_set(b)} escapes")
+                law_failures.append(f"meet of {name_a} and {name_b} escapes")
+            if graph._hereditary_saturated(ra | rb) not in as_set:
+                law_failures.append(f"join of {name_a} and {name_b} escapes")
     return {
         "command": "graph",
         "instance": {
@@ -270,15 +282,16 @@ def graph_report(instance: Instance, source) -> dict:
         },
         "cycles": {
             "count": len(cycles),
-            "listed": [[fmt_element(e.ident) for e in c] for c in cycles[:_GRAPH_LISTING_CAP]],
-            "with_exit": sum(1 for c in cycles if graph.cycle_has_exit(c)),
+            "listed": [[fmt_element(graph.edges[k].ident) for k in c]
+                       for c in cycles[:_GRAPH_LISTING_CAP]],
+            "with_exit": sum(1 for c in cycles if any(branching[k] for k in c)),
             "condition_L": graph.condition_L(),
             "exitless_cycle_vertices": fmt_set(exitless),
         },
         "obstruction_vertex_set": fmt_set(graph.obstruction_vertex_set()),
         "lattice": {
             "size": len(lattice),
-            "sets": [fmt_set(s) for s in lattice[:_GRAPH_LISTING_CAP]],
+            "sets": shown,
             "closure_laws_ok": not law_failures,
             "law_failures": law_failures[:5],
         },

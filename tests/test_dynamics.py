@@ -14,6 +14,7 @@ from glab.dynamics import (
 from glab.errors import CapExceededError
 from glab.generators import random_dynsys, random_graph
 from glab.formats import instance_from_dict
+from glab.reports import graph_report
 
 from _oracles import (
     all_starts_simple_cycles,
@@ -239,6 +240,17 @@ class TestGraphs:
         with pytest.raises(CapExceededError, match=f"more than {count - 1} simple"):
             k5.simple_cycles(cap=count - 1)
 
+    def test_long_ring_one_cycle(self):
+        # each start searches only the later vertices that reach it back, so
+        # a ring longer than the recursion limit lists its one cycle at once
+        n = 1200
+        ring = DirectedGraph([f"v{i}" for i in range(n)],
+                             [(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
+        cycles = ring.simple_cycles()
+        assert len(cycles) == 1
+        assert [e.ident for e in cycles[0]] == [f"e{i}" for i in range(n)]
+        assert ring.hereditary_saturated_sets() == [frozenset(), frozenset(ring.vertices)]
+
     def test_duplicate_edge_ids_rejected(self):
         with pytest.raises(DynamicsError):
             DirectedGraph(("v",), [("e", "v", "v"), ("e", "v", "v")])
@@ -333,3 +345,96 @@ class TestAgainstOracles:
             assert len(g.hereditary_saturated_sets(cap=size)) == size
             with pytest.raises(CapExceededError, match=f"exceeds the cap {size - 1}"):
                 g.hereditary_saturated_sets(cap=size - 1)
+
+
+def bench_shaped_graph(rng, complete, rings, tails):
+    """Disjoint complete digraphs and rings, each ring left exit-less or
+    given one chord, and tail vertices with one edge into a random piece;
+    vertex and edge orders shuffled.  Returns the graph and the vertices of
+    the exit-less rings."""
+    n = sum(complete) + sum(rings) + tails
+    names = [f"v{i}" for i in rng.sample(range(10 * n), n)]
+    edges, start, exitless = [], 0, set()
+    for k in complete:
+        members = names[start:start + k]
+        edges += [(a, b) for a in members for b in members if a != b]
+        start += k
+    for k in rings:
+        members = names[start:start + k]
+        edges += [(members[i], members[(i + 1) % k]) for i in range(k)]
+        if rng.random() < 0.5:
+            edges.append((members[0], members[2]))
+        else:
+            exitless.update(members)
+        start += k
+    for tail in names[start:]:
+        edges.append((tail, rng.choice(names[:start])))
+    rng.shuffle(edges)
+    rng.shuffle(names)
+    graph = DirectedGraph(names, [(f"e{i}", a, b) for i, (a, b) in enumerate(edges)])
+    return graph, frozenset(exitless)
+
+
+class TestBenchScale:
+    """The cyclic-component lattice, closures and obstruction set against
+    the frozenset rescans of ``_oracles`` on graphs of the benchmark's
+    ``combinatorial`` shapes: 2^7 and 2^8 lattice sets on 46-47 vertices."""
+
+    @pytest.mark.parametrize("shape", [
+        ((8,), (7, 6, 6, 5, 5, 5), 4),
+        ((7, 5, 4), (6, 6, 5, 5, 5), 4),
+    ])
+    def test_against_set_oracles(self, shape):
+        rng = random.Random(59)
+        g, exitless = bench_shaped_graph(rng, *shape)
+        lattice = g.hereditary_saturated_sets()
+        assert len(lattice) == 2 ** (len(shape[0]) + len(shape[1]))
+        assert lattice == set_hereditary_saturated_sets(g)
+        for _ in range(40):
+            members = rng.sample(g.vertices, rng.randint(0, 6))
+            assert (g.saturated_hereditary_closure(members)
+                    == set_saturated_hereditary_closure(g, members))
+        assert g.exitless_cycle_vertices() == exitless
+        expected = set_saturated_hereditary_closure(g, exitless) if exitless else frozenset()
+        assert g.obstruction_vertex_set() == expected
+
+
+class TestCorruptedReach:
+    """The report's closure-law check tests each listed set against the
+    definitions of hereditary and saturated, so it fails when the cyclic
+    reach masks that the lattice and the joins are read from are wrong."""
+
+    def instance(self):
+        # two exit-less rings and a tail into each
+        return instance_from_dict({"version": 1, "kind": "graph",
+                                   "vertices": ["a", "b", "c", "d", "s", "t"],
+                                   "edges": [
+            {"id": "e0", "src": "a", "dst": "b"}, {"id": "e1", "src": "b", "dst": "a"},
+            {"id": "e2", "src": "c", "dst": "d"}, {"id": "e3", "src": "d", "dst": "c"},
+            {"id": "e4", "src": "s", "dst": "a"}, {"id": "e5", "src": "t", "dst": "c"},
+        ]})
+
+    def test_valid(self):
+        report = graph_report(self.instance(), "two-rings")
+        assert report["lattice"]["closure_laws_ok"]
+        assert report["lattice"]["sets"] == [[], ["a", "b", "s"], ["c", "d", "t"],
+                                             ["a", "b", "c", "d", "s", "t"]]
+
+    def test_cleared_bit(self):
+        instance = self.instance()
+        g = instance.obj
+        g._creach[g.vertices.index("s")] = 0
+        report = graph_report(instance, "two-rings")
+        assert not report["lattice"]["closure_laws_ok"]
+        assert "['s'] is not hereditary" in report["lattice"]["law_failures"]
+
+    def test_swapped_masks(self):
+        instance = self.instance()
+        g = instance.obj
+        creach = g._creach
+        a, c = g.vertices.index("a"), g.vertices.index("c")
+        creach[a], creach[c] = creach[c], creach[a]
+        report = graph_report(instance, "two-rings")
+        assert not report["lattice"]["closure_laws_ok"]
+        assert "['b', 'c', 's'] is not hereditary" in report["lattice"]["law_failures"]
+        assert "['b', 'c', 's'] is not saturated" in report["lattice"]["law_failures"]
