@@ -154,8 +154,10 @@ class FiniteDynSystem:
                     break
         return frozenset(out)
 
-    def orbit_equivalence_classes(self) -> tuple:
-        """Classes of the smallest equivalence relation with x ~ T(x)."""
+    def invariant_sets(self, cap: int = LATTICE_CAP) -> list:
+        """All subsets closed under the map forwards and backwards
+        (unions of orbit-equivalence classes), as a lattice.  The classes
+        are those of the smallest equivalence relation with x ~ T(x)."""
         parent = {x: x for x in self.space}
 
         def find(x):
@@ -168,19 +170,10 @@ class FiniteDynSystem:
             a, b = find(x), find(self.mapping[x])
             if a != b:
                 parent[a] = b
-        classes: dict = {}
+        by_root: dict = {}
         for x in self.space:
-            classes.setdefault(find(x), []).append(x)
-        order = {x: i for i, x in enumerate(self.space)}
-        return tuple(
-            frozenset(v)
-            for v in sorted(classes.values(), key=lambda vs: min(order[v] for v in vs))
-        )
-
-    def invariant_sets(self, cap: int = LATTICE_CAP) -> list:
-        """All subsets closed under the map forwards and backwards
-        (unions of orbit-equivalence classes), as a lattice."""
-        classes = self.orbit_equivalence_classes()
+            by_root.setdefault(find(x), []).append(x)
+        classes = [frozenset(v) for v in by_root.values()]
         if 2 ** len(classes) > cap:
             raise CapExceededError(
                 f"{2 ** len(classes)} invariant sets exceed the cap {cap}"
@@ -360,6 +353,8 @@ class DirectedGraph:
     def _mask(self, members) -> int:
         mask = 0
         for v in members:
+            if v not in self._index:
+                raise DynamicsError(f"{v!r} is not a vertex")
             mask |= 1 << self._index[v]
         return mask
 

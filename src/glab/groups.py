@@ -13,7 +13,65 @@ from itertools import permutations
 import numpy as np
 
 
-_TRIPLE_BLOCK = 1 << 16     # triples (a, b, c) compared per block of rows
+_TRIPLE_CHUNK = 1 << 14     # triples (a, b, c) compared per chunk
+
+
+def _first_nonassociative(src, rng, unit, ia, ib, iab, start, pos):
+    """The first triple (a, b, c) of element indices with (ab)c != a(bc), or
+    None, by Light's test on ``_generators`` (see ``glab.groupoids``).
+    ``src``, ``rng`` and ``unit`` give sources and ranges and mark the units;
+    the composable pair (a, b) and its product sit at ``start[b] + pos[a]``
+    of ``ia``, ``ib`` and ``iab``.  The unit laws and the source and range of
+    each product must already hold.  Only a failing table is walked over
+    every triple: pair by pair, c over the range fiber of s(b) in order.
+    """
+    table = (src, rng, ia, ib, iab, start, pos)
+    gens = _generators(src, rng, unit, iab, start, pos)
+    if not len(gens) or _first_failure(gens, *table) is None:
+        return None
+    return _first_failure(np.argsort(rng, kind="stable"), *table)
+
+
+def _generators(src, rng, unit, iab, start, pos):
+    """A set S, in range order, that reaches every element from the units
+    by right multiplication, found greedily on the table's own products:
+    the first element not yet reached joins S."""
+    prod, first, at = iab.tolist(), start.tolist(), pos.tolist()
+    sources, ranges, reached = src.tolist(), rng.tolist(), unit.tolist()
+    fiber = {u: [u] for u in range(len(reached)) if reached[u]}   # reached, by source
+    gens, gens_at = [], {}                                          # S, by range
+    for s in range(len(reached)):
+        if reached[s]:
+            continue
+        gens.append(s)
+        gens_at.setdefault(ranges[s], []).append(s)
+        todo = [(x, s) for x in fiber.get(ranges[s], ())]
+        while todo:
+            x, g = todo.pop()
+            xg = prod[first[g] + at[x]]
+            if not reached[xg]:
+                reached[xg] = True
+                fiber.setdefault(sources[xg], []).append(xg)
+                todo.extend((xg, h) for h in gens_at.get(sources[xg], ()))
+    return np.array(sorted(gens, key=ranges.__getitem__), dtype=np.intp)
+
+
+def _first_failure(cs, src, rng, ia, ib, iab, start, pos):
+    """The first failing triple, in ``_first_nonassociative``'s order, whose
+    c lies in ``cs`` (listed in range order), or None; in chunks."""
+    src_b = src[ib]
+    count = np.bincount(rng[cs], minlength=len(src))[src_b]
+    ends = count.cumsum()
+    base = rng[cs].searchsorted(src_b) - (ends - count)
+    for lo in range(0, int(ends[-1]), _TRIPLE_CHUNK):
+        t = np.arange(lo, min(lo + _TRIPLE_CHUNK, int(ends[-1])))
+        p = ends.searchsorted(t, "right")
+        a, b, c = ia[p], ib[p], cs[base[p] + t]
+        bad = (iab[start[c] + pos[iab[p]]]
+               != iab[start[iab[start[c] + pos[b]]] + pos[a]]).nonzero()[0]
+        if len(bad):
+            return tuple(int(x[bad[0]]) for x in (a, b, c))
+    return None
 
 
 class GroupError(ValueError):
@@ -77,20 +135,17 @@ class CayleyGroup:
             else:
                 raise GroupError(f"element {g!r} has no inverse")
         self._inverse = inverse
-        # t[i, j] is the index of els[i] * els[j]; the constructors reuse it.
-        # (ab)c against a(bc) for a block of rows a at a time, as [a, b, c]
-        k = len(els)
-        t = np.array(rows, dtype=np.intp).reshape(k, k)
-        rows_per_block = max(1, _TRIPLE_BLOCK // (k * k))
-        for lo in range(0, k, rows_per_block):
-            ab = t[lo:lo + rows_per_block]
-            bad = np.flatnonzero(t[ab] != ab[:, t])
-            if len(bad):
-                a, b, c = np.unravel_index(bad[0], ab.shape + (k,))
-                raise GroupError(
-                    f"associativity fails at ({els[lo + a]!r}, {els[b]!r}, {els[c]!r})"
-                )
-        self._mul_index = t
+        # t[i * k + j] is the index of els[i] * els[j] (the constructors reuse
+        # it as k x k); the pairs go a-major, so triples go in (a, b, c) order
+        k, e = len(els), index[identity]
+        one, every = np.full(k, e), np.arange(k)
+        t = np.array(rows, dtype=np.intp)
+        bad = _first_nonassociative(one, one, every == e, *np.divmod(np.arange(k * k), k),
+                                    t, every, every * k)
+        if bad is not None:
+            a, b, c = (els[x] for x in bad)
+            raise GroupError(f"associativity fails at ({a!r}, {b!r}, {c!r})")
+        self._mul_index = t.reshape(k, k)
 
     @property
     def order(self) -> int:

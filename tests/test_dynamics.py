@@ -170,6 +170,12 @@ class TestGraphs:
         assert not g.is_saturated({"v"})
         assert g.saturated_hereditary_closure({"v"}) == frozenset({"u", "v"})
 
+    def test_predicates_reject_a_non_vertex_by_name(self):
+        g = DirectedGraph(("v", "w"), [("a", "v", "w"), ("b", "w", "w")])
+        for predicate in (g.is_hereditary, g.is_saturated, g.saturated_hereditary_closure):
+            with pytest.raises(DynamicsError, match="'zzz' is not a vertex"):
+                predicate({"v", "zzz"})
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 100_000))
     def test_obstruction_iff_exitless(self, seed):

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from glab import groups as groups_module
 from glab.groups import (
     CayleyGroup,
     GroupError,
@@ -59,12 +58,7 @@ class TestIndexTableCheck:
     def rows_of(group):
         return [[group.mul(a, b) for b in group.elements] for a in group.elements]
 
-    @pytest.mark.parametrize("block", [None, 60])
-    def test_first_failure_matches_reference(self, monkeypatch, block):
-        # a block of 60 triples splits every table past order 5 into
-        # blocks of one or two rows
-        if block is not None:
-            monkeypatch.setattr(groups_module, "_TRIPLE_BLOCK", block)
+    def test_first_failure_matches_reference(self):
         groups = (cyclic_group(5), dihedral_group(3), symmetric_group(3),
                   dihedral_group(4), trivial_group())
         failures = set()
