@@ -92,9 +92,8 @@ class _Fiber:
 
     def __init__(self, g: FiniteGroupoid, x: int):
         self.slots, self.iab, self.x = g._pair_slots(), g.composition_table()[2], x
-        src, rng = self.slots.src, self.slots.rng
-        orbit = np.zeros(len(src), dtype=bool)
-        orbit[rng[src == x]] = True
+        src, rng, orbit_of = self.slots.src, self.slots.rng, self.slots.orbit
+        orbit = self.slots.unit & (orbit_of == orbit_of[x])
         gamma, place = np.flatnonzero(orbit[src]), np.cumsum(orbit) - 1
         self.collapse = (int(orbit.sum()), place[rng[gamma]], place[src[gamma]], gamma)
 
@@ -109,6 +108,9 @@ class _Fiber:
     def matrix(self, coeffs) -> np.ndarray:
         return _scatter(*self.scatter, coeffs)
 
+    def collapse_matrix(self, coeffs) -> np.ndarray:
+        return _scatter(*self.collapse, coeffs)
+
     def coefficients(self, matrix) -> np.ndarray:
         _, rows, cols, els = self.scatter
         gamma, first = np.unique(els, return_index=True)
@@ -120,7 +122,7 @@ class _Fiber:
 def _orbit_fibers(g: FiniteGroupoid) -> tuple:
     """One ``_Fiber`` per orbit, in ``orbits()`` order, at its first unit."""
     if "orbit_fibers" not in g._caches:
-        g._caches["orbit_fibers"] = tuple(_Fiber(g, min(map(g.index, o))) for o in g.orbits())
+        g._caches["orbit_fibers"] = tuple(_Fiber(g, x) for x in g._pair_slots().first_unit.tolist())
     return g._caches["orbit_fibers"]
 
 
@@ -366,7 +368,7 @@ class BlockDecomposition:
         """Per orbit, in ``groupoid.orbits()`` order, the mask of the
         blocks over it (bit i is block i)."""
         return tuple(_block_mask(np.flatnonzero(self._orbit_index == o).tolist())
-                     for o in range(len(self.groupoid.orbits())))
+                     for o in range(len(self.groupoid._pair_slots().first_unit)))
 
     def orbit_blocks(self) -> dict:
         """Map each orbit to the tuple of indices of blocks sitting over it."""
@@ -376,8 +378,9 @@ class BlockDecomposition:
     # -- the block/orbit incidence ---------------------------------------
     #
     # An ideal is a block mask m and an invariant unit set an orbit mask w
-    # (bit o is ``orbits()[o]``).  ``filled``, ``touched`` and ``over`` take
-    # one int mask or an int64 array of masks, through the same code.
+    # (bit o is orbit o, numbered as the ``glab.groupoids`` docstring says).
+    # ``filled``, ``touched`` and ``over`` take one int mask or an int64
+    # array of masks, through the same code.
 
     def filled(self, m):
         """The orbits all of whose blocks ideal ``m`` holds: its diagonal."""
@@ -393,12 +396,11 @@ class BlockDecomposition:
 
     def orbit_mask(self, members) -> int:
         """The orbits inside a unit set."""
-        return sum(1 << o for o, orbit in enumerate(self.groupoid.orbits()) if orbit <= members)
+        return self.groupoid._orbit_mask(members)
 
     def orbit_set(self, w: int) -> frozenset:
         """The units of the orbits in ``w``."""
-        orbits = self.groupoid.orbits()
-        return frozenset().union(*(orbits[o] for o in _bits(w)))
+        return self.groupoid._orbit_union(w)
 
     def _held(self, m: int) -> np.ndarray:
         """Per arrow, whether it lies in the support of ideal ``m``."""
@@ -540,14 +542,6 @@ def _cluster(eigenvalues, expected: int):
     return list(zip(bounds, bounds[1:]))
 
 
-def _source_orbits(g: FiniteGroupoid) -> np.ndarray:
-    """Per element, the index in ``orbits()`` of the orbit of its source."""
-    orbit_of = np.zeros(len(g), dtype=np.intp)
-    for o, orbit in enumerate(g.orbits()):
-        orbit_of[[g.index(u) for u in orbit]] = o
-    return orbit_of[g._pair_slots().src]
-
-
 def _center_basis(g: FiniteGroupoid) -> np.ndarray:
     """Orthonormal basis (columns) of the center: the normalised indicators
     of the isotropy conjugacy classes {h gamma h^-1}, one per block, in the
@@ -641,7 +635,7 @@ def _decompose(g: FiniteGroupoid, tol: TolerancePolicy, seed: int) -> _Record:
     # a block's footprint on the units must be the whole of one orbit
     units = np.flatnonzero(slots.unit)
     footprint = magnitude[units] > tol.zero_eps
-    unit_orbit = _source_orbits(g)[units]
+    unit_orbit = slots.orbit[units]
     orbit = unit_orbit[footprint.argmax(axis=0)]
     stray = np.flatnonzero((footprint != (unit_orbit[:, None] == orbit)).any(axis=0))
     if stray.size:

@@ -17,6 +17,15 @@ The arrows c with (xy)c = x(yc) for all composable x and y hold the units
 and are closed under the table's own product: (xy)(cd) = ((xy)c)d =
 (x(yc))d = x((yc)d) = x(y(cd)).  So if they hold a set S that reaches every
 arrow from the units by right multiplication, they are the whole groupoid.
+
+Orbits are numbered once, in the pair slots (``_PairSlots.orbit``).  The
+orbit of a unit x is r(G_x) (Renault, LNM 793, 1980), so the least range
+index over the source fiber of x names it, and the orbits are numbered by
+their first unit in element order, the order of ``orbits()``.  Bit o of an
+orbit mask is orbit o wherever one is used.  The fact needs the groupoid
+axioms: the orbit arrays are read only on a valid groupoid (one that
+``validate`` passed, a ``unit_space_groupoid`` or ``empty_groupoid``, or a
+reduction of a valid one).
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapExceededError
-from .groups import CayleyGroup, PartialAction, _first_nonassociative
+from .groups import PartialAction, _first_nonassociative
 
 INVARIANT_SET_CAP = 1 << 20
 
@@ -61,13 +70,6 @@ class IsotropyGroup:
     def is_trivial(self) -> bool:
         return len(self.elements) == 1
 
-    def as_cayley(self) -> CayleyGroup:
-        g = self.groupoid
-        table = {
-            a: {b: g.compose(a, b) for b in self.elements} for a in self.elements
-        }
-        return CayleyGroup(self.elements, table, name=f"isotropy@{self.base!r}")
-
 
 @dataclass(frozen=True)
 class _PairSlots:
@@ -80,7 +82,9 @@ class _PairSlots:
     the pairs by b, and within b takes a in ``source_fiber`` order, so the
     pair (a, b) sits at ``start[b] + pos[a]``: ``start`` is the running sum
     of the run lengths |G_{r(b)}| and ``pos[a]`` is a's place in its source
-    fiber.
+    fiber.  The orbit table (see the module docstring) is ``orbit``, the
+    orbit of each element's source, ``first_unit``, each orbit's first
+    unit, and ``isotropy``, the isotropy order at each unit (0 off the units).
     """
 
     src: np.ndarray
@@ -91,6 +95,9 @@ class _PairSlots:
     ib: np.ndarray
     start: np.ndarray
     pos: np.ndarray
+    orbit: np.ndarray
+    first_unit: np.ndarray
+    isotropy: np.ndarray
 
 
 class FiniteGroupoid:
@@ -206,8 +213,14 @@ class FiniteGroupoid:
             start = np.cumsum(run) - run
             ib = np.repeat(np.arange(n), run)
             ia = by_source[first[rng[ib]] + np.arange(len(ib)) - start[ib]]
+            # the orbit of x is r(G_x), named by its least index
+            name = np.full(n, n)
+            np.minimum.at(name, src, rng)
+            first_unit = np.flatnonzero(name == np.arange(n))
             slots = self._caches["pair_slots"] = _PairSlots(
-                src, rng, inv, src == np.arange(n), ia, ib, start, pos)
+                src, rng, inv, src == np.arange(n), ia, ib, start, pos,
+                np.searchsorted(first_unit, name[src]), first_unit,
+                np.bincount(src[src == rng], minlength=n))
         return slots
 
     def _products(self, a, b):
@@ -325,39 +338,43 @@ class FiniteGroupoid:
 
     # -- orbits and invariant sets ----------------------------------------
 
+    def _unit_orbits(self) -> list:
+        """The orbit number of each unit, in ``unit_list`` order."""
+        slots = self._pair_slots()
+        return slots.orbit[slots.unit].tolist()
+
+    def _orbit_mask(self, members) -> int:
+        """The mask of the orbits that lie inside a unit set."""
+        missed = {o for u, o in zip(self.unit_list, self._unit_orbits()) if u not in members}
+        return sum(1 << o for o in range(len(self._pair_slots().first_unit)) if o not in missed)
+
+    def _orbit_union(self, w: int) -> frozenset:
+        """The units of the orbits in mask ``w``."""
+        return frozenset(u for u, o in zip(self.unit_list, self._unit_orbits()) if w >> o & 1)
+
+    def _sorted_unit_sets(self, masks) -> list:
+        """Distinct orbit masks in the canonical order of invariant unit sets:
+        by size, then by the positions of their units in ``unit_list``."""
+        unit_orbits = self._unit_orbits()
+        members = {w: [i for i, o in enumerate(unit_orbits) if w >> o & 1] for w in masks}
+        return sorted(members, key=lambda w: (len(members[w]), members[w]))
+
     def orbits(self) -> tuple:
-        """Partition of the unit space: x ~ y iff an arrow joins them."""
-        out = self._caches.get("orbits")
-        if out is not None:
-            return out
-        parent = {u: u for u in self.units}
-
-        def find(u):
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            return u
-
-        for el in self.elements:
-            a, b = find(self._source[el]), find(self._range[el])
-            if a != b:
-                parent[a] = b
-        classes: dict = {}
-        for u in self.unit_list:
-            classes.setdefault(find(u), []).append(u)
-        order = {u: i for i, u in enumerate(self.unit_list)}
-        out = tuple(
-            frozenset(members)
-            for members in sorted(classes.values(), key=lambda ms: min(order[m] for m in ms))
-        )
-        self._caches["orbits"] = out
-        return out
+        """Partition of the unit space: x ~ y iff an arrow joins them, in
+        the orbit table's order."""
+        if "orbits" not in self._caches:
+            classes = [[] for _ in self._pair_slots().first_unit]
+            for u, o in zip(self.unit_list, self._unit_orbits()):
+                classes[o].append(u)
+            self._caches["orbits"] = tuple(map(frozenset, classes))
+        return self._caches["orbits"]
 
     def is_invariant_unit_set(self, members) -> bool:
         members = frozenset(members)
         if not members <= self.units:
             raise GroupoidError("not a subset of the unit space")
-        return all(orb <= members or not (orb & members) for orb in self.orbits())
+        # all or none of each orbit: the orbits inside cover every member
+        return self._orbit_union(self._orbit_mask(members)) == members
 
     def invariant_subsets(self, cap: int = INVARIANT_SET_CAP) -> list:
         """All invariant unit sets (= unions of orbits), as a lattice.
@@ -365,19 +382,12 @@ class FiniteGroupoid:
         Canonically ordered by (size, unit order); closed under union
         and intersection by construction.
         """
-        orbits = self.orbits()
-        if 2 ** len(orbits) > cap:
+        count = len(self._pair_slots().first_unit)
+        if 2 ** count > cap:
             raise CapExceededError(
-                f"{2 ** len(orbits)} invariant subsets exceed the cap {cap}"
+                f"{2 ** count} invariant subsets exceed the cap {cap}"
             )
-        order = {u: i for i, u in enumerate(self.unit_list)}
-        subsets = []
-        for k in range(len(orbits) + 1):
-            for combo in itertools.combinations(range(len(orbits)), k):
-                members = frozenset().union(*(orbits[i] for i in combo)) if combo else frozenset()
-                subsets.append(members)
-        subsets.sort(key=lambda s: (len(s), sorted(order[u] for u in s)))
-        return subsets
+        return [self._orbit_union(w) for w in self._sorted_unit_sets(range(1 << count))]
 
     # -- reduction ---------------------------------------------------------
 
@@ -434,11 +444,13 @@ class FiniteGroupoid:
 
     def is_effective_at(self, x) -> bool:
         """Trivial isotropy at x (discrete case: interior = isotropy)."""
-        return self.isotropy(x).is_trivial
+        if x not in self.units:
+            raise GroupoidError(f"{x!r} is not a unit")
+        return bool(self._pair_slots().isotropy[self._index[x]] == 1)
 
     def effective_units(self) -> frozenset:
         """Units with trivial isotropy; the complement is invariant."""
-        eff = frozenset(x for x in self.units if self.is_effective_at(x))
+        eff = frozenset(itertools.compress(self.elements, self._pair_slots().isotropy == 1))
         if not self.is_invariant_unit_set(self.units - eff):
             raise GroupoidError("internal error: non-effective set is not invariant")
         return eff

@@ -235,7 +235,7 @@ class PartialAction:
         self._space_set = frozenset(self.space)
         if len(self._space_set) != len(self.space):
             raise PartialActionError("duplicate points in space")
-        self.maps = {g: dict(maps.get(g, {})) for g in group.elements}
+        self.maps = {g: {} for g in group.elements} | {g: dict(m) for g, m in maps.items()}
         self.validate()
 
     def validate(self):

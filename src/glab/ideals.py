@@ -14,8 +14,9 @@ quantified and finite instances admit complete checks within the
 block-count cap.
 
 An ideal is the int bitmask of its Wedderburn blocks (``Ideal.mask``,
-bit i is block i) and an invariant unit set is a bitmask over the
-orbits (bit o is ``orbits()[o]``).  Which blocks sit over which orbit
+bit i is block i) and an invariant unit set is a bitmask over the orbits
+(bit o is orbit o, numbered as the ``glab.groupoids`` docstring says).
+Which blocks sit over which orbit
 is decided in one place, ``BlockDecomposition``: ``filled(m)`` (the
 orbits ideal m fills), ``touched(m)`` (the orbits it has a block over)
 and ``over(w)`` (the dynamical ideal over orbit set w), each on one mask
@@ -48,8 +49,6 @@ from .algebra import (
     _bits,
     _block_mask,
     _orbit_fibers,
-    _scatter,
-    _source_orbits,
     delta,
     wedderburn,
 )
@@ -221,7 +220,6 @@ def _triple_table(decomp: BlockDecomposition) -> tuple:
     product of per-orbit choices and V minus U is a union of orbits
     with at least two blocks.
     """
-    unit_orbit = _source_orbits(decomp.groupoid)[decomp.groupoid._pair_slots().unit]
     obm = decomp.orbit_masks
     unit_masks = np.arange(1 << len(obm), dtype=np.int64)
     split = [o for o, bm in enumerate(obm) if bm.bit_count() > 1]
@@ -232,13 +230,8 @@ def _triple_table(decomp: BlockDecomposition) -> tuple:
                     dtype=np.int64)
         for o in split
     }
-
-    def unit_order(between):
-        members = np.flatnonzero(between >> unit_orbit & 1).tolist()
-        return len(members), members
-
-    betweens = sorted((_block_mask(split[i] for i in _bits(s))
-                       for s in range(1 << len(split))), key=unit_order)
+    betweens = decomp.groupoid._sorted_unit_sets(
+        _block_mask(split[i] for i in _bits(s)) for s in range(1 << len(split)))
     lowers, uppers, quotients = [], [], []
     for between in betweens:
         q = np.zeros(1, dtype=np.int64)
@@ -268,7 +261,7 @@ def obstruction_ideal(decomp_or_groupoid, tol=None, seed=None) -> Ideal:
 def collapse_matrices(g: FiniteGroupoid, a: AlgebraElement) -> list:
     """The action of ``a`` on the orbit spaces, one matrix per orbit:
     a basis vector at a unit is sent through every arrow out of it."""
-    return [_scatter(*fiber.collapse, a.coeffs) for fiber in _orbit_fibers(g)]
+    return [fiber.collapse_matrix(a.coeffs) for fiber in _orbit_fibers(g)]
 
 
 def collapse_kernel(decomp_or_groupoid, tol=None, seed=None) -> Ideal:
@@ -290,21 +283,19 @@ def _obstruction(decomp: BlockDecomposition) -> tuple:
     non-effective reduction, and the kernel is zero when J^ob is and has
     J^ob's support when it is not."""
     g, slots = decomp.groupoid, decomp.groupoid._pair_slots()
-    noneffective = g.units - g.effective_units()
-    j_ob = decomp.dynamical_ideal_of(noneffective)
+    noneffective = slots.isotropy > 1
+    j_ob = decomp.dynamical_ideal_of(itertools.compress(g.elements, noneffective))
     # on its own orbit a block's idempotent maps to a projection: norm 0 or 1
-    killed = 0
+    fibers, killed = _orbit_fibers(g), 0
     for blk, o in zip(decomp.blocks, decomp._orbit_index.tolist()):
-        if linalg.operator_norm(collapse_matrices(g, blk.idempotent)[o]) < _PROJECTION_CUT:
+        if linalg.operator_norm(fibers[o].collapse_matrix(blk.idempotent.coeffs)) < _PROJECTION_CUT:
             killed |= 1 << blk.index
     kernel = Ideal(decomp, killed)
     failures = []
     if kernel.diagonal_units():
         failures.append("collapse kernel meets the diagonal")
-    inside = np.zeros(len(g), dtype=bool)
-    inside[[g.index(u) for u in noneffective]] = True
     held = decomp._held(j_ob.mask)
-    if (held != (inside[slots.src] & inside[slots.rng])).any():
+    if (held != (noneffective[slots.src] & noneffective[slots.rng])).any():
         failures.append(_OBSTRUCTION_SUPPORT)
     if j_ob.is_zero:
         if not kernel.is_zero:
@@ -435,9 +426,9 @@ class _LatticeData:
         self.dynamical_of = decomp.over(self.unit_masks)
         self.dynamical = self.dynamical_of[self.inside] == self.ideal_masks
         self.pnd = (self.ideal_masks != 0) & (self.inside == 0)
-        orbit_of = _source_orbits(decomp.groupoid)
+        slots = decomp.groupoid._pair_slots()
         self.arrows = np.stack([decomp._support @ (1 << np.arange(self.b, dtype=np.int64)),
-                                orbit_of, orbit_of[decomp.groupoid._pair_slots().inv]], axis=1)
+                                slots.orbit, slots.orbit[slots.inv]], axis=1)
 
     def theta_inverse(self) -> tuple:
         """theta^-1 of every ideal mask m, as (U, V, q) arrays indexed by m."""

@@ -124,9 +124,8 @@ class _IdealTable:
         for blk in decomp.blocks:
             self.dimension += (masks >> blk.index & 1) * blk.dimension ** 2
         self.dynamical, self.pnd, self.n_orbits = data.dynamical, data.pnd, data.n_orbits
-        self.units = sorted((fmt_element(u), o)
-                            for o, orbit in enumerate(decomp.groupoid.orbits())
-                            for u in orbit)
+        g = decomp.groupoid
+        self.units = sorted(zip(map(fmt_element, g.unit_list), g._unit_orbits()))
 
     def __len__(self) -> int:
         return len(self.lower)
@@ -195,7 +194,7 @@ def analyze_report(instance: Instance, source, decomp: BlockDecomposition,
             "name": g.name,
             "elements": len(g),
             "units": len(g.units),
-            "orbits": len(g.orbits()),
+            "orbits": len(decomp.orbit_masks),
             "block_dimensions": list(decomp.dimensions),
         },
         "parameters": _parameters(decomp),

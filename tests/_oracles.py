@@ -2,7 +2,8 @@
 
 Everything here recomputes expected values from first principles with
 deliberately different code paths than the library: orbits by breadth
-first search, convolution by the literal double sum, block dimensions
+first search, invariant unit sets as unions of those orbits, invariance by
+a scan of the arrows, convolution by the literal double sum, block dimensions
 by counting conjugacy classes of the isotropy group and solving the
 sum-of-squares constraint, ideal/triple counts by per-orbit
 combinatorics, the minimal central idempotents by splitting a dense
@@ -53,6 +54,20 @@ def bfs_orbits(g):
         seen |= orbit
         orbits.append(frozenset(orbit))
     return orbits
+
+
+def is_invariant(g, members):
+    """No arrow joins a unit inside ``members`` to one outside."""
+    return all((g.source(el) in members) == (g.range(el) in members) for el in g.elements)
+
+
+def invariant_unit_sets(g):
+    """Every union of ``bfs_orbits``, by size and then unit positions."""
+    order = {u: i for i, u in enumerate(g.unit_list)}
+    orbits = bfs_orbits(g)
+    sets = [frozenset().union(*combo) for k in range(len(orbits) + 1)
+            for combo in itertools.combinations(orbits, k)]
+    return sorted(sets, key=lambda s: (len(s), sorted(order[u] for u in s)))
 
 
 def isotropy_table(g, x):
@@ -250,7 +265,7 @@ def set_sandwich(ideal):
     blocks = block_set(ideal)
     lower = set_diagonal_units(decomp, blocks)
     upper = frozenset(g.source(el) for el in set_support(decomp, blocks))
-    assert g.is_invariant_unit_set(lower) and g.is_invariant_unit_set(upper)
+    assert is_invariant(g, lower) and is_invariant(g, upper)
     assert set_dynamical_blocks(decomp, lower) <= blocks <= set_dynamical_blocks(decomp, upper)
     for orbit, over in set_orbit_blocks(decomp).items():
         if frozenset(over) <= blocks:
@@ -265,7 +280,7 @@ def set_check_triple(decomp, lower, upper, quotient):
     (sub-block index -> parent block index)."""
     g = decomp.groupoid
     assert lower <= upper
-    assert g.is_invariant_unit_set(lower) and g.is_invariant_unit_set(upper)
+    assert is_invariant(g, lower) and is_invariant(g, upper)
     sub, mapping = decomp.restriction_decomposition(upper - lower)
     assert quotient <= frozenset(range(len(sub.blocks)))
     if upper == lower:
@@ -301,10 +316,10 @@ def set_enumerate_triples(decomp):
     outside it, and every product of proper nonempty per-orbit block
     subsets of the subquotient."""
     g = decomp.groupoid
-    orbits = g.orbits()
+    orbits = bfs_orbits(g)
     orbit_blocks = set_orbit_blocks(decomp)
     triples = []
-    for between in g.invariant_subsets():
+    for between in invariant_unit_sets(g):
         per_orbit = [
             [combo
              for size in range(1, len(orbit_blocks[orb]))

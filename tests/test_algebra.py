@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import gc
 import random
 import weakref
@@ -374,7 +375,9 @@ class TestWedderburn:
         """A block whose footprint on the units is not one whole orbit is
         refused, naming its footprint: here every unit is labelled orbit 0,
         so the blocks over the second unit cover only part of it."""
-        monkeypatch.setattr(al, "_source_orbits", lambda g: np.zeros(len(g), dtype=np.intp))
+        real = gp.FiniteGroupoid._pair_slots
+        monkeypatch.setattr(gp.FiniteGroupoid, "_pair_slots", lambda g: dataclasses.replace(
+            real(g), orbit=np.zeros(len(g), dtype=np.intp)))
         g = gp.group_bundle({"u": cyclic_group(2), "v": cyclic_group(3)})
         with pytest.raises(al.DecompositionError) as caught:
             al.wedderburn(g)

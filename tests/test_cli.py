@@ -65,15 +65,15 @@ class TestAnalyze:
         assert len(report["conventions"]) == 3
 
     def test_obstruction_data_built_once(self, capsys, swap_file, monkeypatch):
-        import glab.ideals as ideals_mod
+        import glab.algebra as algebra_mod
 
         calls = []
-        real = ideals_mod.collapse_matrices
-        monkeypatch.setattr(ideals_mod, "collapse_matrices",
-                            lambda g, a: calls.append(a) or real(g, a))
+        real = algebra_mod._Fiber.collapse_matrix
+        monkeypatch.setattr(algebra_mod._Fiber, "collapse_matrix",
+                            lambda fiber, coeffs: calls.append(coeffs) or real(fiber, coeffs))
         code, out, _ = run(capsys, "analyze", str(swap_file), "--format", "json")
         assert code == 0
-        # one collapse representation per block
+        # one collapse matrix per block, on its own orbit
         assert len(calls) == len(json.loads(out)["instance"]["block_dimensions"])
 
     @pytest.mark.parametrize("failures, message", [
@@ -303,11 +303,11 @@ class TestVerify:
                                                   monkeypatch):
         # a collapse representation that kills every block: the kernel
         # meets the diagonal, which the obstruction check reports
-        import glab.ideals as ideals_mod
+        import glab.algebra as algebra_mod
 
-        real = ideals_mod.collapse_matrices
-        monkeypatch.setattr(ideals_mod, "collapse_matrices",
-                            lambda g, a: [0 * m for m in real(g, a)])
+        real = algebra_mod._Fiber.collapse_matrix
+        monkeypatch.setattr(algebra_mod._Fiber, "collapse_matrix",
+                            lambda fiber, coeffs: 0 * real(fiber, coeffs))
         code, out, err = run(capsys, "verify", str(swap_file), "--format", "json")
         assert (code, err) == (1, "")
         check = next(c for c in json.loads(out)["checks"] if c["name"] == "obstruction")

@@ -20,8 +20,9 @@ from glab.generators import random_groupoid, random_instance, random_partial_act
 from glab.groups import (PartialAction, cyclic_group, dihedral_group, global_action,
                          symmetric_group)
 
-from _oracles import (bfs_orbits, composition_arrays, first_law_failure,
-                      first_nonassociative, joint_effectiveness_search)
+from _oracles import (bfs_orbits, composition_arrays, first_group_failure, first_law_failure,
+                      first_nonassociative, invariant_unit_sets, is_invariant, isotropy_table,
+                      joint_effectiveness_search)
 
 
 class TestValidation:
@@ -517,6 +518,53 @@ class TestOrbitsAndInvariance:
                 assert sub.units == members
 
 
+class TestOrbitTable:
+    """``orbits()``, ``effective_units()`` and ``invariant_subsets()``, all
+    read off the orbit table, against breadth-first orbits and isotropy
+    tables.  The invariant sets are listed up to 2^10 of them."""
+
+    @staticmethod
+    def check(g):
+        assert list(g.orbits()) == bfs_orbits(g)
+        assert g.effective_units() == frozenset(
+            x for x in g.unit_list if len(isotropy_table(g, x)) == 1)
+        if len(g.orbits()) <= 10:
+            assert g.invariant_subsets() == invariant_unit_sets(g)
+            for members in g.invariant_subsets():
+                assert g.is_invariant_unit_set(members)
+
+    @staticmethod
+    def draws(seed, count):
+        rng = random.Random(seed)
+        return [random_groupoid(rng, 24) for _ in range(count)]
+
+    def test_random_draws(self):
+        draws = self.draws(1901, 40)
+        for g in draws:
+            self.check(g)
+        assert sum(len(g.orbits()) <= 10 for g in draws) >= 20
+
+    def test_reductions_to_non_invariant_sets(self):
+        rng, reduced = random.Random(1902), 0
+        for g in self.draws(1903, 40):
+            members = frozenset(u for u in g.unit_list if rng.random() < 0.5)
+            assert g.is_invariant_unit_set(members) == is_invariant(g, members)
+            if not is_invariant(g, members):
+                reduced += 1
+                self.check(g.restrict(members))
+        assert reduced >= 10
+
+    def test_disjoint_unions(self):
+        draws = self.draws(1904, 16)
+        for parts in zip(draws[::2], draws[1::2]):
+            self.check(gp.disjoint_union(parts))
+
+    def test_unit_spaces_and_the_empty_groupoid(self):
+        for g in (gp.unit_space_groupoid("abcde"), gp.unit_space_groupoid(()),
+                  gp.empty_groupoid()):
+            self.check(g)
+
+
 class TestEffectiveness:
     def test_swap_and_fix(self, swap_and_fix):
         effective = swap_and_fix.effective_units()
@@ -573,7 +621,7 @@ class TestEffectiveness:
         fixed = next(u for u in swap_and_fix.unit_list if u[0] == "c")
         iso = swap_and_fix.isotropy(fixed)
         assert len(iso.elements) == 2
-        assert iso.as_cayley().order == 2
+        assert first_group_failure(range(2), isotropy_table(swap_and_fix, fixed)) is None
 
 
 class TestFreenessLemma:

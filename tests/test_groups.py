@@ -115,6 +115,11 @@ class TestPartialAction:
                 {"r0": {"a": "a", "b": "b"}, "r1": {"a": "b"}},
             )
 
+    def test_map_for_non_element_rejected(self):
+        maps = {"r0": {"x": "x", "y": "y"}, "r1": {"x": "y", "y": "x"}, "zzz": {"x": "y"}}
+        with pytest.raises(PartialActionError, match="^map given for non-element 'zzz'$"):
+            PartialAction(cyclic_group(2), ["x", "y"], maps)
+
     def test_composition_axiom_names_pair(self):
         z4 = cyclic_group(4)
         maps = {

@@ -14,6 +14,7 @@ from glab import groupoids as gp
 from glab import ideals as il
 from glab import cyclic_group, global_action
 from glab.errors import CapExceededError
+from glab.formats import load_instance
 from glab.generators import random_groupoid
 from glab.linalg import TolerancePolicy
 from _oracles import (
@@ -122,9 +123,9 @@ class TestCollapseKernel:
         assert il.collapse_kernel(pair3).is_zero
 
     def test_failed_statement_raises_its_message(self, swap_and_fix, monkeypatch):
-        real = il.collapse_matrices
-        monkeypatch.setattr(il, "collapse_matrices",
-                            lambda g, a: [0 * m for m in real(g, a)])
+        real = al._Fiber.collapse_matrix
+        monkeypatch.setattr(al._Fiber, "collapse_matrix",
+                            lambda fiber, coeffs: 0 * real(fiber, coeffs))
         with pytest.raises(al.DecompositionError,
                            match="^collapse kernel meets the diagonal$"):
             il.collapse_kernel(swap_and_fix)
@@ -491,6 +492,21 @@ class TestExelWitness:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("name", ["action8", "swap_and_fix", "z2_bundle"])
+    def test_reads_only_the_orbit_table(self, name, monkeypatch):
+        """``verify`` numbers the orbits and reads the isotropy off the orbit
+        table alone: with ``orbits()`` and ``isotropy()`` refused, it gives
+        the same report."""
+        path = Path(__file__).parent / "data" / f"{name}.json"
+        expected = il.verify(load_instance(path).groupoid()).to_dict()
+
+        def refuse(self, *args):
+            raise AssertionError("the orbit table was bypassed")
+
+        monkeypatch.setattr(gp.FiniteGroupoid, "orbits", refuse)
+        monkeypatch.setattr(gp.FiniteGroupoid, "isotropy", refuse)
+        assert il.verify(load_instance(path).groupoid()).to_dict() == expected
+
     def test_worked_instances(self, z2_bundle, swap_and_fix, pair3):
         for g in (z2_bundle, swap_and_fix, pair3):
             report = il.verify(g)
