@@ -43,7 +43,7 @@ MAX_BLOCKS = 20
 _RETRIES = 8
 _CHECK_EPS = 1e-7
 _GAP_EPS = 1e-6     # relative eigenvalue gap that separates two clusters
-_PROJECTION_CUT = 0.5   # a projection's singular values are 0 or 1
+_PROJECTION_CUT = 0.5   # a projection's singular values are 0 or 1, its trace is its rank
 _NORM_GUARD = 1e-12     # a central draw this small has no spectrum to split
 _LINK_CUT = 1e-9        # a matrix-unit link this small is zero: draw again
 _TIE_RESOLUTION = 2.0 ** -20   # tie grid ~1e-6; binary, so no d/|H| (|H| < 2^20) sits halfway
@@ -80,41 +80,30 @@ def _scatter(size: int, rows, cols, els, coeffs) -> np.ndarray:
 
 
 class _Fiber:
-    """The scatters of the orbit O of the unit of index x.  ``collapse`` is
-    the orbit-space matrix on l2(O), in unit order: delta_y goes through
-    every arrow out of y.  ``scatter``, built on first use, is lambda_x on
-    l2(G_x) in source-fiber order: delta_a sends delta_b to delta_ab, over
-    the composable pairs whose b has source x.  It is faithful on the blocks
-    over O, and ``coefficients`` reads their functions back through a
-    transversal: a(gamma) = <lambda_x(a) delta_eta, delta_(gamma eta)>, where
-    eta, the first b that gamma acts on, is the first arrow of G_x with
-    range source(gamma).  No reference to the groupoid is held."""
+    """lambda_x on l2(G_x) for the unit of index x, in source-fiber order:
+    ``scatter`` lists the composable pairs whose b has source x, and
+    delta_a sends delta_b to delta_ab.  It is faithful on the blocks over
+    the orbit of x, and ``coefficients`` reads their functions back through
+    a transversal: a(gamma) = <lambda_x(a) delta_eta, delta_(gamma eta)>,
+    where eta, the first b that gamma acts on, is the first arrow of G_x
+    with range source(gamma).  No reference to the groupoid is held."""
 
     def __init__(self, g: FiniteGroupoid, x: int):
-        self.slots, self.iab, self.x = g._pair_slots(), g.composition_table()[2], x
-        src, rng, orbit_of = self.slots.src, self.slots.rng, self.slots.orbit
-        orbit = self.slots.unit & (orbit_of == orbit_of[x])
-        gamma, place = np.flatnonzero(orbit[src]), np.cumsum(orbit) - 1
-        self.collapse = (int(orbit.sum()), place[rng[gamma]], place[src[gamma]], gamma)
-
-    @functools.cached_property
-    def scatter(self) -> tuple:
-        slots, iab = self.slots, self.iab
-        members = np.flatnonzero(slots.src == self.x)
+        slots, iab = g._pair_slots(), g.composition_table()[2]
+        members = np.flatnonzero(slots.src == x)
         # b's pairs fill the |G_r(b)| = |G_x| slots from start[b]
         pairs = (slots.start[members][:, None] + np.arange(len(members))).ravel()
-        return len(members), slots.pos[iab[pairs]], slots.pos[slots.ib[pairs]], slots.ia[pairs]
+        self.size = len(slots.src)
+        self.scatter = (len(members), slots.pos[iab[pairs]], slots.pos[slots.ib[pairs]],
+                        slots.ia[pairs])
 
     def matrix(self, coeffs) -> np.ndarray:
         return _scatter(*self.scatter, coeffs)
 
-    def collapse_matrix(self, coeffs) -> np.ndarray:
-        return _scatter(*self.collapse, coeffs)
-
     def coefficients(self, matrix) -> np.ndarray:
         _, rows, cols, els = self.scatter
         gamma, first = np.unique(els, return_index=True)
-        out = np.zeros(len(self.slots.src), dtype=np.complex128)
+        out = np.zeros(self.size, dtype=np.complex128)
         out[gamma] = matrix[rows[first], cols[first]]
         return out
 

@@ -66,10 +66,6 @@ class IsotropyGroup:
     elements: tuple
     groupoid: "FiniteGroupoid"
 
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.elements) == 1
-
 
 @dataclass(frozen=True)
 class _PairSlots:
@@ -301,7 +297,7 @@ class FiniteGroupoid:
                 return fail(f"source({el!r}) is not a unit")
             if self._range[el] not in self.units:
                 return fail(f"range({el!r}) is not a unit")
-        for u in self.units:
+        for u in self.unit_list:
             if self._source[u] != u or self._range[u] != u:
                 return fail(f"unit {u!r} is not fixed by source/range")
             if self._inverse[u] != u:

@@ -92,11 +92,7 @@ class CayleyGroup:
         if len(index) != len(self.elements):
             raise GroupError("duplicate group elements")
         self._index = index
-        self._table = {}
-        for g, row in table.items():
-            for h, gh in row.items():
-                self._table[(g, h)] = gh
-        self._check()
+        self._check(table)
 
     @classmethod
     def from_rows(cls, elements, rows, name: str = "group"):
@@ -108,54 +104,51 @@ class CayleyGroup:
         }
         return cls(elements, table, name=name)
 
-    def _check(self):
+    def _check(self, table):
+        """Read ``table`` once into the k x k ``_mul_index`` and check it in
+        row order: every product, then an identity (a row and column that are
+        the identity permutation), inverses (gh = hg = e), associativity."""
         els, index = self.elements, self._index
         rows = []
         for g in els:
-            for h in els:
-                if (g, h) not in self._table:
-                    raise GroupError(f"table is missing product {g!r}*{h!r}")
-                if self._table[(g, h)] not in index:
-                    raise GroupError(f"product {g!r}*{h!r} is not a group element")
-                rows.append(index[self._table[(g, h)]])
-        identity = None
-        for e in els:
-            if all(self._table[(e, g)] == g and self._table[(g, e)] == g for g in els):
-                identity = e
-                break
-        if identity is None:
+            row = table.get(g, {})
+            try:
+                rows.append([index[row[h]] for h in els])
+            except KeyError:
+                for h in els:
+                    if h not in row:
+                        raise GroupError(f"table is missing product {g!r}*{h!r}") from None
+                    if row[h] not in index:
+                        raise GroupError(f"product {g!r}*{h!r} is not a group element") from None
+        k = len(els)
+        t, every = np.array(rows, dtype=np.intp).reshape(k, k), np.arange(k)
+        identity = np.flatnonzero((t == every).all(axis=1) & (t.T == every).all(axis=1))
+        if not len(identity):
             raise GroupError("table has no identity element")
-        self.identity = identity
-        inverse = {}
-        for g in els:
-            for h in els:
-                if self._table[(g, h)] == identity and self._table[(h, g)] == identity:
-                    inverse[g] = h
-                    break
-            else:
-                raise GroupError(f"element {g!r} has no inverse")
-        self._inverse = inverse
-        # t[i * k + j] is the index of els[i] * els[j] (the constructors reuse
-        # it as k x k); the pairs go a-major, so triples go in (a, b, c) order
-        k, e = len(els), index[identity]
-        one, every = np.full(k, e), np.arange(k)
-        t = np.array(rows, dtype=np.intp)
+        e = int(identity[0])
+        self.identity = els[e]
+        inverse = (t == e) & (t.T == e)
+        orphans = np.flatnonzero(~inverse.any(axis=1))
+        if len(orphans):
+            raise GroupError(f"element {els[orphans[0]]!r} has no inverse")
+        # the pairs go a-major in t.ravel(), so triples go in (a, b, c) order
+        one = np.full(k, e)
         bad = _first_nonassociative(one, one, every == e, *np.divmod(np.arange(k * k), k),
-                                    t, every, every * k)
+                                    t.ravel(), every, every * k)
         if bad is not None:
             a, b, c = (els[x] for x in bad)
             raise GroupError(f"associativity fails at ({a!r}, {b!r}, {c!r})")
-        self._mul_index = t.reshape(k, k)
+        self._mul_index, self._inverse_index = t, inverse.argmax(axis=1)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
     def mul(self, g, h):
-        return self._table[(g, h)]
+        return self.elements[self._mul_index[self._index[g], self._index[h]]]
 
     def inverse(self, g):
-        return self._inverse[g]
+        return self.elements[self._inverse_index[self._index[g]]]
 
     def __contains__(self, g):
         return g in self._index

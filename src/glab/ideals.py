@@ -6,8 +6,9 @@ in bijection with triples (U, V, J) where U <= V are invariant unit
 sets and J is a nonzero ideal of the reduction to V minus U that has
 trivial diagonal intersection and full support; and all ideals with
 trivial diagonal intersection live inside the obstruction ideal over
-the non-effective units, with the orbit-space (collapse)
-representation kernel witnessing minimality.
+the non-effective units, with the kernel of the orbit-space (collapse)
+*-representation witnessing minimality: it sends a block's central
+projection to a projection, whose trace (``_collapse_traces``) is its rank.
 
 Verifiers are exhaustive, not sampled: the statements are universally
 quantified and finite instances admit complete checks within the
@@ -48,7 +49,6 @@ from .algebra import (
     Ideal,
     _bits,
     _block_mask,
-    _orbit_fibers,
     delta,
     wedderburn,
 )
@@ -252,16 +252,11 @@ _OBSTRUCTION_SUPPORT = "obstruction ideal support differs from the non-effective
 
 def obstruction_ideal(decomp_or_groupoid, tol=None, seed=None) -> Ideal:
     """The dynamical ideal over the non-effective units."""
-    j_ob, _, failures = _obstruction(_decomposition_of(decomp_or_groupoid, tol, seed))
+    decomp = _decomposition_of(decomp_or_groupoid, tol, seed)
+    j_ob, _, failures = _obstruction(decomp)
     if _OBSTRUCTION_SUPPORT in failures:
         raise DecompositionError(_OBSTRUCTION_SUPPORT)
-    return j_ob
-
-
-def collapse_matrices(g: FiniteGroupoid, a: AlgebraElement) -> list:
-    """The action of ``a`` on the orbit spaces, one matrix per orbit:
-    a basis vector at a unit is sent through every arrow out of it."""
-    return [fiber.collapse_matrix(a.coeffs) for fiber in _orbit_fibers(g)]
+    return Ideal(decomp, j_ob)
 
 
 def collapse_kernel(decomp_or_groupoid, tol=None, seed=None) -> Ideal:
@@ -271,36 +266,44 @@ def collapse_kernel(decomp_or_groupoid, tol=None, seed=None) -> Ideal:
     is nonzero the kernel is purely non-dynamical with exactly the same
     support (and it is zero exactly when the obstruction ideal is).
     """
-    _, kernel, failures = _obstruction(_decomposition_of(decomp_or_groupoid, tol, seed))
+    decomp = _decomposition_of(decomp_or_groupoid, tol, seed)
+    _, kernel, failures = _obstruction(decomp)
     if failures:
         raise DecompositionError(failures[0])
-    return kernel
+    return Ideal(decomp, kernel)
+
+
+def _collapse_traces(decomp: BlockDecomposition) -> np.ndarray:
+    """Per block, the trace of its idempotent on the orbit space l2(O) of
+    its orbit O: the sum over the isotropy arrows of O, the diagonal of
+    delta_s(arrow) -> delta_r(arrow)."""
+    slots = decomp.groupoid._pair_slots()
+    isotropy = np.flatnonzero(slots.src == slots.rng)
+    own_orbit = slots.orbit[isotropy, None] == decomp._orbit_index
+    return (decomp._record.idempotents[isotropy] * own_orbit).sum(axis=0).real
 
 
 def _obstruction(decomp: BlockDecomposition) -> tuple:
     """(J^ob, the collapse kernel, the message of each statement about them
-    that fails): the kernel misses the diagonal, J^ob's support is the
-    non-effective reduction, and the kernel is zero when J^ob is and has
-    J^ob's support when it is not."""
-    g, slots = decomp.groupoid, decomp.groupoid._pair_slots()
+    that fails), as block masks: the kernel misses the diagonal, J^ob's
+    support is the non-effective reduction, and the kernel is zero when J^ob
+    is and has J^ob's support when it is not.  J^ob is over the orbits whose
+    first unit has nontrivial isotropy (constant along an orbit of a valid
+    groupoid; were it not, the support statement would fail)."""
+    slots = decomp.groupoid._pair_slots()
     noneffective = slots.isotropy > 1
-    j_ob = decomp.dynamical_ideal_of(itertools.compress(g.elements, noneffective))
-    # on its own orbit a block's idempotent maps to a projection: norm 0 or 1
-    fibers, killed = _orbit_fibers(g), 0
-    for blk, o in zip(decomp.blocks, decomp._orbit_index.tolist()):
-        if linalg.operator_norm(fibers[o].collapse_matrix(blk.idempotent.coeffs)) < _PROJECTION_CUT:
-            killed |= 1 << blk.index
-    kernel = Ideal(decomp, killed)
+    j_ob = decomp.over(_block_mask(np.flatnonzero(noneffective[slots.first_unit]).tolist()))
+    kernel = _block_mask(np.flatnonzero(_collapse_traces(decomp) < _PROJECTION_CUT).tolist())
     failures = []
-    if kernel.diagonal_units():
+    if decomp.filled(kernel):
         failures.append("collapse kernel meets the diagonal")
-    held = decomp._held(j_ob.mask)
+    held = decomp._held(j_ob)
     if (held != (noneffective[slots.src] & noneffective[slots.rng])).any():
         failures.append(_OBSTRUCTION_SUPPORT)
-    if j_ob.is_zero:
-        if not kernel.is_zero:
+    if not j_ob:
+        if kernel:
             failures.append("collapse kernel is nonzero on an effective groupoid")
-    elif (decomp._held(kernel.mask) != held).any():
+    elif (decomp._held(kernel) != held).any():
         failures.append("collapse kernel support differs from the obstruction ideal support")
     return j_ob, kernel, failures
 
@@ -412,7 +415,7 @@ class _LatticeData:
     dynamical or purely non-dynamical, for every orbit mask the
     dynamical ideal over it (the decomposition's ``filled``, ``touched``
     and ``over`` on whole arrays of masks), and per arrow (``arrows``) the mask of the
-    blocks whose support holds it and the orbits of its source and range.
+    blocks whose support holds it and its orbit (its source's and range's).
     """
 
     def __init__(self, decomp: BlockDecomposition):
@@ -428,7 +431,7 @@ class _LatticeData:
         self.pnd = (self.ideal_masks != 0) & (self.inside == 0)
         slots = decomp.groupoid._pair_slots()
         self.arrows = np.stack([decomp._support @ (1 << np.arange(self.b, dtype=np.int64)),
-                                slots.orbit, slots.orbit[slots.inv]], axis=1)
+                                slots.orbit], axis=1)
 
     def theta_inverse(self) -> tuple:
         """theta^-1 of every ideal mask m, as (U, V, q) arrays indexed by m."""
@@ -457,6 +460,9 @@ def _distinct(values, bits: int):
 
 
 def _check_sandwich(data: _LatticeData) -> CheckResult:
+    """Reads the lattice tables, that is the block orbits alone: every
+    statement is an identity of the block<->orbit incidence, true for any
+    map from blocks to orbits."""
     b, n_orbits = data.b, data.n_orbits
     witnesses = []
     masks = data.ideal_masks
@@ -492,6 +498,9 @@ def _check_sandwich(data: _LatticeData) -> CheckResult:
 
 
 def _check_bijection(data: _LatticeData, triples) -> CheckResult:
+    """Reads the triple and lattice tables (the block orbits alone): all
+    identities of the incidence once every orbit has a block, which
+    ``_decompose``'s unit-sum and footprint checks guarantee."""
     lower, upper, q = triples
     masks = data.ideal_masks
     inv_lower, inv_upper, inv_q = data.theta_inverse()
@@ -524,9 +533,11 @@ def _check_bijection(data: _LatticeData, triples) -> CheckResult:
 
 
 def _check_obstruction(data: _LatticeData) -> CheckResult:
-    j_ob, kernel, failures = _obstruction(data.decomp)
+    """Reads the collapse traces, the isotropy orders and ``_support``; the
+    escape and minimality scans test each orbit's block count against its
+    isotropy, so no statement is an identity of the incidence."""
+    j_mask, kernel, failures = _obstruction(data.decomp)
     witnesses = []
-    j_mask = j_ob.mask
     masks = data.ideal_masks
     escapes = data.pnd & ((masks & j_mask) != masks)
     for m in np.flatnonzero(escapes)[:3]:
@@ -545,7 +556,7 @@ def _check_obstruction(data: _LatticeData) -> CheckResult:
         not witnesses,
         {
             "obstruction_blocks": _bits(j_mask),
-            "kernel_blocks": _bits(kernel.mask),
+            "kernel_blocks": _bits(kernel),
         },
         witnesses[:5],
     )
@@ -561,6 +572,9 @@ def _unique_rows(rows):
 
 
 def _check_lattice_iso(data: _LatticeData) -> CheckResult:
+    """The reduction half reads ``_support`` against each arrow's orbit; the
+    rest reads the lattice tables, identities of the incidence once every
+    orbit has a block (see ``_check_bijection``)."""
     witnesses = []
     n_orbits = data.n_orbits
     unit_masks = data.unit_masks
@@ -569,10 +583,10 @@ def _check_lattice_iso(data: _LatticeData) -> CheckResult:
         witnesses.append("unit-set-to-ideal map is not injective")
     bad_diagonal = data.inside[ideal_of] != unit_masks
     # an arrow lies in the support of I_U when one of its blocks lies over
-    # U, and in the reduction to U when its source and range orbits do
+    # U, and in the reduction to U when its orbit (source and range) does
     bad_support = np.zeros(len(unit_masks), dtype=bool)
-    for blocks, source, range_ in _unique_rows(data.arrows).tolist():
-        in_reduction = (unit_masks >> source & unit_masks >> range_ & 1) == 1
+    for blocks, orbit in _unique_rows(data.arrows).tolist():
+        in_reduction = (unit_masks >> orbit & 1) == 1
         bad_support |= ((ideal_of & blocks) != 0) != in_reduction
     for w in np.flatnonzero(bad_diagonal | bad_support)[:5]:
         if bad_diagonal[w]:
@@ -599,6 +613,8 @@ def _check_lattice_iso(data: _LatticeData) -> CheckResult:
 
 
 def _check_support_invariance(data: _LatticeData) -> CheckResult:
+    """Reads ``_support`` over the inverse and the composition table; not an
+    identity of the incidence."""
     g, blocks = data.decomp.groupoid, data.arrows[:, 0]
     (ia, ib, iab), inv = g.composition_table(), g._pair_slots().inv
     # ideals with the same touched-orbit set share their support, that of
@@ -625,8 +641,10 @@ def _check_support_invariance(data: _LatticeData) -> CheckResult:
 
 
 def _check_effective_uniqueness(data: _LatticeData) -> CheckResult:
-    g = data.decomp.groupoid
-    effective = g.effective_units() == g.units
+    """Reads the isotropy orders at the units and the ``pnd`` table, each
+    orbit's block count against trivial isotropy: not an identity."""
+    slots = data.decomp.groupoid._pair_slots()
+    effective = bool((slots.isotropy[slots.unit] == 1).all())
     witnesses = []
     if effective:
         for m in np.flatnonzero(data.pnd)[:3]:

@@ -11,6 +11,7 @@ deterministic for a fixed input and seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -219,15 +220,16 @@ def analyze_report(instance: Instance, source, decomp: BlockDecomposition,
         "triples": len(table),
     }
     report["ideals"] = table
+    held = decomp._held(obstruction)
     report["obstruction_ideal"] = {
-        "blocks": sorted(obstruction.blocks),
-        "noneffective_units": fmt_set(g.units - g.effective_units()),
-        "support_size": len(obstruction.support()),
+        "blocks": _bits(obstruction),
+        "noneffective_units": fmt_set(itertools.compress(g.elements, g._pair_slots().isotropy > 1)),
+        "support_size": int(held.sum()),
     }
     report["collapse_kernel"] = {
-        "blocks": sorted(kernel.blocks),
-        "purely_non_dynamical": kernel.is_purely_nondynamical(),
-        "support_matches_obstruction": kernel.support() == obstruction.support(),
+        "blocks": _bits(kernel),
+        "purely_non_dynamical": kernel != 0 and decomp.filled(kernel) == 0,
+        "support_matches_obstruction": bool((decomp._held(kernel) == held).all()),
     }
     if isinstance(instance.obj, PartialAction):
         report["freeness"] = freeness_table(instance.obj, g)

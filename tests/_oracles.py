@@ -553,26 +553,30 @@ def dense_fibers(g, coeffs) -> dict:
     return out
 
 
+def collapse_matrices(g, a) -> list:
+    """The action of the element ``a`` on the orbit spaces, one matrix per
+    ``bfs_orbits`` orbit, over its units in element order: the basis vector
+    at source(gamma) goes to the one at range(gamma) with weight a(gamma),
+    for every arrow gamma with source in the orbit."""
+    index = {el: i for i, el in enumerate(g.elements)}
+    out = []
+    for orbit in bfs_orbits(g):
+        members = [u for u in g.unit_list if u in orbit]
+        m = np.zeros((len(members), len(members)), dtype=np.complex128)
+        for el in g.elements:
+            if g.source(el) in orbit:
+                m[members.index(g.range(el)), members.index(g.source(el))] += a.coeffs[index[el]]
+        out.append(m)
+    return out
+
+
 def dense_collapse_kernel(decomp, cut=0.5) -> list:
     """The blocks that the orbit-space representation kills: those whose
-    idempotent has operator norm below ``cut`` on every orbit.  Each
-    orbit's matrix sends the basis vector at source(gamma) to the one at
-    range(gamma) with weight e(gamma), for every arrow of the groupoid."""
-    g = decomp.groupoid
-    killed = []
-    for blk in decomp.blocks:
-        largest = 0.0
-        for orbit in bfs_orbits(g):
-            members = [u for u in g.unit_list if u in orbit]
-            m = np.zeros((len(members), len(members)), dtype=np.complex128)
-            for el in g.elements:
-                if g.source(el) in orbit:
-                    m[members.index(g.range(el)), members.index(g.source(el))] += (
-                        blk.idempotent.coefficient(el))
-            largest = max(largest, float(np.linalg.svd(m, compute_uv=False)[0]))
-        if largest < cut:
-            killed.append(blk.index)
-    return killed
+    idempotent has operator norm below ``cut`` on every orbit's
+    ``collapse_matrices``."""
+    return [blk.index for blk in decomp.blocks
+            if max(float(np.linalg.svd(m, compute_uv=False)[0])
+                   for m in collapse_matrices(decomp.groupoid, blk.idempotent)) < cut]
 
 
 # -- the block table ------------------------------------------------------------------
@@ -624,14 +628,16 @@ def reference_block_order(decomp, derived) -> list:
 
 def reference_arrow_rows(decomp, derived) -> list:
     """Per arrow, in element order, (the mask of the blocks whose support
-    holds it, the index of its source's orbit, the index of its range's
-    orbit), with supports from ``derived`` (as in ``reference_block_order``)
-    and orbits numbered as ``bfs_orbits`` finds them."""
+    holds it, the index of its orbit), with supports from ``derived`` (as
+    in ``reference_block_order``) and orbits numbered as ``bfs_orbits``
+    finds them; the orbit of the arrow's source is asserted to be that of
+    its range."""
     g = decomp.groupoid
     orbit_of = {u: o for o, orbit in enumerate(bfs_orbits(g)) for u in orbit}
     supports = [support for _, support in derived]
+    assert all(orbit_of[g.source(el)] == orbit_of[g.range(el)] for el in g.elements)
     return [[sum(1 << i for i, support in enumerate(supports) if el in support),
-             orbit_of[g.source(el)], orbit_of[g.range(el)]] for el in g.elements]
+             orbit_of[g.source(el)]] for el in g.elements]
 
 
 def orthonormal_basis(vectors, eps=1e-9):

@@ -66,15 +66,21 @@ class TestAnalyze:
 
     def test_obstruction_data_built_once(self, capsys, swap_file, monkeypatch):
         import glab.algebra as algebra_mod
+        import glab.ideals as ideals_mod
+
+        def refuse(*args):
+            raise AssertionError("a fiber was built")
 
         calls = []
-        real = algebra_mod._Fiber.collapse_matrix
-        monkeypatch.setattr(algebra_mod._Fiber, "collapse_matrix",
-                            lambda fiber, coeffs: calls.append(coeffs) or real(fiber, coeffs))
+        real = ideals_mod._collapse_traces
+        monkeypatch.setattr(ideals_mod, "_collapse_traces",
+                            lambda d: calls.append(d) or real(d))
+        monkeypatch.setattr(algebra_mod._Fiber, "__init__", refuse)
         code, out, _ = run(capsys, "analyze", str(swap_file), "--format", "json")
         assert code == 0
-        # one collapse matrix per block, on its own orbit
-        assert len(calls) == len(json.loads(out)["instance"]["block_dimensions"])
+        # one trace per block, all in one call
+        assert len(calls) == 1
+        assert len(real(calls[0])) == len(json.loads(out)["instance"]["block_dimensions"])
 
     @pytest.mark.parametrize("failures, message", [
         (["collapse kernel meets the diagonal"], "collapse kernel meets the diagonal"),
@@ -303,11 +309,10 @@ class TestVerify:
                                                   monkeypatch):
         # a collapse representation that kills every block: the kernel
         # meets the diagonal, which the obstruction check reports
-        import glab.algebra as algebra_mod
+        import glab.ideals as ideals_mod
 
-        real = algebra_mod._Fiber.collapse_matrix
-        monkeypatch.setattr(algebra_mod._Fiber, "collapse_matrix",
-                            lambda fiber, coeffs: 0 * real(fiber, coeffs))
+        real = ideals_mod._collapse_traces
+        monkeypatch.setattr(ideals_mod, "_collapse_traces", lambda d: 0 * real(d))
         code, out, err = run(capsys, "verify", str(swap_file), "--format", "json")
         assert (code, err) == (1, "")
         check = next(c for c in json.loads(out)["checks"] if c["name"] == "obstruction")
@@ -382,6 +387,34 @@ def test_analyze_text_matches_golden(capsys, monkeypatch, name):
     code, out, _ = run(capsys, "analyze", f"{name}.json")
     assert code == 0
     assert out.encode() == (GOLDEN / f"{name}.analyze.txt").read_bytes()
+
+
+def test_obstruction_reads_block_masks_only(capsys, monkeypatch):
+    """``verify`` and ``analyze`` decide J^ob and the collapse kernel from
+    block masks, the orbit table and the collapse traces: with the fibers,
+    the operator norm and every frozenset route to an ideal's diagonal or
+    support refused, each report keeps its bytes."""
+    import glab.algebra as algebra_mod
+    import glab.linalg as linalg_mod
+
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.delenv("GLAB_SEED", raising=False)
+    runs = [(command, f"{name}.json", fmt) for name in ("swap_and_fix", "z2_bundle", "action8")
+            for command in ("verify", "analyze") for fmt in ("json", "text")]
+    expected = [run(capsys, command, path, "--format", fmt) for command, path, fmt in runs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the obstruction left the block masks")
+
+    monkeypatch.setattr(algebra_mod, "_orbit_fibers", refuse)
+    monkeypatch.setattr(linalg_mod, "operator_norm", refuse)
+    monkeypatch.setattr(algebra_mod.BlockDecomposition, "dynamical_ideal_of", refuse)
+    monkeypatch.setattr(gp.FiniteGroupoid, "effective_units", refuse)
+    monkeypatch.setattr(algebra_mod.Ideal, "support", refuse)
+    monkeypatch.setattr(algebra_mod.Ideal, "diagonal_units", refuse)
+    for (command, path, fmt), want in zip(runs, expected):
+        assert want[0] == 0
+        assert run(capsys, command, path, "--format", fmt) == want
 
 
 def rows_as_dicts(report) -> str:
@@ -728,3 +761,34 @@ def test_reports_leave_numpy_ma_unimported():
             ("verify", "z2_bundle"), ("verify", "swap_and_fix"), ("verify", "action8"),
             ("graph", "graph16"), ("dr", "map40"), ("analyze", "z2_bundle"),
             ("analyze", "swap_and_fix"), ("analyze", "action8"))]
+
+
+def test_reports_independent_of_hash_seed():
+    """``verify`` and ``analyze`` on every groupoid in tests/data, ``graph``
+    on ``graph16`` and ``dr`` on ``map40``, in JSON and text, print the
+    same bytes, errors and exit codes under two ``PYTHONHASHSEED`` values."""
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from glab.cli import main
+        data = sys.argv[1]
+        runs = [(command, name) for name in ("z2_bundle", "swap_and_fix", "action8")
+                for command in ("verify", "analyze")]
+        runs += [("graph", "graph16"), ("dr", "map40")]
+        for command, name in runs:
+            for fmt in ("json", "text"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, f"{data}/{name}.json", "--format", fmt])
+                print(command, name, fmt, code, repr(out.getvalue()), repr(err.getvalue()))
+    """)
+    root = Path(__file__).resolve().parent
+    env = {key: value for key, value in os.environ.items() if key != "GLAB_SEED"}
+    procs = [subprocess.Popen(
+        [sys.executable, "-c", script, str(root / "data")], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+        env={**env, "PYTHONPATH": str(root.parent / "src"), "PYTHONHASHSEED": seed})
+        for seed in ("0", "1")]
+    results = [proc.communicate(timeout=120) + (proc.returncode,) for proc in procs]
+    assert results[0][2] == 0 and results[0][1] == ""
+    assert len(results[0][0].splitlines()) == 16
+    assert results[0] == results[1]

@@ -240,6 +240,28 @@ class TestVectorisedValidation:
             "composition defined on non-composable pair (('a', 'a'), ('b', 'a'))\n"
         }
 
+    def test_unit_checks_name_units_independently_of_hash_seed(self):
+        # two broken units: the unit checks walk ``unit_list`` and name the
+        # first in element order, not the first in the frozenset's hash order
+        script = textwrap.dedent("""
+            from glab import groupoids as gp
+            units = "abcdef"
+            inverse = {u: "a" if u in "ce" else u for u in units}
+            fixed = {u: u for u in units}
+            g = gp.FiniteGroupoid(units, units, fixed, fixed, inverse,
+                                  {(u, u): u for u in units})
+            print(g.validate().failure)
+        """)
+        src = str(Path(gp.__file__).parents[1])
+        outputs = {
+            subprocess.run([sys.executable, "-c", script], check=True, text=True,
+                           capture_output=True,
+                           env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                           ).stdout
+            for seed in ("0", "1")
+        }
+        assert outputs == {"unit 'c' is not fixed by inverse\n"}
+
     def test_pass_reports_what_compose_raises(self, pair2):
         def compose(a, b):
             if (a, b) == ((1, 2), (2, 1)):
