@@ -15,7 +15,9 @@ saturated hereditary vertex sets plays the role of the invariant-set
 lattice, and the obstruction vertex set is the least saturated
 hereditary set swallowing every cycle without an exit; it vanishes
 exactly when every cycle has an exit.  The cycles of a map and the
-exit-less cycles of a graph are found by one shared walk (``_cycles``).
+exit-less cycles of a graph are found by one shared walk (``_cycles``);
+the graph's exit-less cycles also give the ``glab graph`` report's count
+of cycles with an exit (``with_exit``): all simple cycles minus them.
 
 Inside ``DirectedGraph`` a vertex set is an ``int`` bitmask (bit i is
 ``vertices[i]``); the public methods take and return frozensets.  The
@@ -236,11 +238,13 @@ class DirectedGraph:
             out.append(edge)
         self.edges = tuple(out)
         self._index = {v: i for i, v in enumerate(self.vertices)}
+        self._src = []                                    # tail of each edge
         self._dst = []                                    # head of each edge
         self._leaving = [[] for _ in self.vertices]       # out-edge indices per vertex
         self._succ = [0] * len(self.vertices)             # out-neighbour mask per vertex
         for k, e in enumerate(self.edges):
             i, j = self._index[e.src], self._index[e.dst]
+            self._src.append(i)
             self._dst.append(j)
             self._leaving[i].append(k)
             self._succ[i] |= 1 << j
@@ -268,31 +272,33 @@ class DirectedGraph:
 
     def _cycle_indices(self, cap: int = CYCLE_CAP) -> list:
         """All cycles through pairwise-distinct vertices, as tuples of edge
-        indices.
+        indices, each rooted at its smallest edge index, sorted.
 
-        Each cycle is found once, by the search from its first vertex in
-        vertex order.  That search steps only to the later vertices that
-        reach the start back through later vertices, found by a backward
-        mask search inside the start's component (``_components``), so it
-        stays inside the start's strongly connected component among the
-        vertices from it on, and a long ring costs linear time.  The
-        search keeps an explicit stack of out-edge iterators, so cycle
-        length is not bounded by the recursion limit.  Each cycle is
-        rooted at its smallest edge index, and the list is sorted.
+        Each cycle is found once, from its smallest edge e0 = (s, t), by a
+        walk from t back to s over the edges after e0 (D. B. Johnson's
+        rooting, SIAM J. Comput. 4, 1975, at the least edge instead of the
+        least vertex).  The roots run from the last edge down, so the edges
+        after the root are out-edge lists and in-neighbour masks that grow
+        by one edge per root.  The walk takes out-edges in index order and
+        steps only to the vertices that reach s over those edges, found by
+        a backward mask search, so each root's cycles come out in sorted
+        order, and the roots' blocks from the first edge up are the sorted
+        list.  An edge between two strongly connected components
+        (``_components``) is on no cycle and is left out.  The walk keeps
+        an explicit stack of out-edge iterators, so cycle length is not
+        bounded by the recursion limit, and checks the cap at each cycle.
         """
-        dst, leaving = self._dst, self._leaving
-        comp = self._components
-        component = [0] * (max(comp, default=-1) + 1)     # vertex mask per component
-        pred = [0] * len(leaving)                         # in-neighbour mask per vertex
-        for i, ks in enumerate(leaving):
-            component[comp[i]] |= 1 << i
-            for k in ks:
-                pred[dst[k]] |= 1 << i
-        cycles = []
-        for start in range(len(leaving)):
-            later = component[comp[start]] >> (start + 1) << (start + 1)
-            free = 0                      # later vertices that reach start, off the path
-            frontier = pred[start] & later
+        src, dst, comp = self._src, self._dst, self._components
+        leaving = [[] for _ in self.vertices]   # out-edges after the root, last first
+        pred = [0] * len(self.vertices)         # in-neighbour mask over the same edges
+        blocks = []                             # each root's cycles, last root first
+        found = 0
+        for root in range(len(dst) - 1, -1, -1):
+            s, t = src[root], dst[root]
+            if comp[s] != comp[t]:
+                continue
+            free = 0                            # vertices that reach s, off the path
+            frontier = pred[s] if s != t else 0
             while frontier:
                 free |= frontier
                 step = 0
@@ -300,27 +306,30 @@ class DirectedGraph:
                     low = frontier & -frontier
                     frontier ^= low
                     step |= pred[low.bit_length() - 1]
-                frontier = step & later & ~free
-            path = []                         # edge indices from start
-            stack = [iter(leaving[start])]    # one iterator per path vertex
+                frontier = step & ~free
+            free &= ~(1 << s)
+            block = []
+            path = []                           # edge indices from s
+            stack = [iter((root,))]             # one iterator per path vertex
             while stack:
                 k = next(stack[-1], None)
                 if k is None:
                     stack.pop()
                     if path:
                         free |= 1 << dst[path.pop()]
-                elif dst[k] == start:
-                    if len(cycles) >= cap:
+                elif dst[k] == s:
+                    if found >= cap:
                         raise CapExceededError(f"more than {cap} simple cycles")
-                    cycle = path + [k]
-                    first = cycle.index(min(cycle))
-                    cycles.append(tuple(cycle[first:] + cycle[:first]))
+                    found += 1
+                    block.append((*path, k))
                 elif free >> dst[k] & 1:
                     path.append(k)
                     free ^= 1 << dst[k]
-                    stack.append(iter(leaving[dst[k]]))
-        cycles.sort()
-        return cycles
+                    stack.append(reversed(leaving[dst[k]]))
+            blocks.append(block)
+            leaving[s].append(root)
+            pred[t] |= 1 << s
+        return [cycle for block in reversed(blocks) for cycle in block]
 
     def simple_cycles(self, cap: int = CYCLE_CAP) -> list:
         """All cycles through pairwise-distinct vertices, as edge tuples,
@@ -336,17 +345,22 @@ class DirectedGraph:
 
     def condition_L(self) -> bool:
         """Every cycle has an exit."""
-        return not self.exitless_cycle_vertices()
+        return not self._exitless_cycles
 
-    def exitless_cycle_vertices(self) -> frozenset:
-        """Vertices on cycles without exits.
+    @cached_property
+    def _exitless_cycles(self) -> list:
+        """The cycles without exits, as tuples of vertex indices.
 
         A cycle has no exit iff each of its vertices has out-degree 1,
         so these are the cycles of the unique-out-edge map on the
         out-degree-one vertices (no cycle enumeration required).
         """
-        unique = {v: es[0].dst for v, es in self._out.items() if len(es) == 1}
-        return frozenset(v for cycle in _cycles(unique) for v in cycle)
+        return _cycles({i: self._dst[ks[0]]
+                        for i, ks in enumerate(self._leaving) if len(ks) == 1})
+
+    def exitless_cycle_vertices(self) -> frozenset:
+        """Vertices on cycles without exits."""
+        return frozenset(self.vertices[i] for cycle in self._exitless_cycles for i in cycle)
 
     # -- hereditary and saturated vertex sets -----------------------------------
 
@@ -418,11 +432,12 @@ class DirectedGraph:
         return comp
 
     @cached_property
-    def _creach(self) -> list:
-        """The mask of the cyclic components each vertex reaches (bit c is
-        the c-th cyclic component in ``_components`` order).  A component is
-        cyclic when an edge stays inside it.  Successor components come
-        first, so one sweep in component order fills every mask."""
+    def _component_reach(self) -> list:
+        """The mask of the cyclic components each strongly connected
+        component reaches (bit c is the c-th cyclic component in
+        ``_components`` order).  A component is cyclic when an edge stays
+        inside it.  Successor components come first, so one sweep in
+        component order fills every mask."""
         comp = self._components
         members = [[] for _ in range(max(comp, default=-1) + 1)]
         for i, c in enumerate(comp):
@@ -441,7 +456,13 @@ class DirectedGraph:
             if inner:
                 reach[c] |= 1 << cyclic
                 cyclic += 1
-        return [reach[c] for c in comp]
+        return reach
+
+    @cached_property
+    def _creach(self) -> list:
+        """The mask of the cyclic components each vertex reaches."""
+        reach = self._component_reach
+        return [reach[c] for c in self._components]
 
     @cached_property
     def _reached_by(self) -> list:
@@ -483,36 +504,35 @@ class DirectedGraph:
         """The lattice as vertex masks, sorted by size, then by vertex
         positions; see ``hereditary_saturated_sets``."""
         self._reject_sinks("the gauge-invariant ideal lattice")
-        values = set(self._creach)
-        found = {0}
-        frontier = [0]
-        while frontier:
-            base = frontier.pop()
-            for reach in values:
-                new = base | reach
-                if new not in found:
-                    if len(found) >= cap:
-                        raise CapExceededError(
-                            f"saturated hereditary lattice exceeds the cap {cap}"
-                        )
-                    found.add(new)
-                    frontier.append(new)
+        families = [0]
+        cyclic = 0                        # the cyclic components taken so far
+        for reach in self._component_reach:
+            bit = 1 << cyclic
+            if not reach & bit:
+                continue                  # acyclic: it reaches only earlier components
+            need = reach ^ bit
+            grown = [family | bit for family in families if family & need == need]
+            if len(families) + len(grown) > cap:
+                raise CapExceededError(f"saturated hereditary lattice exceeds the cap {cap}")
+            families += grown
+            cyclic += 1
         # two sets of one size compare by their lowest differing vertex,
         # which is the highest differing bit of the bit-reversed masks
         width = f"0{len(self.vertices)}b"
-        masks = [self._hereditary_saturated(cyclic) for cyclic in found]
+        masks = [self._hereditary_saturated(family) for family in families]
         return sorted(masks, key=lambda m: (m.bit_count(), -int(format(m, width)[::-1], 2)))
 
     def hereditary_saturated_sets(self, cap: int = LATTICE_CAP) -> list:
         """The full lattice of saturated hereditary vertex sets.
 
         The sets are the H_S for the reach-closed families S of cyclic
-        components (see the module docstring).  Each ``_creach`` mask is
-        reach-closed, and a reach-closed S is the union of the masks at
-        its components' vertices, so the families are the unions of the
-        distinct masks, generated from the empty family by or-ing in one
-        mask at a time.  Meet is intersection; join is the closure of the
-        union.  Sorted by size, then by vertex positions.
+        components (see the module docstring).  The families are built one
+        cyclic component c at a time, in ``_components`` order, so every
+        component that c reaches comes before c: each family F so far is
+        kept, and F with c is added when F holds the components that c
+        reaches.  Each family appears once, and the cap is checked before
+        each step's additions.  Meet is intersection; join is the closure
+        of the union.  Sorted by size, then by vertex positions.
         """
         return [self._members(m) for m in self._lattice_masks(cap)]
 

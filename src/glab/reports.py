@@ -251,9 +251,6 @@ def verify_report(instance: Instance, source, result: VerificationReport,
 def graph_report(instance: Instance, source) -> dict:
     graph = instance.obj
     cycles = graph._cycle_indices()
-    # a simple cycle has an exit when one of its edges leaves a vertex of
-    # out-degree > 1
-    branching = [len(graph.out_edges(e.src)) > 1 for e in graph.edges]
     exitless = graph.exitless_cycle_vertices()
     lattice = graph._lattice_masks()
     as_set = set(lattice)
@@ -268,11 +265,13 @@ def graph_report(instance: Instance, source) -> dict:
         if not graph._is_saturated(a):
             law_failures.append(f"{name} is not saturated")
     reached = [graph._creach_of(m) for m in checked]
+    joins = {r: graph._hereditary_saturated(r) in as_set
+             for r in {ra | rb for ra in reached for rb in reached}}
     for a, ra, name_a in zip(checked, reached, shown):
         for b, rb, name_b in zip(checked, reached, shown):
             if a & b not in as_set:
                 law_failures.append(f"meet of {name_a} and {name_b} escapes")
-            if graph._hereditary_saturated(ra | rb) not in as_set:
+            if not joins[ra | rb]:
                 law_failures.append(f"join of {name_a} and {name_b} escapes")
     return {
         "command": "graph",
@@ -285,7 +284,9 @@ def graph_report(instance: Instance, source) -> dict:
             "count": len(cycles),
             "listed": [[fmt_element(graph.edges[k].ident) for k in c]
                        for c in cycles[:_GRAPH_LISTING_CAP]],
-            "with_exit": sum(1 for c in cycles if any(branching[k] for k in c)),
+            # a cycle has no exit exactly when it is a cycle of the
+            # unique-out-edge map
+            "with_exit": len(cycles) - len(graph._exitless_cycles),
             "condition_L": graph.condition_L(),
             "exitless_cycle_vertices": fmt_set(exitless),
         },

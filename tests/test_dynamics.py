@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glab.dynamics import (
+    LATTICE_CAP,
     DirectedGraph,
     DynamicsError,
     FiniteDynSystem,
@@ -13,8 +14,8 @@ from glab.dynamics import (
 )
 from glab.errors import CapExceededError
 from glab.generators import random_dynsys, random_graph
-from glab.formats import instance_from_dict
-from glab.reports import graph_report
+from glab.formats import Instance, instance_from_dict
+from glab.reports import _GRAPH_LISTING_CAP, fmt_element, graph_report
 
 from _oracles import (
     all_starts_simple_cycles,
@@ -245,17 +246,32 @@ class TestGraphs:
         assert len(k5.simple_cycles(cap=count)) == count
         with pytest.raises(CapExceededError, match=f"more than {count - 1} simple"):
             k5.simple_cycles(cap=count - 1)
+        # the cap holds inside one root's walk: 65 of the loopless K6's 409
+        # cycles are rooted at its first edge, whose walk comes last
+        k6 = DirectedGraph(vertices[:6], [
+            (f"e{i}-{j}", f"v{i}", f"v{j}") for i in range(6) for j in range(6) if i != j
+        ])
+        cycles = k6.simple_cycles()
+        assert len(cycles) == 409
+        assert sum(1 for c in cycles if c[0] == k6.edges[0]) == 65
+        for cap in (64, 400):
+            with pytest.raises(CapExceededError, match=f"^more than {cap} simple cycles$"):
+                k6.simple_cycles(cap=cap)
 
     def test_long_ring_one_cycle(self):
-        # each start searches only the later vertices that reach it back, so
-        # a ring longer than the recursion limit lists its one cycle at once
+        # the walk keeps an explicit stack, so a ring longer than the
+        # recursion limit lists its one cycle, rooted at its smallest edge,
+        # whether its edges are numbered along its direction or against it
         n = 1200
-        ring = DirectedGraph([f"v{i}" for i in range(n)],
-                             [(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
-        cycles = ring.simple_cycles()
-        assert len(cycles) == 1
-        assert [e.ident for e in cycles[0]] == [f"e{i}" for i in range(n)]
-        assert ring.hereditary_saturated_sets() == [frozenset(), frozenset(ring.vertices)]
+        names = [f"v{i}" for i in range(n)]
+        ring = DirectedGraph(names, [(f"e{i}", f"v{i}", f"v{(i + 1) % n}") for i in range(n)])
+        backward = DirectedGraph(names, [(f"e{i}", f"v{(i + 1) % n}", f"v{i}")
+                                         for i in range(n)])
+        for g, order in ((ring, range(n)), (backward, [0, *range(n - 1, 0, -1)])):
+            cycles = g.simple_cycles()
+            assert len(cycles) == 1
+            assert [e.ident for e in cycles[0]] == [f"e{i}" for i in order]
+            assert g.hereditary_saturated_sets() == [frozenset(), frozenset(g.vertices)]
 
     def test_duplicate_edge_ids_rejected(self):
         with pytest.raises(DynamicsError):
@@ -274,6 +290,18 @@ def shuffled_multigraph(rng, n):
     rng.shuffle(vertices)
     rng.shuffle(edges)
     return DirectedGraph(vertices, edges)
+
+
+def assert_report_cycles(g, cycles):
+    """The ``glab graph`` report's cycle count, listing and number of
+    cycles with an exit against the all-starts cycles and the next-edge
+    exit test."""
+    report = graph_report(Instance("graph", {}, g), "oracle")["cycles"]
+    assert report["count"] == len(cycles)
+    assert report["listed"] == [[fmt_element(e.ident) for e in c]
+                                for c in cycles[:len(report["listed"])]]
+    assert len(report["listed"]) == min(len(cycles), _GRAPH_LISTING_CAP)
+    assert report["with_exit"] == sum(1 for c in cycles if next_edge_cycle_has_exit(g, c))
 
 
 class TestAgainstOracles:
@@ -303,7 +331,9 @@ class TestAgainstOracles:
 
     def test_simple_cycles(self):
         for g in self.graphs():
-            assert g.simple_cycles() == all_starts_simple_cycles(g)
+            cycles = all_starts_simple_cycles(g)
+            assert g.simple_cycles() == cycles
+            assert_report_cycles(g, cycles)
 
     def test_exitless_cycle_vertices(self):
         for g in self.graphs():
@@ -351,6 +381,13 @@ class TestAgainstOracles:
             assert len(g.hereditary_saturated_sets(cap=size)) == size
             with pytest.raises(CapExceededError, match=f"exceeds the cap {size - 1}"):
                 g.hereditary_saturated_sets(cap=size - 1)
+        # 21 loops and 43 tails into them: 2^21 sets, refused while building
+        names = [f"v{i}" for i in range(64)]
+        rng = random.Random(61)
+        g = DirectedGraph(names, [(v, v) for v in names[:21]]
+                          + [(v, rng.choice(names[:21])) for v in names[21:]])
+        with pytest.raises(CapExceededError, match=f"exceeds the cap {LATTICE_CAP}$"):
+            g.hereditary_saturated_sets()
 
 
 def bench_shaped_graph(rng, complete, rings, tails):
@@ -403,6 +440,7 @@ class TestBenchScale:
         assert g.exitless_cycle_vertices() == exitless
         expected = set_saturated_hereditary_closure(g, exitless) if exitless else frozenset()
         assert g.obstruction_vertex_set() == expected
+        assert_report_cycles(g, all_starts_simple_cycles(g))
 
 
 class TestCorruptedReach:
