@@ -15,9 +15,11 @@ saturated hereditary vertex sets plays the role of the invariant-set
 lattice, and the obstruction vertex set is the least saturated
 hereditary set swallowing every cycle without an exit; it vanishes
 exactly when every cycle has an exit.  The cycles of a map and the
-exit-less cycles of a graph are found by one shared walk (``_cycles``);
-the graph's exit-less cycles also give the ``glab graph`` report's count
-of cycles with an exit (``with_exit``): all simple cycles minus them.
+exit-less cycles of a graph are found by one shared walk (``_cycles``).
+A graph's simple cycles are found by one walk (``_cycle_walk``) that
+counts them all but builds only the head a caller lists: the ``glab
+graph`` report shows the count, the first 50 and the number with an
+exit (``with_exit``), which is the count minus the exit-less cycles.
 
 Inside ``DirectedGraph`` a vertex set is an ``int`` bitmask (bit i is
 ``vertices[i]``); the public methods take and return frozensets.  The
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .errors import CapExceededError
 
@@ -76,6 +79,47 @@ def _cycles(successor: dict) -> list:
         if x in walk:
             out.append(tuple(walk)[walk[x]:])
     return out
+
+
+def _neighbours(masks: list, members: int) -> int:
+    """The union of ``masks[i]`` over the bits i of ``members``."""
+    out = 0
+    while members:
+        low = members & -members
+        members ^= low
+        out |= masks[low.bit_length() - 1]
+    return out
+
+
+def _back_reach(succ: list, pred: list, s: int, t: int) -> int:
+    """The vertices that reach s (s among them) over the edges with out- and
+    in-neighbour masks ``succ`` and ``pred``, or 0 when t does not reach s.
+
+    Whether t reaches s is settled first, by a search forward from t and
+    backward from s that grows the side with the smaller frontier (then
+    the smaller reached set) one layer at a time and stops when the two
+    meet or a frontier runs out.  So a root whose t has no out-edge, or
+    whose s has no in-edge, costs one step, and only a root that holds a
+    cycle pays for the whole backward search.
+    """
+    if not (succ[t] and pred[s]):
+        return 0
+    ahead, behind = 1 << t, 1 << s              # reached from t, reaching s
+    forward, backward = ahead, behind           # the last layer of each
+    while not ahead & behind:
+        if not (forward and backward):
+            return 0
+        if ((forward.bit_count(), ahead.bit_count())
+                <= (backward.bit_count(), behind.bit_count())):
+            forward = _neighbours(succ, forward) & ~ahead
+            ahead |= forward
+        else:
+            backward = _neighbours(pred, backward) & ~behind
+            behind |= backward
+    while backward:
+        backward = _neighbours(pred, backward) & ~behind
+        behind |= backward
+    return behind
 
 
 # -- finite dynamical systems ---------------------------------------------------
@@ -131,6 +175,11 @@ class FiniteDynSystem:
         is intentional and reports flag it.  Agreement with the
         independently computed eventually-periodic locus is asserted.
         """
+        return self._noneffective_sides()[0]
+
+    def _noneffective_sides(self) -> tuple:
+        """The orbit side and the eventually-periodic side of the
+        non-effective locus, each computed once; raises when they differ."""
         periodic = self.periodic_points()
         orbit_side = frozenset(
             x for x in self.space if self.forward_orbit(x) & periodic
@@ -140,7 +189,7 @@ class FiniteDynSystem:
             raise DynamicsError(
                 "the two characterizations of the non-effective locus disagree"
             )
-        return orbit_side
+        return orbit_side, isotropy_side
 
     def eventually_periodic_locus(self) -> frozenset:
         """Points x with T^m x = T^n x for some m > n (nontrivial isotropy
@@ -270,72 +319,102 @@ class DirectedGraph:
 
     # -- cycles ------------------------------------------------------------
 
-    def _cycle_indices(self, cap: int = CYCLE_CAP) -> list:
-        """All cycles through pairwise-distinct vertices, as tuples of edge
-        indices, each rooted at its smallest edge index, sorted.
+    def _cycle_walk(self, cap: int = CYCLE_CAP, head: int | None = None) -> tuple:
+        """The number of cycles through pairwise-distinct vertices, and the
+        first ``head`` of them (all of them when ``head`` is None) as tuples
+        of edge indices, each rooted at its smallest edge index, sorted.
 
         Each cycle is found once, from its smallest edge e0 = (s, t), by a
         walk from t back to s over the edges after e0 (D. B. Johnson's
         rooting, SIAM J. Comput. 4, 1975, at the least edge instead of the
         least vertex).  The roots run from the last edge down, so the edges
-        after the root are out-edge lists and in-neighbour masks that grow
-        by one edge per root.  The walk takes out-edges in index order and
-        steps only to the vertices that reach s over those edges, found by
-        a backward mask search, so each root's cycles come out in sorted
-        order, and the roots' blocks from the first edge up are the sorted
-        list.  An edge between two strongly connected components
-        (``_components``) is on no cycle and is left out.  The walk keeps
-        an explicit stack of out-edge iterators, so cycle length is not
-        bounded by the recursion limit, and checks the cap at each cycle.
+        after the root are out-edge lists and neighbour masks that grow by
+        one edge per root.  An edge between two strongly connected
+        components (``_components``) is on no cycle and is left out, and so
+        is a root whose t does not reach s over the later edges
+        (``_back_reach``).  Otherwise the walk keeps ``free``: s and the
+        vertices off the path that reach s over the later edges.  It takes
+        out-edges in index order and steps only to a vertex of ``free``
+        with a later out-edge into ``free``, so each root's cycles come out
+        in sorted order, and the roots' blocks from the first edge up are
+        the sorted list.  The walk keeps an explicit stack of out-edge
+        iterators, so cycle length is not bounded by the recursion limit,
+        and checks the cap after every addition to the count.
+
+        Each root lists its cycles until its block holds ``head`` of them,
+        so the first ``head`` cycles of the blocks in root order are the
+        first ``head`` cycles.  After that the root only counts.  The
+        number of cycles found below a step to v depends only on v and
+        ``free`` after the step: they are the paths from v to s over the
+        later edges whose other vertices are distinct and in ``free``, and
+        the path that led to v enters neither that set nor how the walk
+        searches it.  So a counting root keeps that number under the key
+        (v, ``free``) when it is positive and adds it at once when the
+        state comes up again.  A root that never fills its listing, such
+        as the one root of a long ring, does no key work, and with
+        ``head`` None nothing is kept.
         """
         src, dst, comp = self._src, self._dst, self._components
+        width = len(self.vertices).bit_length()   # a key is free << width | v
         leaving = [[] for _ in self.vertices]   # out-edges after the root, last first
+        succ = [0] * len(self.vertices)         # out-neighbour mask over the same edges
         pred = [0] * len(self.vertices)         # in-neighbour mask over the same edges
-        blocks = []                             # each root's cycles, last root first
+        blocks = []                             # each root's listed cycles, last root first
         found = 0
         for root in range(len(dst) - 1, -1, -1):
             s, t = src[root], dst[root]
             if comp[s] != comp[t]:
                 continue
-            free = 0                            # vertices that reach s, off the path
-            frontier = pred[s] if s != t else 0
-            while frontier:
-                free |= frontier
-                step = 0
-                while frontier:
-                    low = frontier & -frontier
-                    frontier ^= low
-                    step |= pred[low.bit_length() - 1]
-                frontier = step & ~free
-            free &= ~(1 << s)
-            block = []
-            path = []                           # edge indices from s
-            stack = [iter((root,))]             # one iterator per path vertex
-            while stack:
-                k = next(stack[-1], None)
-                if k is None:
-                    stack.pop()
-                    if path:
-                        free |= 1 << dst[path.pop()]
-                elif dst[k] == s:
-                    if found >= cap:
-                        raise CapExceededError(f"more than {cap} simple cycles")
-                    found += 1
-                    block.append((*path, k))
-                elif free >> dst[k] & 1:
-                    path.append(k)
-                    free ^= 1 << dst[k]
-                    stack.append(reversed(leaving[dst[k]]))
-            blocks.append(block)
+            free = _back_reach(succ, pred, s, t) if s != t else 1 << s
+            if free:
+                block = []
+                counting = head == 0
+                memo = {}                       # key -> cycles found below the state
+                path = []                       # edge indices from s
+                entered = []                    # the count when each path edge was taken
+                stack = [iter((root,))]         # one iterator per path vertex
+                while stack:
+                    k = next(stack[-1], None)
+                    if k is None:
+                        stack.pop()
+                        if path:
+                            v = dst[path.pop()]
+                            ways = found - entered.pop()
+                            if ways and counting:
+                                memo[free << width | v] = ways
+                            free |= 1 << v
+                    elif dst[k] == s:
+                        if found >= cap:
+                            raise CapExceededError(f"more than {cap} simple cycles")
+                        found += 1
+                        if not counting:
+                            block.append((*path, k))
+                            counting = len(block) == head
+                    elif free >> dst[k] & 1 and succ[dst[k]] & free:
+                        v = dst[k]
+                        free ^= 1 << v
+                        ways = memo.get(free << width | v) if counting else None
+                        if ways:
+                            if found + ways > cap:
+                                raise CapExceededError(f"more than {cap} simple cycles")
+                            found += ways
+                            free ^= 1 << v
+                        else:
+                            path.append(k)
+                            entered.append(found)
+                            stack.append(reversed(leaving[v]))
+                blocks.append(block)
             leaving[s].append(root)
+            succ[s] |= 1 << t
             pred[t] |= 1 << s
-        return [cycle for block in reversed(blocks) for cycle in block]
+        listed = (cycle for block in reversed(blocks) for cycle in block)
+        return found, list(islice(listed, head))
 
     def simple_cycles(self, cap: int = CYCLE_CAP) -> list:
         """All cycles through pairwise-distinct vertices, as edge tuples,
         each rooted at its smallest edge (edge order as given) and sorted
         by edge order."""
-        return [tuple(self.edges[k] for k in c) for c in self._cycle_indices(cap)]
+        return [tuple(self.edges[k] for k in c) for c in self._cycle_walk(cap)[1]]
 
     def cycle_has_exit(self, cycle) -> bool:
         """Some vertex on the cycle has an outgoing edge other than the

@@ -250,7 +250,7 @@ def verify_report(instance: Instance, source, result: VerificationReport,
 
 def graph_report(instance: Instance, source) -> dict:
     graph = instance.obj
-    cycles = graph._cycle_indices()
+    count, cycles = graph._cycle_walk(head=_GRAPH_LISTING_CAP)
     exitless = graph.exitless_cycle_vertices()
     lattice = graph._lattice_masks()
     as_set = set(lattice)
@@ -281,12 +281,11 @@ def graph_report(instance: Instance, source) -> dict:
             "edges": len(graph.edges),
         },
         "cycles": {
-            "count": len(cycles),
-            "listed": [[fmt_element(graph.edges[k].ident) for k in c]
-                       for c in cycles[:_GRAPH_LISTING_CAP]],
+            "count": count,
+            "listed": [[fmt_element(graph.edges[k].ident) for k in c] for c in cycles],
             # a cycle has no exit exactly when it is a cycle of the
             # unique-out-edge map
-            "with_exit": len(cycles) - len(graph._exitless_cycles),
+            "with_exit": count - len(graph._exitless_cycles),
             "condition_L": graph.condition_L(),
             "exitless_cycle_vertices": fmt_set(exitless),
         },
@@ -311,8 +310,7 @@ def dr_report(instance: Instance, source) -> dict:
             "size": len(locus),
             "members": fmt_set(locus) if len(system.space) <= _DR_LISTING_CAP else None,
         }
-    orbit_side = system.noneffective_locus()
-    isotropy_side = system.eventually_periodic_locus()
+    orbit_side, isotropy_side = system._noneffective_sides()
     invariant = system.invariant_sets()
     return {
         "command": "dr",

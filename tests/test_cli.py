@@ -14,6 +14,7 @@ from glab import groupoids as gp
 from glab import reports
 from glab.algebra import DEFAULT_SEED, wedderburn
 from glab.cli import _ROWS_STANDIN, _emit, main
+from glab.dynamics import FiniteDynSystem
 from glab.formats import Instance, dump_instance, load_instance
 from glab.generators import group_payload, random_groupoid, random_instance
 from glab.groups import PartialAction, cyclic_group
@@ -521,6 +522,21 @@ def test_dynamics_report_matches_golden(capsys, command, name, fmt, suffix, monk
     assert out.encode() == (GOLDEN / f"{name}.{command}.{suffix}").read_bytes()
 
 
+def test_dr_report_reads_each_side_once(capsys, monkeypatch):
+    """``dr`` takes both sides of the non-effective locus from one pass, so
+    each report computes the eventually-periodic locus once."""
+    calls = []
+    locus = FiniteDynSystem.eventually_periodic_locus
+    monkeypatch.setattr(FiniteDynSystem, "eventually_periodic_locus",
+                        lambda system: calls.append(system) or locus(system))
+    monkeypatch.chdir(GOLDEN)
+    for fmt in ("json", "text"):
+        calls.clear()
+        code, out, _ = run(capsys, "dr", "map40.json", "--format", fmt)
+        assert code == 0
+        assert len(calls) == 1
+
+
 class TestRandom:
     def test_byte_identical(self, capsys):
         code1, out1, _ = run(capsys, "random", "--type", "action", "--size", "5",
@@ -612,6 +628,20 @@ class TestGraphAndDr:
         code, out, err = run(capsys, "graph", str(path))
         assert code == 3
         assert "65 vertices exceed the cap 64" in err
+        assert out == ""
+
+    def test_graph_cycle_cap(self, capsys, tmp_path):
+        # the loopless K9 has 125,664 simple cycles
+        path = tmp_path / "k9.json"
+        vertices = [f"v{i}" for i in range(9)]
+        path.write_text(dump_instance({
+            "version": 1, "kind": "graph", "vertices": vertices,
+            "edges": [{"id": f"{a}-{b}", "src": a, "dst": b}
+                      for a in vertices for b in vertices if a != b],
+        }))
+        code, out, err = run(capsys, "graph", str(path))
+        assert code == 3
+        assert "more than 100000 simple cycles" in err
         assert out == ""
 
     def test_long_ring_past_cap(self, capsys, tmp_path):

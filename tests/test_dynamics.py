@@ -257,6 +257,14 @@ class TestGraphs:
         for cap in (64, 400):
             with pytest.raises(CapExceededError, match=f"^more than {cap} simple cycles$"):
                 k6.simple_cycles(cap=cap)
+        # the loopless K8: its roots count past their first 50 cycles, and
+        # only the first 50 of the whole list are built
+        k8 = DirectedGraph(vertices[:8], [
+            (f"e{i}-{j}", f"v{i}", f"v{j}") for i in range(8) for j in range(8) if i != j
+        ])
+        cycles = all_starts_simple_cycles(k8)
+        assert len(cycles) == 16_064
+        assert_cycle_walk(k8, cycles)
 
     def test_long_ring_one_cycle(self):
         # the walk keeps an explicit stack, so a ring longer than the
@@ -272,6 +280,12 @@ class TestGraphs:
             assert len(cycles) == 1
             assert [e.ident for e in cycles[0]] == [f"e{i}" for i in order]
             assert g.hereditary_saturated_sets() == [frozenset(), frozenset(g.vertices)]
+        # against its direction, only the first edge's root holds a cycle;
+        # every other root is settled before any search along the ring
+        n = 4000
+        backward = DirectedGraph([f"v{i}" for i in range(n)],
+                                 [(f"e{i}", f"v{(i + 1) % n}", f"v{i}") for i in range(n)])
+        assert backward._cycle_walk(head=_GRAPH_LISTING_CAP)[0] == 1
 
     def test_duplicate_edge_ids_rejected(self):
         with pytest.raises(DynamicsError):
@@ -304,6 +318,20 @@ def assert_report_cycles(g, cycles):
     assert report["with_exit"] == sum(1 for c in cycles if next_edge_cycle_has_exit(g, c))
 
 
+def assert_cycle_walk(g, cycles):
+    """``_cycle_walk``'s count and listed head against the all-starts
+    cycles, and its cap message one below the count and at the count."""
+    position = {e.ident: k for k, e in enumerate(g.edges)}
+    indices = [tuple(position[e.ident] for e in c) for c in cycles]
+    for head in (1, _GRAPH_LISTING_CAP, None):
+        assert g._cycle_walk(head=head) == (len(cycles), indices[:head])
+    if cycles:
+        count = len(cycles)
+        assert g._cycle_walk(count, _GRAPH_LISTING_CAP)[0] == count
+        with pytest.raises(CapExceededError, match=f"^more than {count - 1} simple cycles$"):
+            g._cycle_walk(count - 1, _GRAPH_LISTING_CAP)
+
+
 class TestAgainstOracles:
     """The cycle-based answers match the iterate-the-map and all-starts
     references in ``_oracles``."""
@@ -334,6 +362,7 @@ class TestAgainstOracles:
             cycles = all_starts_simple_cycles(g)
             assert g.simple_cycles() == cycles
             assert_report_cycles(g, cycles)
+            assert_cycle_walk(g, cycles)
 
     def test_exitless_cycle_vertices(self):
         for g in self.graphs():
