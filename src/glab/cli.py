@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass
 
 from . import generators, reports
-from .algebra import DEFAULT_SEED, DecompositionError, wedderburn
+from .algebra import DEFAULT_SEED, MAX_BLOCKS, DecompositionError, wedderburn
 from .errors import CapExceededError
 from .formats import InstanceFormatError, dump_instance, load_instance
 from .groupoids import GroupoidError
@@ -40,7 +40,7 @@ THEOREMS = ("sandwich", "bijection", "obstruction", "lattice", "support",
 @dataclass
 class Caps:
     groupoid_size: int = 512
-    blocks: int = 20
+    blocks: int = MAX_BLOCKS
     graph_vertices: int = 64
     dynsys_points: int = 1024
 

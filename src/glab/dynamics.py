@@ -20,6 +20,8 @@ A graph's simple cycles are found by one walk (``_cycle_walk``) that
 counts them all but builds only the head a caller lists: the ``glab
 graph`` report shows the count, the first 50 and the number with an
 exit (``with_exit``), which is the count minus the exit-less cycles.
+Every list of sets (saturated hereditary sets, a map's invariant sets, a
+groupoid's invariant unit sets) comes in one order, ``_canonical_order``.
 
 Inside ``DirectedGraph`` a vertex set is an ``int`` bitmask (bit i is
 ``vertices[i]``); the public methods take and return frozensets.  The
@@ -122,6 +124,36 @@ def _back_reach(succ: list, pred: list, s: int, t: int) -> int:
     return behind
 
 
+def _canonical_order(masks, width: int, weights=None) -> list:
+    """Distinct masks over ``width`` atoms in the canonical order of lists
+    of sets: by size (the bit count, or the sum of ``weights`` over the set
+    bits), then the set holding the lowest differing member first.
+
+    Each list holds unions of disjoint atoms (vertices, map classes,
+    orbits), numbered by first member and weighing their member counts.
+    The lowest differing member u of two unions lies in an atom that one
+    union holds and the other misses; that atom's first member differs
+    too, so it is u, and each lower atom starts below u, so the unions
+    agree on it.  So the lowest differing atom decides: it is the highest
+    differing bit of the bit-reversed masks, which the key negates."""
+
+    def weight(m):
+        total = 0
+        while m:
+            total += weights[(m & -m).bit_length() - 1]
+            m &= m - 1
+        return total
+
+    size = int.bit_count if weights is None else weight
+    form = f"0{width}b"
+    return sorted(masks, key=lambda m: (size(m), -int(format(m, form)[::-1], 2)))
+
+
+def _union(parts, mask: int) -> frozenset:
+    """The union of ``parts[i]`` over the bits i of ``mask``."""
+    return frozenset(x for i, part in enumerate(parts) if mask >> i & 1 for x in part)
+
+
 # -- finite dynamical systems ---------------------------------------------------
 
 
@@ -159,11 +191,9 @@ class FiniteDynSystem:
         return frozenset(x for c in self._cycles for x in c)
 
     def forward_orbit(self, x) -> frozenset:
-        seen = []
-        seen_set = set()
-        while x not in seen_set:
-            seen.append(x)
-            seen_set.add(x)
+        seen = set()
+        while x not in seen:
+            seen.add(x)
             x = self.mapping[x]
         return frozenset(seen)
 
@@ -205,39 +235,31 @@ class FiniteDynSystem:
                     break
         return frozenset(out)
 
+    def _invariant_masks(self, cap: int = LATTICE_CAP) -> tuple:
+        """The classes of x ~ T(x) as point lists numbered by first point,
+        and the masks of all their unions in the canonical order.  Each
+        class holds exactly one cycle, so each point follows the map to a
+        labelled point, a cycle's to begin with, and takes its label.  The
+        cap is checked before any mask is built."""
+        label = {x: c for c, cycle in enumerate(self._cycles) for x in cycle}
+        by_cycle: dict = {}                     # cycle label -> its class
+        for x in self.space:
+            walk = [x]
+            while walk[-1] not in label:
+                walk.append(self.mapping[walk[-1]])
+            label.update(dict.fromkeys(walk, label[walk[-1]]))
+            by_cycle.setdefault(label[x], []).append(x)
+        classes, k = list(by_cycle.values()), len(by_cycle)
+        if 2 ** k > cap:
+            raise CapExceededError(f"{2 ** k} invariant sets exceed the cap {cap}")
+        return classes, _canonical_order(range(1 << k), k, [len(c) for c in classes])
+
     def invariant_sets(self, cap: int = LATTICE_CAP) -> list:
         """All subsets closed under the map forwards and backwards
         (unions of orbit-equivalence classes), as a lattice.  The classes
         are those of the smallest equivalence relation with x ~ T(x)."""
-        parent = {x: x for x in self.space}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for x in self.space:
-            a, b = find(x), find(self.mapping[x])
-            if a != b:
-                parent[a] = b
-        by_root: dict = {}
-        for x in self.space:
-            by_root.setdefault(find(x), []).append(x)
-        classes = [frozenset(v) for v in by_root.values()]
-        if 2 ** len(classes) > cap:
-            raise CapExceededError(
-                f"{2 ** len(classes)} invariant sets exceed the cap {cap}"
-            )
-        order = {x: i for i, x in enumerate(self.space)}
-        out = []
-        for mask in range(1 << len(classes)):
-            members = frozenset().union(
-                *(classes[i] for i in range(len(classes)) if mask >> i & 1)
-            ) if mask else frozenset()
-            out.append(members)
-        out.sort(key=lambda s: (len(s), sorted(order[x] for x in s)))
-        return out
+        classes, masks = self._invariant_masks(cap)
+        return [_union(classes, m) for m in masks]
 
     def is_invariant(self, members) -> bool:
         members = frozenset(members)
@@ -556,20 +578,13 @@ class DirectedGraph:
 
     def _creach_of(self, mask: int) -> int:
         """The cyclic components reached from a vertex mask."""
-        cyclic = 0
-        for i, reach in enumerate(self._creach):
-            if mask >> i & 1:
-                cyclic |= reach
-        return cyclic
+        return _neighbours(self._creach, mask)
 
     def _hereditary_saturated(self, cyclic: int) -> int:
         """H_S for a mask S of cyclic components: the vertices that reach
         no cyclic component outside S."""
-        out = 0
-        for c, reached in enumerate(self._reached_by):
-            if not cyclic >> c & 1:
-                out |= reached
-        return ~out & ((1 << len(self.vertices)) - 1)
+        outside = ~cyclic & ((1 << len(self._reached_by)) - 1)
+        return ~_neighbours(self._reached_by, outside) & ((1 << len(self.vertices)) - 1)
 
     def saturated_hereditary_closure(self, members) -> frozenset:
         """Least saturated hereditary superset: H_S, where S is the union
@@ -580,8 +595,8 @@ class DirectedGraph:
         return self._members(self._hereditary_saturated(self._creach_of(self._mask(members))))
 
     def _lattice_masks(self, cap: int = LATTICE_CAP) -> list:
-        """The lattice as vertex masks, sorted by size, then by vertex
-        positions; see ``hereditary_saturated_sets``."""
+        """The lattice as vertex masks in the canonical order
+        (``_canonical_order``); see ``hereditary_saturated_sets``."""
         self._reject_sinks("the gauge-invariant ideal lattice")
         families = [0]
         cyclic = 0                        # the cyclic components taken so far
@@ -595,11 +610,7 @@ class DirectedGraph:
                 raise CapExceededError(f"saturated hereditary lattice exceeds the cap {cap}")
             families += grown
             cyclic += 1
-        # two sets of one size compare by their lowest differing vertex,
-        # which is the highest differing bit of the bit-reversed masks
-        width = f"0{len(self.vertices)}b"
-        masks = [self._hereditary_saturated(family) for family in families]
-        return sorted(masks, key=lambda m: (m.bit_count(), -int(format(m, width)[::-1], 2)))
+        return _canonical_order(map(self._hereditary_saturated, families), len(self.vertices))
 
     def hereditary_saturated_sets(self, cap: int = LATTICE_CAP) -> list:
         """The full lattice of saturated hereditary vertex sets.

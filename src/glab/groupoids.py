@@ -25,7 +25,8 @@ their first unit in element order, the order of ``orbits()``.  Bit o of an
 orbit mask is orbit o wherever one is used.  The fact needs the groupoid
 axioms: the orbit arrays are read only on a valid groupoid (one that
 ``validate`` passed, a ``unit_space_groupoid`` or ``empty_groupoid``, or a
-reduction of a valid one).
+reduction of a valid one).  Invariant unit sets are listed in the order
+``dynamics._canonical_order`` defines, the orbits weighing their units.
 """
 
 from __future__ import annotations
@@ -35,10 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import LATTICE_CAP, _canonical_order
 from .errors import CapExceededError
 from .groups import PartialAction, _first_nonassociative
-
-INVARIANT_SET_CAP = 1 << 20
 
 
 class GroupoidError(ValueError):
@@ -349,11 +349,10 @@ class FiniteGroupoid:
         return frozenset(u for u, o in zip(self.unit_list, self._unit_orbits()) if w >> o & 1)
 
     def _sorted_unit_sets(self, masks) -> list:
-        """Distinct orbit masks in the canonical order of invariant unit sets:
-        by size, then by the positions of their units in ``unit_list``."""
-        unit_orbits = self._unit_orbits()
-        members = {w: [i for i, o in enumerate(unit_orbits) if w >> o & 1] for w in masks}
-        return sorted(members, key=lambda w: (len(members[w]), members[w]))
+        """Distinct orbit masks in the canonical order of invariant unit sets
+        (``dynamics._canonical_order``); each orbit has units, and weighs them."""
+        weights = np.bincount(self._pair_slots().orbit[self._pair_slots().unit]).tolist()
+        return _canonical_order(masks, len(weights), weights)
 
     def orbits(self) -> tuple:
         """Partition of the unit space: x ~ y iff an arrow joins them, in
@@ -372,7 +371,7 @@ class FiniteGroupoid:
         # all or none of each orbit: the orbits inside cover every member
         return self._orbit_union(self._orbit_mask(members)) == members
 
-    def invariant_subsets(self, cap: int = INVARIANT_SET_CAP) -> list:
+    def invariant_subsets(self, cap: int = LATTICE_CAP) -> list:
         """All invariant unit sets (= unions of orbits), as a lattice.
 
         Canonically ordered by (size, unit order); closed under union
@@ -380,9 +379,7 @@ class FiniteGroupoid:
         """
         count = len(self._pair_slots().first_unit)
         if 2 ** count > cap:
-            raise CapExceededError(
-                f"{2 ** count} invariant subsets exceed the cap {cap}"
-            )
+            raise CapExceededError(f"{2 ** count} invariant subsets exceed the cap {cap}")
         return [self._orbit_union(w) for w in self._sorted_unit_sets(range(1 << count))]
 
     # -- reduction ---------------------------------------------------------

@@ -213,8 +213,9 @@ def enumerate_triples(decomp_or_groupoid, tol=None, seed=None,
 def _triple_table(decomp: BlockDecomposition) -> tuple:
     """(U, V, q) mask arrays of every triple, q over the parent's blocks.
 
-    Ordered by V minus U in ``invariant_subsets`` order, then by U as
-    an ascending mask, then by q.
+    Ordered by V minus U in ``invariant_subsets`` order, then by U as an
+    ascending mask, then by q; each orbit's ``combinations`` by size are
+    already the canonical order (``_canonical_order``) on its block bits.
     A quotient ideal must take a proper nonempty block subset on every
     orbit of the reduction (full support, no diagonal), so the q are a
     product of per-orbit choices and V minus U is a union of orbits

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import ideals as ideal_ops
 from .algebra import BlockDecomposition, DecompositionError, _bits
+from .dynamics import _union
 from .errors import CapExceededError
 from .formats import Instance
 from .groups import PartialAction
@@ -311,7 +312,7 @@ def dr_report(instance: Instance, source) -> dict:
             "members": fmt_set(locus) if len(system.space) <= _DR_LISTING_CAP else None,
         }
     orbit_side, isotropy_side = system._noneffective_sides()
-    invariant = system.invariant_sets()
+    classes, masks = system._invariant_masks()
     return {
         "command": "dr",
         "instance": {
@@ -334,8 +335,8 @@ def dr_report(instance: Instance, source) -> dict:
             ),
         },
         "invariant_sets": {
-            "size": len(invariant),
-            "sets": [fmt_set(s) for s in invariant[:_DR_LISTING_CAP]],
+            "size": len(masks),
+            "sets": [fmt_set(_union(classes, m)) for m in masks[:_DR_LISTING_CAP]],
         },
         "conventions": list(CONVENTIONS),
     }

@@ -10,6 +10,7 @@ combinatorics, the minimal central idempotents by splitting a dense
 regular representation, the reduced norm, the fibers lambda_x and the
 collapse kernel (over every orbit) from that dense representation and
 literal orbit-space matrices, periodic loci by iterating the map p times,
+a map's invariant sets as unions of classes found by breadth-first search,
 simple cycles by a search from every vertex that identifies rotations
 in a set, and exits by comparing each cycle vertex's out-edges with the
 cycle's next edge.  The sandwich sets, the triple bijection and the
@@ -753,3 +754,30 @@ def set_hereditary_saturated_sets(graph):
                     found.add(new)
                     frontier.append(new)
     return sorted(found, key=lambda s: (len(s), sorted(order[v] for v in s)))
+
+
+def map_invariant_sets(system):
+    """Every union of the classes of x ~ T(x), each class found by a
+    breadth-first search on the undirected functional graph; sorted by
+    size, then by the sorted positions of the points in ``space``."""
+    neighbours = {x: set() for x in system.space}
+    for x in system.space:
+        neighbours[x].add(system.mapping[x])
+        neighbours[system.mapping[x]].add(x)
+    classes, seen = [], set()
+    for x in system.space:
+        if x in seen:
+            continue
+        seen.add(x)
+        queue, members = [x], []
+        while queue:
+            y = queue.pop(0)
+            members.append(y)
+            for z in neighbours[y] - seen:
+                seen.add(z)
+                queue.append(z)
+        classes.append(frozenset(members))
+    order = {x: i for i, x in enumerate(system.space)}
+    sets = [frozenset().union(*combo) for k in range(len(classes) + 1)
+            for combo in itertools.combinations(classes, k)]
+    return sorted(sets, key=lambda s: (len(s), sorted(order[x] for x in s)))

@@ -510,12 +510,17 @@ class TestStreamedIdealRows:
     ("graph", "graph16", "json", "json"),
     ("graph", "graph16", "text", "txt"),
     ("dr", "map40", "json", "json"),
+    ("dr", "map40", "text", "txt"),
+    ("dr", "map15", "json", "json"),
+    ("dr", "map15", "text", "txt"),
 ))
 def test_dynamics_report_matches_golden(capsys, command, name, fmt, suffix, monkeypatch):
     """Byte-for-byte against reports committed in tests/data: ``graph16`` has
     a complete piece, a chorded ring feeding it, an exit-less ring, an
     exit-less loop and tails; ``map40`` has cycles of lengths 1, 2, 3, 4
-    and 6 with random trees hanging off them."""
+    and 6 with random trees hanging off them; ``map15`` has 8 classes
+    (256 invariant sets, so the listing stops at 64), and its map's keys
+    come in an order that finds its cycles out of first-point order."""
     monkeypatch.chdir(GOLDEN)
     code, out, _ = run(capsys, command, f"{name}.json", "--format", fmt)
     assert code == 0
@@ -535,6 +540,39 @@ def test_dr_report_reads_each_side_once(capsys, monkeypatch):
         code, out, _ = run(capsys, "dr", "map40.json", "--format", fmt)
         assert code == 0
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("fmt, suffix", (("json", "json"), ("text", "txt")))
+def test_dr_report_lists_from_masks(capsys, monkeypatch, fmt, suffix):
+    """``dr`` builds only the invariant sets it lists: with
+    ``invariant_sets`` refused it prints the golden bytes."""
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("dr built every invariant set")
+
+    monkeypatch.setattr(FiniteDynSystem, "invariant_sets", refuse)
+    monkeypatch.chdir(GOLDEN)
+    code, out, _ = run(capsys, "dr", "map15.json", "--format", fmt)
+    assert code == 0
+    assert out.encode() == (GOLDEN / f"map15.dr.{suffix}").read_bytes()
+
+
+def test_dr_report_at_the_point_cap(capsys, tmp_path):
+    """A 1,024-point map with 16 fixed points (point i goes to point i mod
+    16) has 2^16 invariant sets.  Every class weighs 64, so the listing is
+    the empty set, the 16 classes in order and the first 47 pairs of
+    classes in ``combinations`` order."""
+    names = [f"p{i:04d}" for i in range(1024)]
+    payload = {"version": 1, "kind": "dynsys", "space": names,
+               "map": {x: names[i % 16] for i, x in enumerate(names)}}
+    path = tmp_path / "fixed16.json"
+    path.write_text(dump_instance(payload))
+    code, out, _ = run(capsys, "dr", str(path), "--format", "json")
+    assert code == 0
+    invariant = json.loads(out)["invariant_sets"]
+    classes = [[x for i, x in enumerate(names) if i % 16 == c] for c in range(16)]
+    pairs = itertools.islice(itertools.combinations(classes, 2), 47)
+    assert invariant["size"] == 65_536
+    assert invariant["sets"] == [[], *classes, *(sorted(a + b) for a, b in pairs)]
 
 
 class TestRandom:
@@ -795,15 +833,16 @@ def test_reports_leave_numpy_ma_unimported():
 
 def test_reports_independent_of_hash_seed():
     """``verify`` and ``analyze`` on every groupoid in tests/data, ``graph``
-    on ``graph16`` and ``dr`` on ``map40``, in JSON and text, print the
-    same bytes, errors and exit codes under two ``PYTHONHASHSEED`` values."""
+    on ``graph16`` and ``dr`` on ``map40`` and ``map15``, in JSON and text,
+    print the same bytes, errors and exit codes under two ``PYTHONHASHSEED``
+    values."""
     script = textwrap.dedent("""
         import contextlib, io, sys
         from glab.cli import main
         data = sys.argv[1]
         runs = [(command, name) for name in ("z2_bundle", "swap_and_fix", "action8")
                 for command in ("verify", "analyze")]
-        runs += [("graph", "graph16"), ("dr", "map40")]
+        runs += [("graph", "graph16"), ("dr", "map40"), ("dr", "map15")]
         for command, name in runs:
             for fmt in ("json", "text"):
                 out, err = io.StringIO(), io.StringIO()
@@ -820,5 +859,5 @@ def test_reports_independent_of_hash_seed():
         for seed in ("0", "1")]
     results = [proc.communicate(timeout=120) + (proc.returncode,) for proc in procs]
     assert results[0][2] == 0 and results[0][1] == ""
-    assert len(results[0][0].splitlines()) == 16
+    assert len(results[0][0].splitlines()) == 18
     assert results[0] == results[1]

@@ -11,6 +11,7 @@ from glab.dynamics import (
     DynamicsError,
     FiniteDynSystem,
     UnsupportedGraphError,
+    _canonical_order,
 )
 from glab.errors import CapExceededError
 from glab.generators import random_dynsys, random_graph
@@ -20,6 +21,7 @@ from glab.reports import _GRAPH_LISTING_CAP, fmt_element, graph_report
 from _oracles import (
     all_starts_simple_cycles,
     iterated_periodic_locus,
+    map_invariant_sets,
     next_edge_cycle_has_exit,
     set_hereditary_saturated_sets,
     set_saturated_hereditary_closure,
@@ -112,6 +114,98 @@ class TestInvariantSets:
             assert s.is_invariant(a)
             for b in sets:
                 assert a & b in as_set and a | b in as_set
+
+
+class TestCanonicalOrder:
+    """``_canonical_order`` against the sort by (size, sorted member
+    positions) of the sets the masks stand for."""
+
+    @staticmethod
+    def oracle(masks, owner):
+        """Sort atom masks by the member sets they cover; ``owner[p]`` is
+        the atom that holds member p."""
+        members = {m: sorted(p for p, a in enumerate(owner) if m >> a & 1) for m in masks}
+        return sorted(masks, key=lambda m: (len(members[m]), members[m]))
+
+    @staticmethod
+    def draw(rng, width):
+        """Distinct masks over ``width`` atoms and an owner list in which
+        every atom holds a member and atoms are numbered by first member."""
+        labels = [*range(width), *(rng.randrange(width) for _ in range(rng.randint(0, 2 * width)))]
+        rng.shuffle(labels)
+        number = {}
+        owner = [number.setdefault(a, len(number)) for a in labels]
+        masks = {0, (1 << width) - 1}
+        for _ in range(rng.randint(1, 30)):
+            masks.add(rng.getrandbits(width))
+            masks.add(rng.getrandbits(width) & rng.getrandbits(width))
+            masks.add(sum(1 << a for a in rng.sample(range(width), min(width, 2))))
+        masks = list(masks)
+        rng.shuffle(masks)
+        return masks, owner
+
+    def test_width_zero(self):
+        assert _canonical_order([0], 0) == [0]
+        assert _canonical_order([0], 0, []) == [0]
+        assert _canonical_order([], 0) == []
+
+    @pytest.mark.parametrize("widths", [range(1, 21), range(65, 131, 5)])
+    def test_against_sorted_positions(self, widths):
+        rng = random.Random(2301)
+        for width in widths:
+            for _ in range(4):
+                masks, owner = self.draw(rng, width)
+                weights = [owner.count(a) for a in range(width)]
+                assert _canonical_order(masks, width, weights) == self.oracle(masks, owner)
+                assert _canonical_order(masks, width) == self.oracle(masks, range(width))
+
+    def test_all_masks_of_small_widths(self):
+        rng = random.Random(2302)
+        for width in range(1, 9):
+            _, owner = self.draw(rng, width)
+            masks = list(range(1 << width))
+            rng.shuffle(masks)
+            weights = [owner.count(a) for a in range(width)]
+            assert _canonical_order(masks, width, weights) == self.oracle(masks, owner)
+
+
+class TestInvariantSetsAgainstOracle:
+    """``invariant_sets`` against unions of breadth-first classes, sorted
+    by size and sorted point positions.  Half the maps list their points
+    in an order that differs from the order of the map's keys, and so from
+    the order in which the cycles are found: only such maps tell classes
+    numbered by first point from classes numbered by cycle."""
+
+    def systems(self):
+        rng = random.Random(2303)
+        for i in range(120):
+            n = rng.randint(0, 24)
+            mapping = {x: rng.randrange(n) for x in range(n)}
+            for x in rng.sample(range(n), rng.randint(0, min(n, 7))):
+                mapping[x] = x                      # more classes
+            space = list(range(n))
+            if i % 2:
+                rng.shuffle(space)
+            keys = list(mapping)
+            rng.shuffle(keys)
+            yield FiniteDynSystem(space, {x: mapping[x] for x in keys})
+
+    def test_against_oracle(self):
+        shuffled = 0
+        for s in self.systems():
+            expected = map_invariant_sets(s)
+            if len(expected) > 2 and list(s.mapping) != list(s.space):
+                shuffled += 1
+            assert s.invariant_sets() == expected
+            classes, masks = s._invariant_masks()
+            assert len(masks) == len(expected) == 1 << len(classes)
+        assert shuffled > 50
+
+    def test_cap_before_listing(self):
+        s = FiniteDynSystem(range(5), {x: x for x in range(5)})
+        assert len(s.invariant_sets(cap=32)) == 32
+        with pytest.raises(CapExceededError, match="^32 invariant sets exceed the cap 31$"):
+            s.invariant_sets(cap=31)
 
 
 def graph_of(payload):
