@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import CapExceededError
+from .errors import check_cap
 from .groupoids import FiniteGroupoid, GroupoidError
 from .linalg import DEFAULT_TOLERANCE, TolerancePolicy
 
@@ -255,6 +255,12 @@ class Representation:
     The total basis is the set of groupoid elements itself (grouped by
     source fiber), so matrices are |G| x |G| and the coefficient of a
     at gamma can be read back as the matrix entry (gamma, source(gamma)).
+    ``matrix`` and ``coefficients`` are kept although nothing in the package
+    calls them: they are the dense reference that demo 02 and the tests
+    check the *-homomorphism (``test_homomorphism_200_pairs``), the witness's
+    positivity and the brute-force ideal subspaces against, and the
+    ``no_dense_representation`` fixture refuses them to show that the
+    decomposition never builds the |G| x |G| matrix.
     """
 
     def __init__(self, groupoid: FiniteGroupoid):
@@ -412,12 +418,8 @@ class BlockDecomposition:
 
     def all_ideals(self, max_blocks: int = MAX_BLOCKS) -> list:
         """All 2^b block subsets, ordered by their bitmask."""
-        b = self.block_count
-        if b > max_blocks:
-            raise CapExceededError(
-                f"{b} blocks would enumerate 2^{b} ideals (cap {max_blocks})"
-            )
-        return [Ideal(self, m) for m in range(1 << b)]
+        check_cap(self.block_count, max_blocks, "blocks")
+        return [Ideal(self, m) for m in range(1 << self.block_count)]
 
     def dynamical_ideal_of(self, members) -> "Ideal":
         """The ideal generated by the diagonal functions on an invariant unit set."""
@@ -551,6 +553,14 @@ def _center_basis(g: FiniteGroupoid) -> np.ndarray:
     return basis
 
 
+def _center(g: FiniteGroupoid) -> np.ndarray:
+    """``_center_basis(g)``, computed once per groupoid.  Its column count
+    is the block count b, read before any decomposition work."""
+    if "center" not in g._caches:
+        g._caches["center"] = _center_basis(g)
+    return g._caches["center"]
+
+
 def wedderburn(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
                seed: int | None = None) -> BlockDecomposition:
     """Decompose C*_r(G) into simple matrix blocks.
@@ -578,7 +588,7 @@ def _decompose(g: FiniteGroupoid, tol: TolerancePolicy, seed: int) -> _Record:
                        np.arange(0), np.zeros((0, 0), bool))
 
     slots, table = g._pair_slots(), g.composition_table()
-    center = _center_basis(g)
+    center = _center(g)
     b = center.shape[1]
 
     rng = np.random.default_rng(seed)
@@ -717,6 +727,7 @@ def _block_mask(blocks) -> int:
 
 def all_ideals(g: FiniteGroupoid, tol: TolerancePolicy | None = None,
                seed: int | None = None, max_blocks: int = MAX_BLOCKS) -> list:
+    check_cap(_center(g).shape[1], max_blocks, "blocks")
     return wedderburn(g, tol, seed).all_ideals(max_blocks)
 
 

@@ -19,13 +19,11 @@ import sys
 from dataclasses import dataclass
 
 from . import generators, reports
-from .algebra import DEFAULT_SEED, MAX_BLOCKS, DecompositionError, wedderburn
-from .errors import CapExceededError
+from .algebra import DEFAULT_SEED, MAX_BLOCKS
+from .errors import CapExceededError, check_cap
 from .formats import InstanceFormatError, dump_instance, load_instance
-from .groupoids import GroupoidError
-from .ideals import verify as run_verify
+from .ideals import _decomposition_of, verify as run_verify
 from .linalg import TolerancePolicy
-from .dynamics import DynamicsError
 
 EXIT_OK = 0
 EXIT_THEOREM = 1
@@ -114,8 +112,9 @@ def _load_groupoid_instance(path, caps: Caps):
 def _cmd_analyze(args) -> int:
     caps = _caps_from_args(args)
     instance, groupoid = _load_groupoid_instance(args.path, caps)
-    decomp = wedderburn(groupoid, _tolerance_from_args(args), _seed_from_args(args))
-    report = reports.analyze_report(instance, args.path, decomp, caps.blocks)
+    decomp = _decomposition_of(groupoid, _tolerance_from_args(args), _seed_from_args(args),
+                               caps.blocks)
+    report = reports.analyze_report(instance, args.path, decomp)
     _emit(report, args.format)
     return EXIT_OK
 
@@ -162,12 +161,10 @@ def _cmd_random(args) -> int:
         options["loops"] = args.loops
     if args.group_order is not None:
         options["group_order"] = args.group_order
-    if args.type == "graph" and args.size > caps.graph_vertices:
-        raise CapExceededError(
-            f"{args.size} vertices exceed the cap {caps.graph_vertices}"
-        )
-    if args.type == "dynsys" and args.size > caps.dynsys_points:
-        raise CapExceededError(f"{args.size} points exceed the cap {caps.dynsys_points}")
+    if args.type == "graph":
+        check_cap(args.size, caps.graph_vertices, "vertices")
+    if args.type == "dynsys":
+        check_cap(args.size, caps.dynsys_points, "points")
     if args.type in ("action", "partial-action"):
         order = args.group_order or 8
         if args.size * order > caps.groupoid_size:
@@ -185,23 +182,16 @@ def _cmd_graph(args) -> int:
     instance = load_instance(args.path)
     if instance.kind != "graph":
         raise InstanceFormatError(f"expected a graph instance, got {instance.kind!r}")
-    if len(instance.obj.vertices) > caps.graph_vertices:
-        raise CapExceededError(
-            f"{len(instance.obj.vertices)} vertices exceed the cap {caps.graph_vertices}"
-        )
+    check_cap(len(instance.obj.vertices), caps.graph_vertices, "vertices")
     _emit(reports.graph_report(instance, args.path), args.format)
     return EXIT_OK
 
 
 def _cmd_dr(args) -> int:
-    caps = Caps()
     instance = load_instance(args.path)
     if instance.kind != "dynsys":
         raise InstanceFormatError(f"expected a dynsys instance, got {instance.kind!r}")
-    if len(instance.obj.space) > caps.dynsys_points:
-        raise CapExceededError(
-            f"{len(instance.obj.space)} points exceed the cap {caps.dynsys_points}"
-        )
+    check_cap(len(instance.obj.space), Caps.dynsys_points, "points")
     _emit(reports.dr_report(instance, args.path), args.format)
     return EXIT_OK
 
@@ -211,8 +201,7 @@ def _report_error(exc: Exception, prefix: str = "") -> int:
     internal = ""
     if isinstance(exc, CapExceededError):
         code = EXIT_CAP
-    elif isinstance(exc, (InstanceFormatError, GroupoidError, DynamicsError,
-                          DecompositionError, ValueError, OSError)):
+    elif isinstance(exc, (ValueError, OSError)):
         code = EXIT_INPUT
     else:
         code, internal = EXIT_INTERNAL, f"internal error: {type(exc).__name__}: "

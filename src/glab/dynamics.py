@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-from .errors import CapExceededError
+from .errors import CapExceededError, check_cap
 
 LATTICE_CAP = 1 << 20
 CYCLE_CAP = 100_000
@@ -250,8 +250,7 @@ class FiniteDynSystem:
             label.update(dict.fromkeys(walk, label[walk[-1]]))
             by_cycle.setdefault(label[x], []).append(x)
         classes, k = list(by_cycle.values()), len(by_cycle)
-        if 2 ** k > cap:
-            raise CapExceededError(f"{2 ** k} invariant sets exceed the cap {cap}")
+        check_cap(2 ** k, cap, "invariant sets")
         return classes, _canonical_order(range(1 << k), k, [len(c) for c in classes])
 
     def invariant_sets(self, cap: int = LATTICE_CAP) -> list:

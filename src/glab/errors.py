@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types and the one check of a counted cap."""
 
 
 class GlabError(Exception):
@@ -7,3 +7,9 @@ class GlabError(Exception):
 
 class CapExceededError(GlabError):
     """An enumeration would exceed a configured combinatorial cap."""
+
+
+def check_cap(count: int, cap: int, what: str):
+    """Refuse ``count`` things (``what``, a plural noun) above ``cap``."""
+    if count > cap:
+        raise CapExceededError(f"{count} {what} exceed the cap {cap}")

@@ -30,8 +30,6 @@ KINDS = (
     "dynsys",
 )
 
-GROUPOID_KINDS = ("groupoid-tables", "action", "partial-action", "group-bundle", "pair")
-
 
 class InstanceFormatError(ValueError):
     """Parse or schema violation, with position info when available."""

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import LATTICE_CAP, _canonical_order
-from .errors import CapExceededError
+from .errors import check_cap
 from .groups import PartialAction, _first_nonassociative
 
 
@@ -378,8 +378,7 @@ class FiniteGroupoid:
         and intersection by construction.
         """
         count = len(self._pair_slots().first_unit)
-        if 2 ** count > cap:
-            raise CapExceededError(f"{2 ** count} invariant subsets exceed the cap {cap}")
+        check_cap(2 ** count, cap, "invariant subsets")
         return [self._orbit_union(w) for w in self._sorted_unit_sets(range(1 << count))]
 
     # -- reduction ---------------------------------------------------------

@@ -49,10 +49,11 @@ from .algebra import (
     Ideal,
     _bits,
     _block_mask,
+    _center,
     delta,
     wedderburn,
 )
-from .errors import CapExceededError
+from .errors import check_cap
 from .groupoids import FiniteGroupoid, GroupoidError
 from .linalg import TolerancePolicy
 
@@ -72,12 +73,18 @@ class InvalidTripleError(ValueError):
     """A candidate (U, V, J) violates the triple conditions."""
 
 
-def _decomposition_of(obj, tol=None, seed=None) -> BlockDecomposition:
-    if isinstance(obj, BlockDecomposition):
-        return obj
+def _decomposition_of(obj, tol=None, seed=None, max_blocks=None) -> BlockDecomposition:
+    """The decomposition of a groupoid, or the decomposition given.  With
+    ``max_blocks``, a groupoid's block count is checked before ``wedderburn``."""
     if isinstance(obj, FiniteGroupoid):
+        if max_blocks is not None:
+            check_cap(_center(obj).shape[1], max_blocks, "blocks")
         return wedderburn(obj, tol, seed)
-    raise TypeError(f"expected a groupoid or decomposition, got {type(obj).__name__}")
+    if not isinstance(obj, BlockDecomposition):
+        raise TypeError(f"expected a groupoid or decomposition, got {type(obj).__name__}")
+    if max_blocks is not None:
+        check_cap(obj.block_count, max_blocks, "blocks")
+    return obj
 
 
 # -- subquotient block indices ---------------------------------------------------
@@ -192,11 +199,7 @@ def enumerate_triples(decomp_or_groupoid, tol=None, seed=None,
                       max_blocks: int = MAX_BLOCKS) -> list:
     """All valid triples over all invariant pairs U <= V, including the
     conventional (U, U, 0) triples."""
-    decomp = _decomposition_of(decomp_or_groupoid, tol, seed)
-    if decomp.block_count > max_blocks:
-        raise CapExceededError(
-            f"{decomp.block_count} blocks exceed the triple-enumeration cap {max_blocks}"
-        )
+    decomp = _decomposition_of(decomp_or_groupoid, tol, seed, max_blocks)
     subs = {}
     triples = []
     for lower, upper, q in zip(*(a.tolist() for a in _triple_table(decomp))):
@@ -660,11 +663,7 @@ def _check_effective_uniqueness(data: _LatticeData) -> CheckResult:
 def verify(g_or_decomp, tol: TolerancePolicy | None = None, seed: int | None = None,
            max_blocks: int = MAX_BLOCKS) -> VerificationReport:
     """Run the full theorem suite and report one verdict per theorem."""
-    decomp = _decomposition_of(g_or_decomp, tol, seed)
-    if decomp.block_count > max_blocks:
-        raise CapExceededError(
-            f"{decomp.block_count} blocks exceed the verification cap {max_blocks}"
-        )
+    decomp = _decomposition_of(g_or_decomp, tol, seed, max_blocks)
     g = decomp.groupoid
     data = _LatticeData(decomp)
     triples = _triple_table(decomp)

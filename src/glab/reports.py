@@ -19,7 +19,6 @@ import numpy as np
 from . import ideals as ideal_ops
 from .algebra import BlockDecomposition, DecompositionError, _bits
 from .dynamics import _union
-from .errors import CapExceededError
 from .formats import Instance
 from .groups import PartialAction
 from .groupoids import FiniteGroupoid
@@ -186,8 +185,7 @@ class _IdealTable:
             yield (",\n" if start else "") + ",\n".join(rows)
 
 
-def analyze_report(instance: Instance, source, decomp: BlockDecomposition,
-                   max_blocks: int) -> dict:
+def analyze_report(instance: Instance, source, decomp: BlockDecomposition) -> dict:
     g = decomp.groupoid
     report = {
         "command": "analyze",
@@ -203,11 +201,6 @@ def analyze_report(instance: Instance, source, decomp: BlockDecomposition,
         "conventions": list(CONVENTIONS),
         "numerics": dict(decomp.numerics),
     }
-    b = decomp.block_count
-    if b > max_blocks:
-        raise CapExceededError(
-            f"{b} blocks would enumerate 2^{b} ideals (cap {max_blocks})"
-        )
     table = _IdealTable(decomp)
     # the message obstruction_ideal, then collapse_kernel, would raise
     obstruction, kernel, failures = ideal_ops._obstruction(decomp)

@@ -1,3 +1,4 @@
+import ast
 import copy
 import itertools
 import json
@@ -8,13 +9,17 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from glab import algebra as al
 from glab import groupoids as gp
+from glab import ideals as il
 from glab import reports
 from glab.algebra import DEFAULT_SEED, wedderburn
 from glab.cli import _ROWS_STANDIN, _emit, main
 from glab.dynamics import FiniteDynSystem
+from glab.errors import CapExceededError
 from glab.formats import Instance, dump_instance, load_instance
 from glab.generators import group_payload, random_groupoid, random_instance
 from glab.groups import PartialAction, cyclic_group
@@ -457,7 +462,7 @@ class TestStreamedIdealRows:
         assert f'"point": "{_ROWS_STANDIN}"' in out and "\\ud835\\udd0a" in out
         instance = load_instance(str(path))
         report = reports.analyze_report(instance, str(path),
-                                        wedderburn(instance.groupoid()), 20)
+                                        wedderburn(instance.groupoid()))
         assert first_difference(out, rows_as_dicts(report)) is None
         assert json.loads(out)["ideals"][0] == {
             "blocks": [], "dimension": 0, "dynamical": True,
@@ -468,7 +473,7 @@ class TestStreamedIdealRows:
     def test_numeric_units_over_several_slices(self, capsys):
         g = gp.unit_space_groupoid(range(14))
         report = reports.analyze_report(Instance("groupoid-tables", {}, g), "units",
-                                        wedderburn(g), 20)
+                                        wedderburn(g))
         _emit(report, "json")
         out = capsys.readouterr().out
         assert first_difference(out, rows_as_dicts(report)) is None
@@ -488,7 +493,7 @@ class TestStreamedIdealRows:
                 continue
             checked += 1
             report = reports.analyze_report(Instance("groupoid-tables", {}, g), "draw",
-                                            d, 20)
+                                            d)
             _emit(report, "json")
             out = capsys.readouterr().out
             assert first_difference(out, rows_as_dicts(report)) is None
@@ -600,14 +605,55 @@ class TestRandom:
         code, _, _ = run(capsys, "verify", str(path))
         assert code == 0
 
-    def test_block_cap_exceeded_is_exit_3(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "random", "--type", "action", "--size", "4",
-                           "--seed", "9")
-        path = tmp_path / "gen.json"
-        path.write_text(out)
-        code, _, err = run(capsys, "verify", str(path))
-        if code != 0:
-            assert code == 3 and "cap" in err
+    def test_block_cap_exceeded_is_exit_3(self, capsys, tmp_path, monkeypatch):
+        """``swap_and_fix`` has 3 blocks (2, 1, 1).  Above the cap every block
+        refusal reads the same text, and ``verify``, ``analyze``, ``verify
+        --batch``, ``enumerate_triples`` and ``all_ideals`` on a groupoid give
+        it from the center's dimension, before any eigensolve or convolution."""
+        calls = []
+        eigh, convolve = np.linalg.eigh, al._convolve
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a, **k: calls.append("eigh") or eigh(*a, **k))
+        monkeypatch.setattr(al, "_convolve",
+                            lambda *a: calls.append("convolve") or convolve(*a))
+        path = GOLDEN / "swap_and_fix.json"
+        refusal = "3 blocks exceed the cap 2"
+        for command in ("verify", "analyze"):
+            code, out, err = run(capsys, command, str(path), "--max-blocks", "2")
+            assert (code, out) == (3, "")
+            assert err.endswith(f"error: {refusal}\n")
+        assert calls == []
+        for command in ("verify", "analyze"):
+            assert run(capsys, command, str(path), "--max-blocks", "3")[0] == 0
+
+        # the over-cap file is reported and the batch goes on
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        (batch / "a_swap.json").write_bytes(path.read_bytes())
+        (batch / "b_pair.json").write_text(
+            dump_instance({"version": 1, "kind": "pair", "points": ["1", "2"]}))
+        calls.clear()
+        code, out, err = run(capsys, "verify", "--batch", str(batch), "--max-blocks", "2",
+                             "--format", "json")
+        assert code == 3 and f"a_swap.json: error: {refusal}\n" in err
+        assert json.loads(out)["all_passed"]
+        batch_calls = list(calls)
+        calls.clear()
+        assert run(capsys, "verify", str(batch / "b_pair.json"), "--max-blocks", "2")[0] == 0
+        assert batch_calls == calls
+
+        for refuse in (lambda g: il.verify(g, max_blocks=2),
+                       lambda g: il.enumerate_triples(g, max_blocks=2),
+                       lambda g: al.all_ideals(g, max_blocks=2)):
+            calls.clear()
+            with pytest.raises(CapExceededError, match=f"^{refusal}$"):
+                refuse(load_instance(path).groupoid())
+            assert calls == []
+        d = wedderburn(load_instance(path).groupoid())
+        for refuse in (d.all_ideals, lambda cap: il.verify(d, max_blocks=cap),
+                       lambda cap: il.enumerate_triples(d, max_blocks=cap)):
+            with pytest.raises(CapExceededError, match=f"^{refusal}$"):
+                refuse(2)
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run(capsys, "random", "--type", "graph", "--size", "100",
@@ -715,6 +761,39 @@ class TestGraphAndDr:
         for command in ("analyze", "verify", "graph", "dr"):
             code, _, err = run(capsys, command, str(path))
             assert code == 2
+
+
+SRC = Path(__file__).parent.parent / "src" / "glab"
+
+
+def test_counted_caps_raise_through_check_cap():
+    """``raise CapExceededError`` appears only in ``errors.check_cap`` and at
+    the caps that refuse a partial or estimated count: the two cycle-cap
+    raises of the cycle walk, the lattice build, the pre-parse element count
+    and ``glab random``'s action-size estimate.  Every other counted cap
+    goes through ``check_cap``, with its one message form."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                    and getattr(child.exc.func, "id", None) == "CapExceededError"):
+                sites.append(scope)
+            visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    assert sorted(sites) == [
+        "cli._cmd_random",
+        "dynamics.DirectedGraph._cycle_walk",
+        "dynamics.DirectedGraph._cycle_walk",
+        "dynamics.DirectedGraph._lattice_masks",
+        "errors.check_cap",
+        "formats.parse_instance",
+    ]
 
 
 class TestMalformedInstances:

@@ -13,7 +13,7 @@ from glab.dynamics import (
     UnsupportedGraphError,
     _canonical_order,
 )
-from glab.errors import CapExceededError
+from glab.errors import CapExceededError, check_cap
 from glab.generators import random_dynsys, random_graph
 from glab.formats import Instance, instance_from_dict
 from glab.reports import _GRAPH_LISTING_CAP, fmt_element, graph_report
@@ -201,11 +201,18 @@ class TestInvariantSetsAgainstOracle:
             assert len(masks) == len(expected) == 1 << len(classes)
         assert shuffled > 50
 
-    def test_cap_before_listing(self):
-        s = FiniteDynSystem(range(5), {x: x for x in range(5)})
-        assert len(s.invariant_sets(cap=32)) == 32
-        with pytest.raises(CapExceededError, match="^32 invariant sets exceed the cap 31$"):
-            s.invariant_sets(cap=31)
+    @pytest.mark.parametrize("listing, message", [
+        (lambda cap: len(FiniteDynSystem(range(5), {x: x for x in range(5)})
+                         .invariant_sets(cap=cap)),
+         "^32 invariant sets exceed the cap 31$"),
+        (lambda cap: check_cap(32, cap, "blocks") or 32, "^32 blocks exceed the cap 31$"),
+    ], ids=["invariant_sets", "check_cap"])
+    def test_cap_before_listing(self, listing, message):
+        """32 things pass the cap 32 and are refused at 31, in the one
+        message form of ``errors.check_cap``."""
+        assert listing(32) == 32
+        with pytest.raises(CapExceededError, match=message):
+            listing(31)
 
 
 def graph_of(payload):
