@@ -450,7 +450,7 @@ class BlockDecomposition:
         reduction (minimal central idempotents are unique); the
         decomposition is assembled accordingly rather than recomputed.  Its
         record is kept in this decomposition's record and cached on the
-        reduction; the live view over it is returned.
+        reduction with its center; the live view over it is returned.
         """
         members, g, record = frozenset(members), self.groupoid, self._record
         if members == g.units:
@@ -468,6 +468,8 @@ class BlockDecomposition:
                           np.searchsorted(_bits(w), record.orbit_index[parents]),
                           record.support[np.ix_(keep, parents)])
             sub_groupoid._caches[record.tol, record.seed] = sub
+            center = _center(g)[keep]  # the columns of the parent's classes inside it
+            sub_groupoid._caches["center"] = center[:, center.any(axis=0)]
             record.subquotients[members] = (sub_groupoid, sub, dict(enumerate(parents)))
         sub_groupoid, sub, mapping = record.subquotients[members]
         return sub.view(sub_groupoid), mapping
@@ -554,8 +556,8 @@ def _center_basis(g: FiniteGroupoid) -> np.ndarray:
 
 
 def _center(g: FiniteGroupoid) -> np.ndarray:
-    """``_center_basis(g)``, computed once per groupoid.  Its column count
-    is the block count b, read before any decomposition work."""
+    """``_center_basis(g)``, computed once per groupoid (or given by
+    ``restriction_decomposition``).  Its column count is the block count b."""
     if "center" not in g._caches:
         g._caches["center"] = _center_basis(g)
     return g._caches["center"]

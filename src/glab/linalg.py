@@ -2,10 +2,10 @@
 
 Everything here works on small (dimension at most a few hundred) complex
 matrices with entries of order one, so a single pair of absolute
-tolerances is enough: ``zero_eps`` for rank/zero decisions and
-``eig_residual`` for eigenpair accuracy.  All rank decisions in the
-package go through the one pivot threshold ``zero_eps`` so that
-different operations never disagree about ranks.
+tolerances is enough: ``zero_eps`` for zero decisions and ``eig_residual``
+for eigenpair accuracy.  No rank decision reads ``zero_eps``: a block's
+rank is its idempotent's trace rounded to a square, and the collapse kernel
+and the matrix units cut at ``glab.algebra._PROJECTION_CUT``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ class LinalgInputError(ValueError):
 class TolerancePolicy:
     """Absolute thresholds used for all numeric decisions.
 
-    zero_eps: below this a number is treated as zero (also the rank
-        pivot threshold).
+    zero_eps: below this a number is treated as zero (supports,
+        footprints, the Hermitian test); no rank decision reads it.
     eig_residual: eigenpair residual bound, relative to the operator
         norm of the input matrix.
     """

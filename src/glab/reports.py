@@ -17,7 +17,7 @@ import json
 import numpy as np
 
 from . import ideals as ideal_ops
-from .algebra import BlockDecomposition, DecompositionError, _bits
+from .algebra import BlockDecomposition, _bits
 from .dynamics import _union
 from .formats import Instance
 from .groups import PartialAction
@@ -202,11 +202,8 @@ def analyze_report(instance: Instance, source, decomp: BlockDecomposition) -> di
         "numerics": dict(decomp.numerics),
     }
     table = _IdealTable(decomp)
-    # the message obstruction_ideal, then collapse_kernel, would raise
-    obstruction, kernel, failures = ideal_ops._obstruction(decomp)
-    if failures:
-        support = ideal_ops._OBSTRUCTION_SUPPORT
-        raise DecompositionError(support if support in failures else failures[0])
+    obstruction = ideal_ops.obstruction_ideal(decomp).mask
+    kernel = ideal_ops.collapse_kernel(decomp).mask
     report["counts"] = {
         "ideals": len(table),
         "dynamical": int(table.dynamical.sum()),

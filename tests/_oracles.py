@@ -18,7 +18,9 @@ saturated hereditary closures and lattice of a graph are kept in the
 frozenset formulation (unit sets, block sets whose diagonals and
 supports are read off each block's orbit and support, subquotient
 decompositions, vertex sets rescanned until nothing changes) that the
-library's bitmask layers replaced.
+library's bitmask layers replaced, and the verifier's sandwich and lattice
+scans are kept as the loops over every dynamical ideal and every pair of
+invariant sets that the orbit-ideal reading replaced.
 """
 
 from __future__ import annotations
@@ -578,6 +580,49 @@ def dense_collapse_kernel(decomp, cut=0.5) -> list:
     return [blk.index for blk in decomp.blocks
             if max(float(np.linalg.svd(m, compute_uv=False)[0])
                    for m in collapse_matrices(decomp.groupoid, blk.idempotent)) < cut]
+
+
+# -- the sandwich and lattice scans ------------------------------------------------
+#
+# The verifier's extremality and lattice-identity scans as they were before
+# both were read off the orbit ideals: every dynamical ideal against every
+# ideal, and every pair of invariant sets, on the lattice tables themselves.
+
+
+def full_lattice_sandwich_failures(inside, touched, dynamical_of) -> list:
+    """Per ideal mask m: I_U <= m <= I_V for U = ``inside[m]`` and
+    V = ``touched[m]``, and against every orbit mask w, no I_w inside m
+    unless w <= U and no I_w holding m unless V <= w."""
+    masks = np.arange(len(inside), dtype=np.int64)
+    i_lower = dynamical_of[inside]
+    i_upper = dynamical_of[touched]
+    bad = ((i_lower & masks) != i_lower) | ((masks & i_upper) != masks)
+    out = [f"ideal {m:#x}: sandwich bounds fail" for m in np.flatnonzero(bad)]
+    for w in range(len(dynamical_of)):
+        iw = int(dynamical_of[w])
+        larger = ((iw & masks) == iw) & ((w & inside) != w)
+        smaller = ((masks & iw) == masks) & ((touched & w) != touched)
+        out += [f"ideal {m:#x}: larger dynamical ideal {w:#x} inside"
+                for m in np.flatnonzero(larger)]
+        out += [f"ideal {m:#x}: smaller dynamical ideal {w:#x} outside"
+                for m in np.flatnonzero(smaller)]
+    return out
+
+
+def all_pairs_lattice_failures(dynamical_of) -> list:
+    """For every pair of orbit masks (w1, w2): I_w1 & I_w2 = I_(w1 & w2),
+    I_w1 | I_w2 = I_(w1 | w2), and w1 <= w2 exactly when I_w1 <= I_w2."""
+    unit_masks = np.arange(len(dynamical_of), dtype=np.int64)
+    out = []
+    for w1 in range(len(dynamical_of)):
+        i1 = int(dynamical_of[w1])
+        if ((i1 & dynamical_of) != dynamical_of[w1 & unit_masks]).any():
+            out.append(f"intersection identity fails against {w1:#x}")
+        if ((i1 | dynamical_of) != dynamical_of[w1 | unit_masks]).any():
+            out.append(f"sum identity fails against {w1:#x}")
+        if (((w1 & unit_masks) == w1) != ((i1 & dynamical_of) == i1)).any():
+            out.append(f"order preservation fails against {w1:#x}")
+    return out
 
 
 # -- the block table ------------------------------------------------------------------

@@ -566,6 +566,34 @@ class TestCenter:
         for _ in range(30):
             self.assert_center(random_groupoid(rng, 32))
 
+    def test_reduction_is_given_its_center(self):
+        """``restriction_decomposition`` caches the reduction's center, read
+        off the parent's, equal to ``_center_basis`` of the reduction."""
+        rng = random.Random(25)
+        for _ in range(30):
+            g = random_groupoid(rng, 32)
+            d = al.wedderburn(g)
+            orbits = g.orbits()
+            for _ in range(4):
+                members = frozenset().union(*rng.sample(orbits, rng.randint(0, len(orbits))))
+                sub, _ = d.restriction_decomposition(members)
+                cached = sub.groupoid._caches["center"]
+                want = al._center_basis(sub.groupoid)
+                assert cached.dtype == want.dtype and np.array_equal(cached, want)
+                assert cached.shape[1] == sub.block_count
+
+    def test_reduction_center_is_not_computed_again(self, monkeypatch, swap_and_fix):
+        calls = []
+        real = al._center_basis
+        monkeypatch.setattr(al, "_center_basis", lambda g: calls.append(g) or real(g))
+        g = gp.disjoint_union([swap_and_fix, swap_and_fix])
+        d = al.wedderburn(g)
+        assert len(calls) == 1
+        sub, _ = d.restriction_decomposition(frozenset(u for u in g.units if u[0] == 0))
+        il.verify(sub.groupoid)
+        il.enumerate_triples(sub.groupoid)
+        assert len(calls) == 1
+
 
 class TestMatrixUnits:
     # in lambda_x of the S4 bundle its 2- and 3-dimensional blocks have

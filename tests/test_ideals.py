@@ -18,9 +18,11 @@ from glab.formats import load_instance
 from glab.generators import random_groupoid
 from glab.linalg import TolerancePolicy
 from _oracles import (
+    all_pairs_lattice_failures,
     collapse_matrices,
     expected_block_dimensions,
     expected_counts,
+    full_lattice_sandwich_failures,
     ideal_span,
     set_diagonal_units,
     set_dimension,
@@ -403,6 +405,84 @@ class TestMaskLayer:
         result = il._check_bijection(data, triples)
         assert not result.passed
         assert result.witnesses
+
+    @pytest.mark.parametrize("make, witness", [
+        (lambda fixture: gp.unit_space_groupoid(range(14)),
+         "ideal 0x1: smaller dynamical ideal 0x3ffd outside"),
+        (lambda fixture: fixture, "ideal 0x1: smaller dynamical ideal 0x1 outside"),
+    ], ids=["points14", "swap_and_fix"])
+    def test_non_minimal_upper_set_fails_sandwich(self, swap_and_fix, make, witness):
+        """V(0x1) grows by orbit 1, whose blocks the ideal misses: the
+        dynamical ideal over every orbit but 1 still holds it."""
+        data = il._LatticeData(al.wedderburn(make(swap_and_fix)))
+        assert il._check_sandwich(data).passed
+        data.touched[0b1] |= 0b10
+        result = il._check_sandwich(data)
+        assert not result.passed
+        assert result.witnesses == [witness]
+
+    def test_non_maximal_lower_set_fails_sandwich(self, swap_and_fix):
+        d = al.wedderburn(swap_and_fix)
+        data = il._LatticeData(d)
+        data.inside[d.orbit_masks[0]] &= ~1
+        result = il._check_sandwich(data)
+        assert not result.passed
+        assert result.witnesses == ["ideal 0x1: larger dynamical ideal 0x1 inside"]
+
+    @pytest.mark.parametrize("w, value, witness", [
+        *((0b11, 0b111 ^ 1 << block,
+           "dynamical ideal over 0x3 is not the union of its orbit ideals")
+          for block in range(3)),
+        # I_0 takes block 1 of I_1: still a union table, no longer a partition
+        (0b01, 0b011, "orbit ideals do not partition the blocks"),
+    ])
+    def test_orbit_ideal_faults_fail_sandwich_and_lattice(self, swap_and_fix, w, value, witness):
+        data = il._LatticeData(al.wedderburn(swap_and_fix))
+        assert data.dynamical_of.tolist() == [0, 0b001, 0b110, 0b111]
+        data.dynamical_of[w] = value
+        for check in (il._check_sandwich, il._check_lattice_iso):
+            result = check(data)
+            assert not result.passed
+            assert witness in result.witnesses
+
+    def test_effective_check_can_fail(self):
+        data = il._LatticeData(al.wedderburn(gp.pair_groupoid(range(3))))
+        assert il._check_effective_uniqueness(data).passed
+        data.pnd[1] = True
+        result = il._check_effective_uniqueness(data)
+        assert not result.passed
+        assert result.witnesses == [
+            "nonzero ideal 0x1 misses the diagonal on an effective groupoid"]
+
+    def test_orbit_ideal_scans_against_full_scans(self, small_decompositions):
+        """The sandwich and lattice checks against the scans over every
+        dynamical ideal and every pair of invariant sets: both pass on the
+        tables, and a single flipped bit in ``inside``, ``touched`` or
+        ``dynamical_of`` that the full scan catches fails the check too."""
+        rng = random.Random(25)
+        caught = dict.fromkeys(("inside", "touched", "dynamical_of", "pairs"), 0)
+        for d in small_decompositions:
+            data = il._LatticeData(d)
+            assert il._check_sandwich(data).passed
+            assert il._check_lattice_iso(data).passed
+            assert not full_lattice_sandwich_failures(
+                data.inside, data.touched, data.dynamical_of)
+            assert not all_pairs_lattice_failures(data.dynamical_of)
+            for name, bits in (("inside", data.n_orbits), ("touched", data.n_orbits),
+                               ("dynamical_of", data.b)):
+                table = getattr(data, name)
+                for _ in range(20):
+                    flip = (rng.randrange(len(table)), 1 << rng.randrange(bits))
+                    table[flip[0]] ^= flip[1]
+                    if full_lattice_sandwich_failures(
+                            data.inside, data.touched, data.dynamical_of):
+                        caught[name] += 1
+                        assert not il._check_sandwich(data).passed, (d, name, flip)
+                    if all_pairs_lattice_failures(data.dynamical_of):
+                        caught["pairs"] += 1
+                        assert not il._check_lattice_iso(data).passed, (d, name, flip)
+                    table[flip[0]] ^= flip[1]
+        assert all(caught.values()), caught
 
 
 class TestExelWitness:
