@@ -54,7 +54,7 @@ def _caps_from_args(args) -> Caps:
         _warn(f"groupoid size cap overridden to {caps.groupoid_size}")
     if getattr(args, "max_blocks", None) is not None:
         caps.blocks = args.max_blocks
-        _warn(f"block cap overridden to {caps.blocks}; verification cost is 2^blocks")
+        _warn(f"block cap overridden to {caps.blocks}; listing the ideals costs 2^blocks")
     if getattr(args, "max_vertices", None) is not None:
         caps.graph_vertices = args.max_vertices
         _warn(f"graph vertex cap overridden to {caps.graph_vertices}")

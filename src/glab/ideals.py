@@ -10,9 +10,10 @@ the non-effective units, with the kernel of the orbit-space (collapse)
 *-representation witnessing minimality: it sends a block's central
 projection to a projection, whose trace (``_collapse_traces``) is its rank.
 
-Verifiers are exhaustive, not sampled: the statements are universally
-quantified and finite instances admit complete checks within the
-block-count cap.
+Nothing is sampled.  Each statement of a verifier is universally
+quantified over the 2^b ideals or the 2^orbits invariant unit sets, and
+is either checked item by item (per block, per arrow, per orbit) or
+proved, in the check's docstring, from facts so checked.
 
 An ideal is the int bitmask of its Wedderburn blocks (``Ideal.mask``,
 bit i is block i) and an invariant unit set is a bitmask over the orbits
@@ -25,22 +26,22 @@ or on a numpy array of masks.  The triple bijection is then bit
 arithmetic: theta^-1 of m is (filled(m), touched(m), m minus
 over(filled(m))), and theta(U, V, q) is over(U) together with q.  The
 public functions (``sandwich``, ``theta``, ``theta_inverse``,
-``enumerate_triples``, ``make_triple``) apply these to one mask;
-``verify`` and the analyze report apply them to all 2^b ideals and all
-2^orbits unit sets at once (``_LatticeData``), and add per arrow the
-blocks whose support holds it.  Unit sets become frozensets only at the
-public functions.
+``make_triple``) apply these to one mask, and ``enumerate_triples`` and
+the analyze report list all 2^b triples or ideals.  ``verify`` builds no
+such list.  Unit sets become frozensets only at the public functions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .algebra import (
+    _CHECK_EPS,
     _PROJECTION_CUT,
     MAX_BLOCKS,
     AlgebraElement,
@@ -104,8 +105,8 @@ def sandwich(ideal: Ideal):
 
     U is the open support of the diagonal intersection: the orbits all
     of whose blocks the ideal contains.  V is the source image of the
-    support: the orbits the ideal has a block over.  ``verify`` checks
-    that both are extremal in the dynamical lattice (``_orbit_ideals``).
+    support: the orbits the ideal has a block over.  ``_check_sandwich``
+    proves both extremal in the dynamical lattice.
     """
     decomp, m = ideal.decomposition, ideal.mask
     return decomp.orbit_set(decomp.filled(m)), decomp.orbit_set(decomp.touched(m))
@@ -419,157 +420,146 @@ class VerificationReport:
         }
 
 
-class _LatticeData:
-    """Vectorized bitmask tables for exhaustive ideal scans.
+# The checks read four things: each block's orbit (``_orbit_index``, as
+# ``orbit_masks``), each arrow's blocks (``_support``), the orbit table of
+# ``_pair_slots()`` and the collapse traces.  Each states facts about single
+# blocks, arrows or orbits, and its docstring proves from them the theorem
+# over all 2^b ideals and 2^orbits invariant unit sets.
 
-    Ideals are bitmasks over blocks, invariant unit sets are bitmasks
-    over orbits; the tables give, for every ideal mask, the orbits it
-    fills (the U side) and touches (the V side) and whether it is
-    dynamical or purely non-dynamical, for every orbit mask the
-    dynamical ideal over it (the decomposition's ``filled``, ``touched``
-    and ``over`` on whole arrays of masks), and per arrow (``arrows``) the mask of the
-    blocks whose support holds it and its orbit (its source's and range's).
+
+def _incidence_faults(decomp: BlockDecomposition) -> list:
+    """The witnesses against the block fact: every block lies over an orbit
+    (its ``_orbit_index`` numbers one) and every orbit has a block.  One
+    pass over the blocks and the orbits.
+
+    Given it, the orbit ideals I_o = ``orbit_masks[o]`` are nonzero and
+    partition the blocks (P), and I_w = ``over(w)`` is the union of the I_o
+    over o in w (Sigma), both by construction.  So an ideal m has U(m) =
+    ``filled(m)`` = {o : I_o <= m} and V(m) = ``touched(m)`` = {o : m meets
+    I_o}.
     """
-
-    def __init__(self, decomp: BlockDecomposition):
-        self.decomp = decomp
-        self.n_orbits = len(decomp.orbit_masks)
-        self.b = decomp.block_count
-        self.ideal_masks = np.arange(1 << self.b, dtype=np.int64)
-        self.unit_masks = np.arange(1 << self.n_orbits, dtype=np.int64)
-        self.inside = decomp.filled(self.ideal_masks)
-        self.touched = decomp.touched(self.ideal_masks)
-        self.dynamical_of = decomp.over(self.unit_masks)
-        self.dynamical = self.dynamical_of[self.inside] == self.ideal_masks
-        self.pnd = (self.ideal_masks != 0) & (self.inside == 0)
-        slots = decomp.groupoid._pair_slots()
-        self.arrows = np.stack([decomp._support @ (1 << np.arange(self.b, dtype=np.int64)),
-                                slots.orbit], axis=1)
-
-    def theta_inverse(self) -> tuple:
-        """theta^-1 of every ideal mask m, as (U, V, q) arrays indexed by m."""
-        lower = self.inside
-        return lower, self.touched, self.ideal_masks & ~self.dynamical_of[lower]
-
-    def invalid_triples(self, lower, upper, q) -> np.ndarray:
-        """Which (U, V, q) rows break the triple conditions: U <= V, and q
-        lives over V minus U, fills none of its orbits (trivial diagonal
-        intersection) and touches every one of them (full support)."""
-        between = upper & ~lower
-        return (((lower & ~upper) != 0)
-                | ((q & ~self.dynamical_of[between]) != 0)
-                | ((self.inside[q] & between) != 0)
-                | (self.touched[q] != between))
+    index, n = decomp._orbit_index, len(decomp.orbit_masks)
+    stray = np.flatnonzero((index < 0) | (index >= n)).tolist()
+    return ([f"block {i} lies over no orbit" for i in stray]
+            + [f"orbit {o} has no block" for o, bm in enumerate(decomp.orbit_masks) if not bm])
 
 
-def _distinct(values, bits: int):
-    """The sorted distinct values of an array of masks below ``1 << bits``."""
-    seen = np.zeros(1 << bits, dtype=bool)
-    seen[values] = True
-    return np.flatnonzero(seen)
+def _arrow_faults(decomp: BlockDecomposition) -> list:
+    """The witnesses against the arrow fact: every arrow lies in the support
+    of some block, and every block whose support holds it lies over the
+    arrow's orbit.  One pass over ``_support``, O(|G| b).
 
-
-def _orbit_ideals(data: _LatticeData) -> tuple:
-    """(I_o = ``dynamical_of[1 << o]`` per orbit o, the witnesses of P and
-    Sigma that fail): the one fact the sandwich and lattice checks read.
-
-    P: the I_o are pairwise disjoint and cover the b blocks.  Sigma: each
-    ``dynamical_of[w]`` is the union of the I_o over o in w (``union``,
-    built by doubling).  Given both, for an ideal m:
-    - I_w <= m iff I_o <= m for all o in w: the w with I_w <= m are the
-      subsets of {o : I_o <= m}, and U(m) is the largest iff it holds them.
-    - m <= I_w iff m misses I_o for all o not in w (P): the w with m <= I_w
-      are the supersets of {o : m meets I_o}, and V(m) is the smallest iff
-      m meets I_o for each o in V(m).
-    - I_w1 | I_w2 = I_(w1 | w2) and, the I_o being disjoint, I_w1 & I_w2 =
-      I_(w1 & w2).  So w1 <= w2 iff I_w1 <= I_w2 once every I_o is nonzero.
+    Given it, the support of I_w (the arrows some block over w holds) is
+    the reduction to w: an arrow of an orbit in w is held by a block, which
+    lies over that orbit, and an arrow of any other orbit by none over w.
     """
-    singles = data.dynamical_of[1 << np.arange(data.n_orbits, dtype=np.int64)]
-    union = np.zeros(1 << data.n_orbits, dtype=np.int64)
-    for o, io in enumerate(singles.tolist()):
-        union[1 << o:2 << o] = union[:1 << o] | io
-    failures = [f"dynamical ideal over {w:#x} is not the union of its orbit ideals"
-                for w in np.flatnonzero(data.dynamical_of != union)[:2]]
-    if sum(io.bit_count() for io in singles.tolist()) != data.b or union[-1] != (1 << data.b) - 1:
-        failures.insert(0, "orbit ideals do not partition the blocks")
-    return singles, failures
+    g, index = decomp.groupoid, decomp._orbit_index
+    orbit = g._pair_slots().orbit
+    bare = np.flatnonzero(~decomp._support.any(axis=1))[:5].tolist()
+    stray = np.argwhere(decomp._support & (index != orbit[:, None]))[:5].tolist()
+    return ([f"arrow {g.elements[a]!r} lies in no block's support" for a in bare]
+            + [f"arrow {g.elements[a]!r} of orbit {orbit[a]} lies in the support of "
+               f"block {i} over orbit {index[i]}" for a, i in stray])
 
 
-def _check_sandwich(data: _LatticeData) -> CheckResult:
-    """Reads the lattice tables, that is the block orbits alone: every
-    statement is an identity of the block<->orbit incidence, true for any
-    map from blocks to orbits.  Extremality is read off ``_orbit_ideals``."""
-    masks, everything = data.ideal_masks, (1 << data.n_orbits) - 1
-    i_lower = data.dynamical_of[data.inside]
-    i_upper = data.dynamical_of[data.touched]
-    bad = ((i_lower & masks) != i_lower) | ((masks & i_upper) != masks)
-    singles, failures = _orbit_ideals(data)
-    witnesses = [f"ideal {m:#x}: sandwich bounds fail" for m in np.flatnonzero(bad)[:5]] + failures
-    for o, io in enumerate(singles.tolist()):
-        larger = ((masks & io) == io) & ((data.inside >> o & 1) == 0)
-        smaller = ((masks & io) == 0) & ((data.touched >> o & 1) == 1)
-        witnesses += [f"ideal {m:#x}: larger dynamical ideal {1 << o:#x} inside"
-                      for m in np.flatnonzero(larger)[:2]]
-        witnesses += [f"ideal {m:#x}: smaller dynamical ideal {everything ^ 1 << o:#x} outside"
-                      for m in np.flatnonzero(smaller)[:2]]
+def _isotropy_faults(decomp: BlockDecomposition) -> list:
+    """The witnesses against the exact invariants of each orbit O with
+    isotropy group H, |O| and |H| read off the orbit table.
+
+    The reduction to O is M_|O|(C*(H)) (Muhly, Renault and Williams), with
+    one block of dimension d = |O| chi(1) per irreducible character chi of
+    H.  So each d/|O| is an integer dividing |H| (Serre, GTM 42, 6.5), the
+    squares of the d/|O| sum to |H| (2.4), and the orbit space l2(O) carries
+    the representation induced from the trivial character, the block of
+    chi = 1: exactly one of O's blocks has a collapse trace above the cut,
+    and that trace, the rank of its image, is |O|.
+    """
+    slots = decomp.groupoid._pair_slots()
+    sizes = np.bincount(slots.orbit[slots.unit], minlength=len(slots.first_unit)).tolist()
+    orders = slots.isotropy[slots.first_unit].tolist()
+    dims, traces = decomp.dimensions, _collapse_traces(decomp).tolist()
+    out = []
+    for o, (bm, n, h) in enumerate(zip(decomp.orbit_masks, sizes, orders)):
+        blocks = _bits(bm)
+        for i in blocks:
+            q, r = divmod(dims[i], n)
+            if r or not q or h % q:
+                out.append(f"block {i}: dimension {dims[i]} is not |O| = {n} "
+                           f"times a divisor of |H| = {h}")
+        square_sum = sum(dims[i] ** 2 for i in blocks)
+        if square_sum != n * n * h:
+            out.append(f"orbit {o}: block dimensions square-sum to {square_sum}, "
+                       f"not |O|^2 |H| = {n * n * h}")
+        lit = [i for i in blocks if traces[i] > _PROJECTION_CUT]
+        if len(lit) != 1:
+            out.append(f"orbit {o}: {len(lit)} blocks have a collapse trace above "
+                       f"{_PROJECTION_CUT}, not one")
+        elif abs(traces[lit[0]] - n) > _CHECK_EPS:
+            out.append(f"orbit {o}: block {lit[0]} has collapse trace "
+                       f"{traces[lit[0]]:.6g}, not |O| = {n}")
+    return out
+
+
+def _check_sandwich(decomp: BlockDecomposition) -> CheckResult:
+    """Every ideal m has I_U <= m <= I_V for U = U(m) and V = V(m), with U
+    the largest and V the smallest such invariant set.  It reads the block
+    fact (``_incidence_faults``); given it, for every m:
+    - I_U <= m, as each I_o with o in U is; m <= I_V, as each block of m
+      lies in some I_o (P), which it meets.
+    - I_w <= m iff I_o <= m for all o in w (Sigma): the w with I_w <= m are
+      the subsets of U, so U is the largest.
+    - m <= I_w iff m misses I_o for all o outside w (P): the w with
+      m <= I_w are the supersets of V, so V is the smallest.
+    """
+    witnesses = _incidence_faults(decomp)
     return CheckResult("sandwich", not witnesses,
-                       {"ideals": 1 << data.b, "scan": "full lattice"}, witnesses[:5])
+                       {"ideals": 1 << decomp.block_count, "scan": "full lattice"},
+                       witnesses[:5])
 
 
-def _check_bijection(data: _LatticeData, triples) -> CheckResult:
-    """Reads the triple and lattice tables (the block orbits alone): all
-    identities of the incidence once every orbit has a block, which
-    ``_decompose``'s unit-sum and footprint checks guarantee."""
-    lower, upper, q = triples
-    masks = data.ideal_masks
-    inv_lower, inv_upper, inv_q = data.theta_inverse()
-    witnesses = []
-    for i in np.flatnonzero(data.invalid_triples(lower, upper, q))[:2]:
-        witnesses.append(f"({lower[i]:#x}, {upper[i]:#x}, {q[i]:#x}) is not a triple")
-    image = data.dynamical_of[lower] | q
-    distinct = len(_distinct(image, data.b))
-    if distinct != len(image):
-        witnesses.append("theta is not injective")
-    back = (inv_lower[image] != lower) | (inv_upper[image] != upper) | (inv_q[image] != q)
-    for i in np.flatnonzero(back)[:2]:
-        witnesses.append(
-            f"round trip fails for triple ({lower[i]:#x}, {upper[i]:#x}, {q[i]:#x})"
-        )
-    for m in np.flatnonzero(data.invalid_triples(inv_lower, inv_upper, inv_q))[:2]:
-        witnesses.append(f"theta inverse of ideal {m:#x} is not a triple")
-    for m in np.flatnonzero((data.dynamical_of[inv_lower] | inv_q) != masks)[:2]:
-        witnesses.append(f"round trip fails for ideal {m:#x}")
-    if distinct != len(masks) or len(lower) != len(masks):
-        witnesses.append(
-            f"counts differ: {len(lower)} triples vs {len(masks)} ideals"
-        )
-    return CheckResult(
-        "bijection",
-        not witnesses,
-        {"triples": len(lower), "ideals": len(masks)},
-        witnesses[:5],
-    )
+def _check_bijection(decomp: BlockDecomposition) -> CheckResult:
+    """theta and theta^-1 are inverse bijections between the ideals and the
+    triples, 2^b of each.  It reads the block fact; given it, for an ideal
+    m with U = U(m), V = V(m) and q = m minus I_U:
+    - (U, V, q) is a triple: U <= V as each I_o is nonzero; q lies over
+      V minus U, fills none of its orbits (m fills none) and meets each of
+      them (m does, and I_o misses I_U); theta of it is I_U | q = m.
+    - for a triple (U, V, q), m = I_U | q fills exactly U (q fills nothing
+      and the I_o are nonzero) and meets exactly V, and m minus I_U is q.
+    - a triple chooses, per orbit o, to be in U, outside V, or in V minus U
+      with a proper nonempty block subset: 1 + 1 + (2^k_o - 2) = 2^k_o
+      ways, for k_o blocks over o, and 2^b triples in all.
+    """
+    witnesses = _incidence_faults(decomp)
+    return CheckResult("bijection", not witnesses,
+                       {"triples": 1 << decomp.block_count, "ideals": 1 << decomp.block_count},
+                       witnesses[:5])
 
 
-def _check_obstruction(data: _LatticeData) -> CheckResult:
-    """Reads the collapse traces, the isotropy orders and ``_support``; the
-    escape and minimality scans test each orbit's block count against its
-    isotropy, so no statement is an identity of the incidence."""
-    j_mask, kernel, failures = _obstruction(data.decomp)
-    witnesses = []
-    masks = data.ideal_masks
-    escapes = data.pnd & ((masks & j_mask) != masks)
-    for m in np.flatnonzero(escapes)[:3]:
-        witnesses.append(
-            f"purely non-dynamical ideal {m:#x} escapes the obstruction ideal"
-        )
-    pnd_union = int(np.bitwise_or.reduce(masks[data.pnd])) if data.pnd.any() else 0
-    witnesses.extend(failures)
-    not_minimal = ((pnd_union & data.dynamical_of) == pnd_union) & (
-        (j_mask & data.dynamical_of) != j_mask
-    )
-    for w in np.flatnonzero(not_minimal)[:3]:
-        witnesses.append(f"dynamical ideal {w:#x} contains all pnd ideals but not J^ob")
+def _check_obstruction(decomp: BlockDecomposition) -> CheckResult:
+    """Every purely non-dynamical ideal lies in J^ob, the least dynamical
+    ideal holding them all; the collapse kernel statements of
+    ``_obstruction``; and the exact invariants (``_isotropy_faults``).
+
+    It reads, per orbit o, k_o = the blocks over o and |H_o|.  A purely
+    non-dynamical ideal (nonzero, U empty) holds no whole I_o, so its blocks
+    lie over orbits with k_o >= 2, and each block over such an orbit is one
+    alone.  So all lie in J^ob = I over {o : |H_o| > 1} iff k_o >= 2 implies
+    |H_o| > 1 (else the ideal of o's first block escapes), and the least
+    dynamical ideal holding them all, I over {o : k_o >= 2}, holds J^ob iff
+    |H_o| > 1 implies k_o >= 2 (where k_o = 1, I over every orbit but o is
+    a witness; k_o = 0 fails the square sum).
+    """
+    j_mask, kernel, failures = _obstruction(decomp)
+    slots = decomp.groupoid._pair_slots()
+    orders = slots.isotropy[slots.first_unit].tolist()
+    everything = (1 << len(orders)) - 1
+    escapes = [f"purely non-dynamical ideal {bm & -bm:#x} escapes the obstruction ideal"
+               for bm, h in zip(decomp.orbit_masks, orders) if bm.bit_count() > 1 and h == 1]
+    not_minimal = [f"dynamical ideal {everything ^ 1 << o:#x} contains all pnd ideals but not J^ob"
+                   for o, (bm, h) in enumerate(zip(decomp.orbit_masks, orders))
+                   if bm.bit_count() == 1 and h > 1]
+    witnesses = escapes[:3] + failures + not_minimal[:3] + _isotropy_faults(decomp)
     return CheckResult(
         "obstruction",
         not witnesses,
@@ -581,81 +571,44 @@ def _check_obstruction(data: _LatticeData) -> CheckResult:
     )
 
 
-def _unique_rows(rows):
-    """The distinct rows of a 2-D int array in lexicographic order, as
-    ``np.unique(rows, axis=0)`` gives them: one sort and a neighbour compare."""
-    ordered = rows[np.lexsort(rows.T[::-1])]
-    fresh = np.ones(len(ordered), dtype=bool)
-    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return ordered[fresh]
+def _check_lattice_iso(decomp: BlockDecomposition) -> CheckResult:
+    """w -> I_w is a lattice isomorphism onto the dynamical ideals, with
+    I_w's diagonal C(w) and its support the reduction to w.  It reads the
+    block fact and the arrow fact (``_arrow_faults``); given the first,
+    I_w1 & I_w2 = I_(w1 & w2) (P), I_w1 | I_w2 = I_(w1 | w2) (Sigma) and
+    U(I_w) = w (each I_o is nonzero), so the map is injective and
+    w1 <= w2 iff I_w1 <= I_w2; the second gives the supports.
+    """
+    witnesses = _incidence_faults(decomp) + _arrow_faults(decomp)
+    return CheckResult("lattice", not witnesses,
+                       {"invariant_sets": 1 << len(decomp.orbit_masks), "pair_scan": "all pairs"},
+                       witnesses[:5])
 
 
-def _check_lattice_iso(data: _LatticeData) -> CheckResult:
-    """The reduction half reads ``_support`` against each arrow's orbit; the
-    rest reads the lattice tables, identities of the incidence once every
-    orbit has a block (see ``_check_bijection``)."""
-    witnesses = []
-    unit_masks = data.unit_masks
-    ideal_of = data.dynamical_of
-    if len(_distinct(ideal_of, data.b)) != len(unit_masks):
-        witnesses.append("unit-set-to-ideal map is not injective")
-    bad_diagonal = data.inside[ideal_of] != unit_masks
-    # an arrow lies in the support of I_U when one of its blocks lies over
-    # U, and in the reduction to U when its orbit (source and range) does
-    bad_support = np.zeros(len(unit_masks), dtype=bool)
-    for blocks, orbit in _unique_rows(data.arrows).tolist():
-        in_reduction = (unit_masks >> orbit & 1) == 1
-        bad_support |= ((ideal_of & blocks) != 0) != in_reduction
-    for w in np.flatnonzero(bad_diagonal | bad_support)[:5]:
-        if bad_diagonal[w]:
-            witnesses.append(f"diagonal of I_U differs from C(U) at {w:#x}")
-        if bad_support[w]:
-            witnesses.append(f"support of I_U differs from the reduction at {w:#x}")
-    # the pair identities (``_orbit_ideals``): each I_o != I_0 = 0, by injectivity and Sigma
-    witnesses += _orbit_ideals(data)[1]
-    return CheckResult("lattice", not witnesses, {"invariant_sets": 1 << data.n_orbits,
-                                                  "pair_scan": "all pairs"}, witnesses[:5])
+def _check_support_invariance(decomp: BlockDecomposition) -> CheckResult:
+    """The support of every dynamical ideal is closed under inversion and
+    composition.  It reads the arrow fact: given it, the support of I_w is
+    the reduction to w, and an arrow, its inverse, and two composable arrows
+    and their product all lie over one orbit.  The 2^orbits supports are
+    distinct once every orbit has a block.
+    """
+    witnesses = _arrow_faults(decomp)
+    return CheckResult("support", not witnesses,
+                       {"distinct_supports": 1 << len(decomp.orbit_masks)}, witnesses[:5])
 
 
-def _check_support_invariance(data: _LatticeData) -> CheckResult:
-    """Reads ``_support`` over the inverse and the composition table; not an
-    identity of the incidence."""
-    g, blocks = data.decomp.groupoid, data.arrows[:, 0]
-    (ia, ib, iab), inv = g.composition_table(), g._pair_slots().inv
-    # ideals with the same touched-orbit set share their support, that of
-    # the dynamical ideal over those orbits; an arrow is in a support when
-    # one of its blocks is, so distinct block-mask rows cover every arrow
-    touched = _distinct(data.touched, data.n_orbits)
-    supports = data.dynamical_of[touched]
-    not_inverse = np.zeros(len(touched), dtype=bool)
-    for a, a_inv in _unique_rows(np.stack([blocks, blocks[inv]], axis=1)).tolist():
-        not_inverse |= ((supports & a) != 0) != ((supports & a_inv) != 0)
-    not_composed = np.zeros(len(touched), dtype=bool)
-    for a, b, ab in _unique_rows(
-            np.stack([blocks[ia], blocks[ib], blocks[iab]], axis=1)).tolist():
-        not_composed |= ((supports & a) != 0) & ((supports & b) != 0) & ((supports & ab) == 0)
-    witnesses = []
-    for i in np.flatnonzero(not_inverse | not_composed)[:5]:
-        if not_inverse[i]:
-            witnesses.append(f"support over orbits {touched[i]:#x} not closed under inversion")
-        if not_composed[i]:
-            witnesses.append(f"support over orbits {touched[i]:#x} not closed under composition")
-    return CheckResult(
-        "support", not witnesses, {"distinct_supports": len(touched)}, witnesses[:5]
-    )
-
-
-def _check_effective_uniqueness(data: _LatticeData) -> CheckResult:
-    """Reads the isotropy orders at the units and the ``pnd`` table, each
-    orbit's block count against trivial isotropy: not an identity."""
-    slots = data.decomp.groupoid._pair_slots()
+def _check_effective_uniqueness(decomp: BlockDecomposition) -> CheckResult:
+    """On an effective groupoid (trivial isotropy at every unit), every
+    nonzero ideal meets the diagonal.  A nonzero ideal with U empty exists
+    iff some orbit has two blocks (one of them alone is such an ideal; and
+    such an ideal holds no whole I_o), so it reads k_o <= 1 per orbit.
+    """
+    slots = decomp.groupoid._pair_slots()
     effective = bool((slots.isotropy[slots.unit] == 1).all())
     witnesses = []
     if effective:
-        for m in np.flatnonzero(data.pnd)[:3]:
-            witnesses.append(
-                f"nonzero ideal {m:#x} misses the diagonal on an effective groupoid"
-            )
+        witnesses = [f"nonzero ideal {bm & -bm:#x} misses the diagonal on an effective groupoid"
+                     for bm in decomp.orbit_masks if bm.bit_count() > 1][:3]
     return CheckResult(
         "effective", not witnesses, {"effective": effective}, witnesses[:5]
     )
@@ -663,30 +616,33 @@ def _check_effective_uniqueness(data: _LatticeData) -> CheckResult:
 
 def verify(g_or_decomp, tol: TolerancePolicy | None = None, seed: int | None = None,
            max_blocks: int = MAX_BLOCKS) -> VerificationReport:
-    """Run the full theorem suite and report one verdict per theorem."""
+    """Run the full theorem suite and report one verdict per theorem.  The
+    counts are product formulas over the k_o blocks of each orbit: 2^b
+    ideals and triples, 2^orbits dynamical ideals, and prod (2^k_o - 1) - 1
+    purely non-dynamical ones (a proper block subset per orbit, not all
+    empty)."""
     decomp = _decomposition_of(g_or_decomp, tol, seed, max_blocks)
     g = decomp.groupoid
-    data = _LatticeData(decomp)
-    triples = _triple_table(decomp)
     checks = [
-        _check_sandwich(data),
-        _check_bijection(data, triples),
-        _check_obstruction(data),
-        _check_lattice_iso(data),
-        _check_support_invariance(data),
-        _check_effective_uniqueness(data),
+        _check_sandwich(decomp),
+        _check_bijection(decomp),
+        _check_obstruction(decomp),
+        _check_lattice_iso(decomp),
+        _check_support_invariance(decomp),
+        _check_effective_uniqueness(decomp),
     ]
+    b, orbit_masks = decomp.block_count, decomp.orbit_masks
     counts = {
-        "ideals": 1 << data.b,
-        "dynamical": int(np.sum(data.dynamical)),
-        "purely_non_dynamical": int(np.sum(data.pnd)),
-        "triples": len(triples[0]),
+        "ideals": 1 << b,
+        "dynamical": 1 << len(orbit_masks),
+        "purely_non_dynamical": math.prod((1 << bm.bit_count()) - 1 for bm in orbit_masks) - 1,
+        "triples": 1 << b,
     }
     return VerificationReport(
         groupoid_name=g.name,
         element_count=len(g),
         unit_count=len(g.units),
-        orbit_count=data.n_orbits,
+        orbit_count=len(orbit_masks),
         block_dimensions=decomp.dimensions,
         seed=decomp.seed,
         zero_eps=decomp.tol.zero_eps,

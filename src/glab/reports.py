@@ -22,7 +22,7 @@ from .dynamics import _union
 from .formats import Instance
 from .groups import PartialAction
 from .groupoids import FiniteGroupoid
-from .ideals import CONVENTIONS, VerificationReport, _distinct, _LatticeData, _sub_indices
+from .ideals import CONVENTIONS, VerificationReport, _sub_indices
 
 # ``graph``: the cycles listed, the lattice sets listed, and the lattice
 # sets whose pairwise meets and joins are checked
@@ -117,14 +117,17 @@ class _IdealTable:
     """
 
     def __init__(self, decomp: BlockDecomposition):
-        data = _LatticeData(decomp)
-        masks = data.ideal_masks
-        self.lower, self.upper, self.quotient = data.theta_inverse()
-        self.over = data.dynamical_of[self.upper & ~self.lower]
+        masks = np.arange(1 << decomp.block_count, dtype=np.int64)
+        self.n_orbits = len(decomp.orbit_masks)
+        dynamical_of = decomp.over(np.arange(1 << self.n_orbits, dtype=np.int64))
+        self.lower, self.upper = decomp.filled(masks), decomp.touched(masks)
+        under = dynamical_of[self.lower]
+        self.quotient = masks & ~under
+        self.over = dynamical_of[self.upper & ~self.lower]
         self.dimension = np.zeros(len(masks), dtype=np.int64)
         for blk in decomp.blocks:
             self.dimension += (masks >> blk.index & 1) * blk.dimension ** 2
-        self.dynamical, self.pnd, self.n_orbits = data.dynamical, data.pnd, data.n_orbits
+        self.dynamical, self.pnd = under == masks, (masks != 0) & (self.lower == 0)
         g = decomp.groupoid
         self.units = sorted(zip(map(fmt_element, g.unit_list), g._unit_orbits()))
 
@@ -140,8 +143,10 @@ class _IdealTable:
         """Per distinct sandwich set (an orbit mask), its sorted units,
         each passed through ``encode`` once."""
         legend = [(encode(name), o) for name, o in self.units]
-        distinct = _distinct(np.concatenate([self.lower, self.upper]), self.n_orbits).tolist()
-        return {w: [text for text, o in legend if w >> o & 1] for w in distinct}
+        seen = np.zeros(1 << self.n_orbits, dtype=bool)
+        seen[self.lower] = seen[self.upper] = True
+        return {w: [text for text, o in legend if w >> o & 1]
+                for w in np.flatnonzero(seen).tolist()}
 
     def __iter__(self):
         sets = self._unit_sets(str)

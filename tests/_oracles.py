@@ -18,9 +18,9 @@ saturated hereditary closures and lattice of a graph are kept in the
 frozenset formulation (unit sets, block sets whose diagonals and
 supports are read off each block's orbit and support, subquotient
 decompositions, vertex sets rescanned until nothing changes) that the
-library's bitmask layers replaced, and the verifier's sandwich and lattice
-scans are kept as the loops over every dynamical ideal and every pair of
-invariant sets that the orbit-ideal reading replaced.
+library's bitmask layers replaced, and the verifier's six checks are kept
+as the scans of the 2^b and 2^orbits lattice tables that the per-block,
+per-arrow and per-orbit facts replaced.
 """
 
 from __future__ import annotations
@@ -582,11 +582,16 @@ def dense_collapse_kernel(decomp, cut=0.5) -> list:
                    for m in collapse_matrices(decomp.groupoid, blk.idempotent)) < cut]
 
 
-# -- the sandwich and lattice scans ------------------------------------------------
+# -- the verifier's table scans ------------------------------------------------------
 #
-# The verifier's extremality and lattice-identity scans as they were before
-# both were read off the orbit ideals: every dynamical ideal against every
-# ideal, and every pair of invariant sets, on the lattice tables themselves.
+# The six checks as literal scans of the 2^b and 2^orbits lattice tables,
+# as ``verify`` ran them before it read per-block, per-arrow and per-orbit
+# facts: every dynamical ideal against every ideal, every pair of invariant
+# sets, every triple, and the supports over every touched-orbit set.  The
+# tables are rebuilt with plain Python loops from ``set_orbit_blocks``, with
+# orbits numbered as ``bfs_orbits`` finds them; the arrow rows, the isotropy
+# and the collapse traces are read off each block's orbit, support and
+# idempotent.
 
 
 def full_lattice_sandwich_failures(inside, touched, dynamical_of) -> list:
@@ -623,6 +628,223 @@ def all_pairs_lattice_failures(dynamical_of) -> list:
         if (((w1 & unit_masks) == w1) != ((i1 & dynamical_of) == i1)).any():
             out.append(f"order preservation fails against {w1:#x}")
     return out
+
+
+def unique_rows(rows):
+    """The distinct rows of a 2-D int array in lexicographic order, as
+    ``np.unique(rows, axis=0)`` gives them: one sort and a neighbour compare."""
+    ordered = rows[np.lexsort(rows.T[::-1])]
+    fresh = np.ones(len(ordered), dtype=bool)
+    fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return ordered[fresh]
+
+
+def reference_lattice_tables(decomp) -> tuple:
+    """(inside, touched, dynamical_of): for every ideal mask m the orbits it
+    fills and the orbits it meets, and for every orbit mask w the blocks
+    over its orbits."""
+    orbit_blocks = set_orbit_blocks(decomp)
+    masks = [sum(1 << i for i in orbit_blocks.get(orbit, ()))
+             for orbit in bfs_orbits(decomp.groupoid)]
+    ideals = range(1 << len(decomp.blocks))
+    inside = [sum(1 << o for o, bm in enumerate(masks) if m & bm == bm) for m in ideals]
+    touched = [sum(1 << o for o, bm in enumerate(masks) if m & bm) for m in ideals]
+    dynamical_of = [sum(bm for o, bm in enumerate(masks) if w >> o & 1)
+                    for w in range(1 << len(masks))]
+    return tuple(np.array(t, dtype=np.int64) for t in (inside, touched, dynamical_of))
+
+
+def reference_triple_rows(dynamical_of) -> tuple:
+    """(U, V, q) mask arrays of every triple over the orbit ideals
+    I_o = ``dynamical_of[1 << o]``: V minus U any set of orbits with two
+    blocks or more, U any set of the other orbits, and q a proper nonempty
+    block subset of each orbit in V minus U."""
+    singles = [int(dynamical_of[1 << o]) for o in range(len(dynamical_of).bit_length() - 1)]
+    split = [o for o, bm in enumerate(singles) if bin(bm).count("1") > 1]
+    rows = []
+    for between_orbits in all_subsets(split):
+        between = sum(1 << o for o in between_orbits)
+        choices = [[sum(sub) for sub in all_subsets(1 << i for i in range(bm.bit_length())
+                                                    if bm >> i & 1)
+                    if 0 < sum(sub) < bm]
+                   for bm in (singles[o] for o in sorted(between_orbits))]
+        for lower in range(1 << len(singles)):
+            if not lower & between:
+                rows += [(lower, lower | between, sum(picks))
+                         for picks in itertools.product(*choices)]
+    return tuple(np.array([row[k] for row in rows], dtype=np.int64) for k in range(3))
+
+
+def invalid_triple_rows(inside, touched, dynamical_of, lower, upper, q):
+    """Which (U, V, q) rows break the triple conditions: U <= V, and q
+    lives over V minus U, fills none of its orbits (trivial diagonal
+    intersection) and touches every one of them (full support)."""
+    between = upper & ~lower
+    return (((lower & ~upper) != 0)
+            | ((q & ~dynamical_of[between]) != 0)
+            | ((inside[q] & between) != 0)
+            | (touched[q] != between))
+
+
+def triple_table_bijection_failures(inside, touched, dynamical_of) -> list:
+    """Every row of the triple table is a triple, theta (I_U | q) is
+    injective on them, both round trips hold on every triple and on every
+    ideal (theta^-1 of m is (U(m), V(m), m minus I_U)), and there are as
+    many triples as ideals."""
+    lower, upper, q = reference_triple_rows(dynamical_of)
+    masks = np.arange(len(inside), dtype=np.int64)
+    inv_q = masks & ~dynamical_of[inside]
+    out = [f"({lower[i]:#x}, {upper[i]:#x}, {q[i]:#x}) is not a triple" for i in np.flatnonzero(
+        invalid_triple_rows(inside, touched, dynamical_of, lower, upper, q))]
+    image = dynamical_of[lower] | q
+    distinct = len(np.unique(image))
+    if distinct != len(image):
+        out.append("theta is not injective")
+    back = (inside[image] != lower) | (touched[image] != upper) | (inv_q[image] != q)
+    out += [f"round trip fails for triple ({lower[i]:#x}, {upper[i]:#x}, {q[i]:#x})"
+            for i in np.flatnonzero(back)]
+    out += [f"theta inverse of ideal {m:#x} is not a triple" for m in np.flatnonzero(
+        invalid_triple_rows(inside, touched, dynamical_of, inside, touched, inv_q))]
+    out += [f"round trip fails for ideal {m:#x}"
+            for m in np.flatnonzero((dynamical_of[inside] | inv_q) != masks)]
+    if distinct != len(masks) or len(lower) != len(masks):
+        out.append(f"counts differ: {len(lower)} triples vs {len(masks)} ideals")
+    return out
+
+
+def _isotropy_orders(g) -> dict:
+    """Each unit's isotropy order, counted over the arrows."""
+    orders = dict.fromkeys(g.units, 0)
+    for el in g.elements:
+        if g.source(el) == g.range(el):
+            orders[g.source(el)] += 1
+    return orders
+
+
+def reference_collapse_traces(decomp) -> list:
+    """Per block, the sum of its idempotent's real parts over the isotropy
+    arrows of its orbit."""
+    g = decomp.groupoid
+    return [sum(c.real for el, c in zip(g.elements, blk.idempotent.coeffs)
+                if g.source(el) == g.range(el) and g.source(el) in blk.orbit)
+            for blk in decomp.blocks]
+
+
+def obstruction_scan_failures(decomp, inside, dynamical_of) -> list:
+    """Every purely non-dynamical ideal lies in J^ob, the dynamical ideal
+    over the orbits with nontrivial isotropy, and no dynamical ideal holds
+    them all without holding J^ob; the collapse kernel (the blocks whose
+    trace is below 1/2) misses the diagonal; J^ob's support is the arrows
+    between units with nontrivial isotropy; and the kernel is zero when J^ob
+    is, and has J^ob's support when it is not."""
+    g = decomp.groupoid
+    orders = _isotropy_orders(g)
+    j_ob = sum(int(dynamical_of[1 << o]) for o, orbit in enumerate(bfs_orbits(g))
+               if orders[next(iter(orbit))] > 1)
+    masks = np.arange(len(inside), dtype=np.int64)
+    pnd = (masks != 0) & (inside == 0)
+    out = [f"purely non-dynamical ideal {m:#x} escapes the obstruction ideal"
+           for m in np.flatnonzero(pnd & ((masks & j_ob) != masks))]
+    pnd_union = int(np.bitwise_or.reduce(masks[pnd])) if pnd.any() else 0
+    out += [f"dynamical ideal {w:#x} contains all pnd ideals but not J^ob" for w in np.flatnonzero(
+        ((pnd_union & dynamical_of) == pnd_union) & ((j_ob & dynamical_of) != j_ob))]
+    kernel = sum(1 << i for i, t in enumerate(reference_collapse_traces(decomp)) if t < 0.5)
+
+    def held(m):
+        return set_support(decomp, [i for i in range(len(decomp.blocks)) if m >> i & 1])
+
+    if inside[kernel]:
+        out.append("collapse kernel meets the diagonal")
+    if held(j_ob) != {el for el in g.elements
+                      if orders[g.source(el)] > 1 and orders[g.range(el)] > 1}:
+        out.append("obstruction ideal support differs from the non-effective reduction")
+    if not j_ob:
+        if kernel:
+            out.append("collapse kernel is nonzero on an effective groupoid")
+    elif held(kernel) != held(j_ob):
+        out.append("collapse kernel support differs from the obstruction ideal support")
+    return out
+
+
+def _arrow_rows(decomp):
+    """``reference_arrow_rows`` as an int array, from the blocks' orbits and
+    supports."""
+    derived = [(blk.orbit, blk.support) for blk in decomp.blocks]
+    return np.array(reference_arrow_rows(decomp, derived), dtype=np.int64).reshape(-1, 2)
+
+
+def lattice_scan_failures(decomp, inside, dynamical_of) -> list:
+    """w -> I_w is injective, the diagonal of each I_w is w and its support
+    the reduction to w, on every orbit mask, with the pair identities of
+    ``all_pairs_lattice_failures``."""
+    unit_masks = np.arange(len(dynamical_of), dtype=np.int64)
+    out = []
+    if len(np.unique(dynamical_of)) != len(unit_masks):
+        out.append("unit-set-to-ideal map is not injective")
+    bad_diagonal = inside[dynamical_of] != unit_masks
+    # an arrow lies in the support of I_U when one of its blocks lies over
+    # U, and in the reduction to U when its orbit (source and range) does
+    bad_support = np.zeros(len(unit_masks), dtype=bool)
+    for blocks, orbit in unique_rows(_arrow_rows(decomp)).tolist():
+        in_reduction = (unit_masks >> orbit & 1) == 1
+        bad_support |= ((dynamical_of & blocks) != 0) != in_reduction
+    for w in np.flatnonzero(bad_diagonal | bad_support):
+        if bad_diagonal[w]:
+            out.append(f"diagonal of I_U differs from C(U) at {w:#x}")
+        if bad_support[w]:
+            out.append(f"support of I_U differs from the reduction at {w:#x}")
+    return out + all_pairs_lattice_failures(dynamical_of)
+
+
+def support_scan_failures(decomp, touched, dynamical_of) -> list:
+    """The support of the dynamical ideal over each distinct touched-orbit
+    set is closed under inversion and composition."""
+    g = decomp.groupoid
+    blocks = _arrow_rows(decomp)[:, 0]
+    ia, ib, iab = composition_arrays(g)
+    inv = np.array([g.index(g.inverse(el)) for el in g.elements], dtype=np.intp)
+    # ideals with the same touched-orbit set share their support, that of
+    # the dynamical ideal over those orbits; an arrow is in a support when
+    # one of its blocks is, so distinct block-mask rows cover every arrow
+    touched_sets = np.unique(touched)
+    supports = dynamical_of[touched_sets]
+    not_inverse = np.zeros(len(touched_sets), dtype=bool)
+    for a, a_inv in unique_rows(np.stack([blocks, blocks[inv]], axis=1)).tolist():
+        not_inverse |= ((supports & a) != 0) != ((supports & a_inv) != 0)
+    not_composed = np.zeros(len(touched_sets), dtype=bool)
+    for a, b, ab in unique_rows(
+            np.stack([blocks[ia], blocks[ib], blocks[iab]], axis=1)).tolist():
+        not_composed |= ((supports & a) != 0) & ((supports & b) != 0) & ((supports & ab) == 0)
+    out = []
+    for i in np.flatnonzero(not_inverse | not_composed):
+        if not_inverse[i]:
+            out.append(f"support over orbits {touched_sets[i]:#x} not closed under inversion")
+        if not_composed[i]:
+            out.append(f"support over orbits {touched_sets[i]:#x} not closed under composition")
+    return out
+
+
+def effective_scan_failures(decomp, inside) -> list:
+    """On a groupoid with trivial isotropy at every unit, every nonzero
+    ideal meets the diagonal."""
+    if any(order > 1 for order in _isotropy_orders(decomp.groupoid).values()):
+        return []
+    masks = np.arange(len(inside), dtype=np.int64)
+    return [f"nonzero ideal {m:#x} misses the diagonal on an effective groupoid"
+            for m in np.flatnonzero((masks != 0) & (inside == 0))]
+
+
+def reference_scan_failures(decomp) -> dict:
+    """Per check name, the failures of its table scan on ``decomp``."""
+    inside, touched, dynamical_of = reference_lattice_tables(decomp)
+    return {
+        "sandwich": full_lattice_sandwich_failures(inside, touched, dynamical_of),
+        "bijection": triple_table_bijection_failures(inside, touched, dynamical_of),
+        "obstruction": obstruction_scan_failures(decomp, inside, dynamical_of),
+        "lattice": lattice_scan_failures(decomp, inside, dynamical_of),
+        "support": support_scan_failures(decomp, touched, dynamical_of),
+        "effective": effective_scan_failures(decomp, inside),
+    }
 
 
 # -- the block table ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from glab import algebra
 from glab import (
     cyclic_group,
     from_group_action,
@@ -39,3 +40,25 @@ def pair2():
 @pytest.fixture(scope="session")
 def pair3():
     return pair_groupoid((1, 2, 3))
+
+
+@pytest.fixture(scope="session")
+def corrupt():
+    """``corrupt(d, **entries)``: a new view of decomposition ``d`` over
+    copies of its record's arrays, with each ``entries[name]`` (index ->
+    value) written into the array ``name``: ``dims``, ``idempotents``,
+    ``orbit_index`` or ``support``.  The groupoid's cached decomposition
+    is left as it was."""
+    names = ("dims", "idempotents", "orbit_index", "support")
+
+    def build(d, **entries):
+        record = d._record
+        arrays = {name: getattr(record, name).copy() for name in names}
+        for name, changes in entries.items():
+            for index, value in changes.items():
+                arrays[name][index] = value
+        return algebra.BlockDecomposition(d.groupoid, algebra._Record(
+            record.tol, record.seed, arrays["dims"], arrays["idempotents"],
+            dict(record.numerics), arrays["orbit_index"], arrays["support"]))
+
+    return build

@@ -296,20 +296,18 @@ class TestVerify:
         with pytest.raises(SystemExit):
             main(["verify"])
 
-    def test_theorem_failure_exit_code(self, capsys, swap_file, monkeypatch):
-        import glab.cli as cli_mod
-
-        real = cli_mod.run_verify
-
-        def doctored(*args, **kwargs):
-            report = real(*args, **kwargs)
-            report.checks[0].passed = False
-            return report
-
-        monkeypatch.setattr(cli_mod, "run_verify", doctored)
-        code, out, _ = run(capsys, "verify", str(swap_file))
-        assert code == 1
-        assert "FAIL" in out
+    def test_theorem_failure_exit_code(self, capsys, swap_file, monkeypatch, corrupt):
+        """A decomposition whose orbit {c} (isotropy C2) has blocks of
+        dimensions 2 and 1, squares summing to 5: ``verify`` exits 1 with
+        the witness, where a decomposition error would exit 2."""
+        real = il.wedderburn
+        monkeypatch.setattr(il, "wedderburn",
+                            lambda g, tol, seed: corrupt(real(g, tol, seed), dims={1: 2}))
+        code, out, err = run(capsys, "verify", str(swap_file))
+        assert (code, err) == (1, "")
+        assert "obstruction  FAIL" in out
+        assert "witness: orbit 1: block dimensions square-sum to 5, not |O|^2 |H| = 2" in out
+        assert "overall: FAIL" in out
 
     def test_obstruction_statement_failure_exits_1(self, capsys, swap_file, pair_file,
                                                   monkeypatch):

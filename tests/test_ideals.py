@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -12,18 +13,20 @@ import pytest
 from glab import algebra as al
 from glab import groupoids as gp
 from glab import ideals as il
+from glab import reports
 from glab import cyclic_group, global_action
 from glab.errors import CapExceededError
 from glab.formats import load_instance
 from glab.generators import random_groupoid
 from glab.linalg import TolerancePolicy
 from _oracles import (
-    all_pairs_lattice_failures,
     collapse_matrices,
     expected_block_dimensions,
     expected_counts,
-    full_lattice_sandwich_failures,
     ideal_span,
+    invalid_triple_rows,
+    reference_lattice_tables,
+    reference_scan_failures,
     set_diagonal_units,
     set_dimension,
     set_enumerate_triples,
@@ -33,6 +36,8 @@ from _oracles import (
     set_support,
     set_theta,
     set_theta_inverse,
+    triple_table_bijection_failures,
+    unique_rows,
 )
 
 
@@ -139,6 +144,8 @@ class TestCollapseKernel:
         assert check.witnesses == [
             "collapse kernel meets the diagonal",
             "collapse kernel support differs from the obstruction ideal support",
+            "orbit 0: 0 blocks have a collapse trace above 0.5, not one",
+            "orbit 1: 0 blocks have a collapse trace above 0.5, not one",
         ]
 
     def test_matrices_respect_convolution(self, swap_and_fix):
@@ -272,10 +279,9 @@ def small_decompositions(z2_bundle, swap_and_fix, pair3):
     return out
 
 
-def as_sets(data, lower, upper, q):
+def as_sets(d, lower, upper, q):
     """A (U, V, q) mask row as (U, V, subquotient block indices)."""
-    over = int(data.dynamical_of[upper & ~lower])
-    d = data.decomp
+    over = d.over(upper & ~lower)
     return d.orbit_set(lower), d.orbit_set(upper), frozenset(il._sub_indices(over, q))
 
 
@@ -283,22 +289,23 @@ def as_sets(data, lower, upper, q):
 @pytest.mark.parametrize("high", [2, 9, 1 << 40])
 def test_unique_rows_matches_numpy(shape, high):
     rows = np.random.default_rng(shape[0] * 7 + high % 97).integers(0, high, size=shape)
-    got, want = il._unique_rows(rows), np.unique(rows, axis=0)
+    got, want = unique_rows(rows), np.unique(rows, axis=0)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
 
 
 class TestMaskLayer:
-    """The bitmask tables that verify and analyze read, and the public
-    wrappers over them, against the set-based reference."""
+    """The bitmask columns that analyze reads and the public wrappers over
+    them against the set-based reference, and the verifier's checks on
+    corrupted decompositions against the table scans in ``_oracles``."""
 
     def test_theta_inverse_matches_set_reference(self, small_decompositions):
         for d in small_decompositions:
-            data = il._LatticeData(d)
-            rows = zip(*(a.tolist() for a in data.theta_inverse()))
+            table = reports._IdealTable(d)
+            rows = zip(*(a.tolist() for a in (table.lower, table.upper, table.quotient)))
             for ideal, row in zip(d.all_ideals(), rows):
                 expected = set_theta_inverse(ideal)
-                assert as_sets(data, *row) == expected
+                assert as_sets(d, *row) == expected
                 triple = il.theta_inverse(ideal)
                 assert (triple.lower, triple.upper,
                         triple.quotient_ideal.blocks) == expected
@@ -334,10 +341,9 @@ class TestMaskLayer:
 
     def test_triples_match_set_reference(self, small_decompositions):
         for d in small_decompositions:
-            data = il._LatticeData(d)
             table = il._triple_table(d)
             expected = set_enumerate_triples(d)
-            assert [as_sets(data, *row)
+            assert [as_sets(d, *row)
                     for row in zip(*(a.tolist() for a in table))] == expected
             public = il.enumerate_triples(d)
             assert [(t.lower, t.upper, t.quotient_ideal.blocks)
@@ -349,40 +355,49 @@ class TestMaskLayer:
         (("b", "r1", "a"), "inversion"),     # its inverse keeps the block
         (("a", "r0", "a"), "composition"),   # a unit: its own inverse
     ])
-    def test_arrow_table_flip_fails_checks(self, swap_and_fix, arrow, broken):
+    def test_arrow_table_flip_fails_checks(self, swap_and_fix, corrupt, arrow, broken):
+        """The arrow loses its one block from its ``_support`` row: the table
+        scan finds a support not closed under ``broken``, and ``lattice`` and
+        ``support`` name the arrow."""
         d = al.wedderburn(swap_and_fix)
-        data = il._LatticeData(d)
-        assert il._check_lattice_iso(data).passed
-        assert il._check_support_invariance(data).passed
-        (block,) = d.orbit_blocks()[frozenset(
-            u for u in swap_and_fix.unit_list if u[0] in "ab")]
-        data.arrows[swap_and_fix.index(arrow), 0] ^= 1 << block
-        lattice = il._check_lattice_iso(data)
-        assert not lattice.passed
-        assert lattice.witnesses
-        support = il._check_support_invariance(data)
-        assert not support.passed
-        assert support.witnesses
-        assert all(w.endswith(f"not closed under {broken}") for w in support.witnesses)
+        (block,) = d.orbit_blocks()[units_by_point(swap_and_fix, "a", "b")]
+        d = corrupt(d, support={(swap_and_fix.index(arrow), block): False})
+        failures = reference_scan_failures(d)["support"]
+        assert failures
+        assert all(w.endswith(f"not closed under {broken}") for w in failures)
+        report = il.verify(d)
+        witness = f"arrow {arrow!r} lies in no block's support"
+        assert {c.name: c.witnesses for c in report.checks if not c.passed} == {
+            "lattice": [witness], "support": [witness]}
 
-    def test_inside_flip_fails_lattice_diagonal(self, swap_and_fix):
-        data = il._LatticeData(al.wedderburn(swap_and_fix))
-        data.inside[data.dynamical_of[1]] ^= 1
-        result = il._check_lattice_iso(data)
+    def test_inside_flip_fails_lattice_diagonal(self, swap_and_fix, corrupt):
+        """Orbit 0's one block moved over orbit 1 leaves orbit 0 empty, so the
+        zero ideal fills it: the table scan finds the diagonal of I_U wrong at
+        0x0, and ``lattice`` names the empty orbit first."""
+        d = corrupt(al.wedderburn(swap_and_fix), orbit_index={0: 1})
+        assert ("diagonal of I_U differs from C(U) at 0x0"
+                in reference_scan_failures(d)["lattice"])
+        result = il.verify(d).check("lattice")
         assert not result.passed
-        assert result.witnesses == ["diagonal of I_U differs from C(U) at 0x1"]
+        assert result.witnesses[0] == "orbit 0 has no block"
 
-    def test_range_orbit_flip_fails_lattice_support(self, swap_and_fix):
-        data = il._LatticeData(al.wedderburn(swap_and_fix))
-        data.arrows[0, 1] ^= 1      # arrow 0: orbit 0 <-> 1
-        result = il._check_lattice_iso(data)
+    def test_range_orbit_flip_fails_lattice_support(self, swap_and_fix, corrupt):
+        """Arrow 0, the unit over a in orbit 0, is also held by block 1 over
+        orbit 1: the table scan finds the support of I_U wrong at 0x2, and
+        ``lattice`` names the arrow."""
+        d = corrupt(al.wedderburn(swap_and_fix), support={(0, 1): True})
+        assert ("support of I_U differs from the reduction at 0x2"
+                in reference_scan_failures(d)["lattice"])
+        result = il.verify(d).check("lattice")
         assert not result.passed
-        assert "support of I_U differs from the reduction at 0x1" in result.witnesses
+        assert result.witnesses == [
+            "arrow ('a', 'r0', 'a') of orbit 0 lies in the support of block 1 over orbit 1"]
 
     def test_invalid_rows(self, z2_bundle):
+        """The triple conditions of the table scan in ``_oracles``."""
         d = al.wedderburn(gp.disjoint_union([z2_bundle, z2_bundle]))
-        data = il._LatticeData(d)
-        first, second = d.orbit_masks
+        inside, touched, dynamical_of = reference_lattice_tables(d)
+        first, second = int(dynamical_of[0b01]), int(dynamical_of[0b10])
         one, other = first & -first, second & -second
         rows = [  # (U, V, q) over orbits 0b01 and 0b10
             (0, 0b11, one | other, False),
@@ -394,94 +409,63 @@ class TestMaskLayer:
             (0b01, 0b11, one | other, True),  # q outside V minus U
         ]
         lower, upper, q, expected = (np.array(col) for col in zip(*rows))
-        assert data.invalid_triples(lower, upper, q).tolist() == expected.tolist()
+        assert invalid_triple_rows(
+            inside, touched, dynamical_of, lower, upper, q).tolist() == expected.tolist()
 
-    def test_bijection_check_can_fail(self, swap_and_fix):
-        d = al.wedderburn(swap_and_fix)
-        data = il._LatticeData(d)
-        triples = il._triple_table(d)
-        assert il._check_bijection(data, triples).passed
-        data.touched[1] ^= 1
-        result = il._check_bijection(data, triples)
+    def test_bijection_check_can_fail(self, swap_and_fix, corrupt):
+        """With orbit 0 left empty, U may hold it or not over the same
+        blocks: the table scan counts 16 triples for 8 ideals, and
+        ``bijection`` names the empty orbit."""
+        d = corrupt(al.wedderburn(swap_and_fix), orbit_index={0: 1})
+        assert ("counts differ: 16 triples vs 8 ideals"
+                in triple_table_bijection_failures(*reference_lattice_tables(d)))
+        result = il.verify(d).check("bijection")
         assert not result.passed
-        assert result.witnesses
+        assert result.witnesses == ["orbit 0 has no block"]
 
-    @pytest.mark.parametrize("make, witness", [
-        (lambda fixture: gp.unit_space_groupoid(range(14)),
-         "ideal 0x1: smaller dynamical ideal 0x3ffd outside"),
-        (lambda fixture: fixture, "ideal 0x1: smaller dynamical ideal 0x1 outside"),
-    ], ids=["points14", "swap_and_fix"])
-    def test_non_minimal_upper_set_fails_sandwich(self, swap_and_fix, make, witness):
-        """V(0x1) grows by orbit 1, whose blocks the ideal misses: the
-        dynamical ideal over every orbit but 1 still holds it."""
-        data = il._LatticeData(al.wedderburn(make(swap_and_fix)))
-        assert il._check_sandwich(data).passed
-        data.touched[0b1] |= 0b10
-        result = il._check_sandwich(data)
-        assert not result.passed
-        assert result.witnesses == [witness]
-
-    def test_non_maximal_lower_set_fails_sandwich(self, swap_and_fix):
-        d = al.wedderburn(swap_and_fix)
-        data = il._LatticeData(d)
-        data.inside[d.orbit_masks[0]] &= ~1
-        result = il._check_sandwich(data)
-        assert not result.passed
-        assert result.witnesses == ["ideal 0x1: larger dynamical ideal 0x1 inside"]
-
-    @pytest.mark.parametrize("w, value, witness", [
-        *((0b11, 0b111 ^ 1 << block,
-           "dynamical ideal over 0x3 is not the union of its orbit ideals")
-          for block in range(3)),
-        # I_0 takes block 1 of I_1: still a union table, no longer a partition
-        (0b01, 0b011, "orbit ideals do not partition the blocks"),
-    ])
-    def test_orbit_ideal_faults_fail_sandwich_and_lattice(self, swap_and_fix, w, value, witness):
-        data = il._LatticeData(al.wedderburn(swap_and_fix))
-        assert data.dynamical_of.tolist() == [0, 0b001, 0b110, 0b111]
-        data.dynamical_of[w] = value
-        for check in (il._check_sandwich, il._check_lattice_iso):
-            result = check(data)
-            assert not result.passed
-            assert witness in result.witnesses
-
-    def test_effective_check_can_fail(self):
-        data = il._LatticeData(al.wedderburn(gp.pair_groupoid(range(3))))
-        assert il._check_effective_uniqueness(data).passed
-        data.pnd[1] = True
-        result = il._check_effective_uniqueness(data)
+    def test_effective_check_can_fail(self, corrupt):
+        d = al.wedderburn(gp.unit_space_groupoid(range(2)))
+        assert il.verify(d).check("effective").passed
+        result = il.verify(corrupt(d, orbit_index={1: 0})).check("effective")
         assert not result.passed
         assert result.witnesses == [
             "nonzero ideal 0x1 misses the diagonal on an effective groupoid"]
 
-    def test_orbit_ideal_scans_against_full_scans(self, small_decompositions):
-        """The sandwich and lattice checks against the scans over every
-        dynamical ideal and every pair of invariant sets: both pass on the
-        tables, and a single flipped bit in ``inside``, ``touched`` or
-        ``dynamical_of`` that the full scan catches fails the check too."""
-        rng = random.Random(25)
-        caught = dict.fromkeys(("inside", "touched", "dynamical_of", "pairs"), 0)
+    def test_orbit_ideal_scans_against_full_scans(self, small_decompositions, corrupt):
+        """The six checks against the table scans in ``_oracles``: both pass
+        on each decomposition, and under single-entry corruptions of a
+        block's orbit, of one ``_support`` entry and of one collapse trace
+        (one idempotent coefficient at an isotropy arrow of the block's
+        orbit), every check whose scan fails fails too."""
+        rng = random.Random(26)
+        caught = dict.fromkeys(("orbit_index", "support", "trace"), 0)
         for d in small_decompositions:
-            data = il._LatticeData(d)
-            assert il._check_sandwich(data).passed
-            assert il._check_lattice_iso(data).passed
-            assert not full_lattice_sandwich_failures(
-                data.inside, data.touched, data.dynamical_of)
-            assert not all_pairs_lattice_failures(data.dynamical_of)
-            for name, bits in (("inside", data.n_orbits), ("touched", data.n_orbits),
-                               ("dynamical_of", data.b)):
-                table = getattr(data, name)
-                for _ in range(20):
-                    flip = (rng.randrange(len(table)), 1 << rng.randrange(bits))
-                    table[flip[0]] ^= flip[1]
-                    if full_lattice_sandwich_failures(
-                            data.inside, data.touched, data.dynamical_of):
-                        caught[name] += 1
-                        assert not il._check_sandwich(data).passed, (d, name, flip)
-                    if all_pairs_lattice_failures(data.dynamical_of):
-                        caught["pairs"] += 1
-                        assert not il._check_lattice_iso(data).passed, (d, name, flip)
-                    table[flip[0]] ^= flip[1]
+            assert il.verify(d).all_passed
+            assert not any(reference_scan_failures(d).values())
+            slots, n = d.groupoid._pair_slots(), len(d.orbit_masks)
+            for kind in caught:
+                for _ in range(6):
+                    i = rng.randrange(d.block_count)
+                    if kind == "orbit_index":
+                        if n < 2:
+                            continue
+                        moved = rng.choice([o for o in range(n) if o != d._orbit_index[i]])
+                        broken = corrupt(d, orbit_index={i: moved})
+                    elif kind == "support":
+                        a = rng.randrange(len(d.groupoid))
+                        broken = corrupt(d, support={(a, i): not d._support[a, i]})
+                    else:
+                        isotropy = np.flatnonzero((slots.src == slots.rng)
+                                                  & (slots.orbit == d._orbit_index[i]))
+                        a = int(rng.choice(isotropy))
+                        shift = rng.choice((-1.0, -0.5, 0.5, 1.0))
+                        broken = corrupt(d, idempotents={
+                            (a, i): d._record.idempotents[a, i] + shift})
+                    reference = reference_scan_failures(broken)
+                    for check in il.verify(broken).checks:
+                        if reference[check.name]:
+                            assert not check.passed, (d, kind, check.name)
+                    caught[kind] += any(reference.values())
         assert all(caught.values()), caught
 
 
@@ -638,6 +622,27 @@ class TestVerify:
                                   tuple(sorted(report.counts.items()))))
             assert outcomes == {(tuple(expected_block_dimensions(g)),
                                  tuple(sorted(expected_counts(g).items())))}, g.name
+
+    def test_no_lattice_table_is_built(self):
+        """With the decomposition built, ``verify`` on 20 points (2^20
+        ideals, 2^20 invariant sets) stays under a 1 MiB traced peak."""
+        d = al.wedderburn(gp.unit_space_groupoid(range(20)))
+        tracemalloc.start()
+        try:
+            report = il.verify(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_passed and report.counts["ideals"] == 1 << 20
+        assert peak < 1 << 20, peak
+
+    def test_triple_table_is_not_read(self, swap_and_fix, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("verify built the triple table")
+
+        monkeypatch.setattr(il, "_triple_table", refuse)
+        report = il.verify(gp.disjoint_union([swap_and_fix, gp.unit_space_groupoid(range(3))]))
+        assert report.all_passed and report.counts["triples"] == 1 << 6
 
     def test_cap(self):
         g = gp.unit_space_groupoid(tuple(range(21)))
